@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, arraysim, dataset, inverse, oracle, surrogate
 from .config import RunConfig, config_to_dict, load_config
 from .inverse import NoSolutionError, TargetSpec
-from .netcalc import NoContrastError, SingularityError, gamma1_reduced, reflection_of_load, switch_impedance
+from .netcalc import NoContrastError, SingularityError
 from .pattern import expand_genome, genome_from_u64, pack_genome, render_pbm, unpack_genome
 
 
@@ -299,15 +299,30 @@ def cmd_design(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_validate(args, cfg: RunConfig) -> int:
-    design_path = _require(Path(args.design), "design artifact (run `design` first)")
+def _load_design(path: Path) -> tuple[dict, np.ndarray]:
+    """Design document and its (8, 8) genome; CliError on bad JSON or genome."""
+    _require(path, "design artifact (run `design` first)")
     try:
-        doc = json.loads(design_path.read_text())
-        genome = unpack_genome(doc["genome"])
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise CliError(f"bad design file {path}: {exc}")
+    genome = doc.get("genome") if isinstance(doc, dict) else None
+    if not isinstance(genome, str):
+        raise CliError(f"bad design file {path}: no genome hex string")
+    try:
+        return doc, unpack_genome(genome)
+    except ValueError as exc:
+        raise CliError(f"bad design file {path}: {exc}")
+
+
+def cmd_validate(args, cfg: RunConfig) -> int:
+    design_path = Path(args.design)
+    doc, genome = _load_design(design_path)
+    try:
         predicted = np.array(doc["predicted_re"]) + 1j * np.array(doc["predicted_im"])
         hist_b = np.array(doc["history_best"])
         hist_m = np.array(doc["history_median"])
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(f"bad design file {design_path}: {exc}")
     target = _load_target(Path(args.target))
 
@@ -328,24 +343,6 @@ def cmd_validate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _design_gamma_spectra(doc: dict, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Oracle reflection spectra of both switch states for a designed genome."""
-    genome = unpack_genome(doc["genome"])
-    freqs = oracle.freq_grid()
-    grid = expand_genome(genome)
-    s22 = oracle.response_batch(grid[None, :, :], cfg.constants, cfg.geometry, freqs)[0]
-    g0 = np.empty(len(freqs), dtype=complex)
-    g1 = np.empty(len(freqs), dtype=complex)
-    for k, f in enumerate(freqs):
-        a = abs(s22[k])
-        theta = float(np.angle(s22[k]))
-        gl0 = reflection_of_load(switch_impedance(cfg.switch, 0, f))
-        gl1 = reflection_of_load(switch_impedance(cfg.switch, 1, f))
-        g0[k] = gamma1_reduced(a, theta, gl0)
-        g1[k] = gamma1_reduced(a, theta, gl1)
-    return freqs, g0, g1
-
-
 def cmd_array(args, cfg: RunConfig) -> int:
     acfg = cfg.array
     steer = args.steer
@@ -353,14 +350,14 @@ def cmd_array(args, cfg: RunConfig) -> int:
     outdir = _outdir(args, cfg)
 
     if args.design:
-        design_path = _require(Path(args.design), "design artifact")
+        design_path = Path(args.design)
+        _, genome = _load_design(design_path)
         try:
-            doc = json.loads(design_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CliError(f"bad design file {design_path}: {exc}")
-        freqs, g0_spec, g1_spec = _design_gamma_spectra(doc, cfg)
-        k = int(np.argmin(np.abs(freqs - f)))
-        gamma0, gamma1 = complex(g0_spec[k]), complex(g1_spec[k])
+            k = inverse._grid_index(f)
+        except ValueError as exc:
+            raise CliError(f"--freq with --design: {exc}")
+        report = inverse.validate_design(genome, cfg.switch, cfg.constants, cfg.geometry)
+        gamma0, gamma1 = complex(report.gamma1_state0[k]), complex(report.gamma1_state1[k])
         inputs = {"design": design_path}
     else:
         gamma0, gamma1 = 1.0 + 0.0j, -1.0 + 0.0j
@@ -389,7 +386,8 @@ def cmd_array(args, cfg: RunConfig) -> int:
     if args.sweep:
         if not args.design:
             raise CliError("--sweep needs --design for the element reflection spectra")
-        sweep = arraysim.spectral_power_sweep(acfg, freqs, g0_spec, g1_spec, steer,
+        sweep = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
+                                              report.gamma1_state1, steer,
                                               f0=cfg.geometry.f0, ref_phase=args.ref_phase)
         lines = ["freq_hz,power_db"]
         lines += [f"{sweep.freqs[i]:.6e},{sweep.power_db[i]:.6f}" for i in range(len(sweep.freqs))]

@@ -29,6 +29,7 @@ from .oracle import (
     fingerprint,
     response_batch,
 )
+from .pattern import expand_genome
 from .rng import stream_u64, u64_to_bits
 
 DATASET_VERSION = 1
@@ -63,17 +64,10 @@ def deinterleave(resp: np.ndarray) -> np.ndarray:
     return resp[..., 0::2] + 1j * resp[..., 1::2]
 
 
-def expand_words(words: np.ndarray) -> np.ndarray:
-    """(n,) genome words -> (n, 16, 16) mirrored boolean grids."""
-    g8 = u64_to_bits(np.asarray(words, dtype=np.uint64)).reshape(-1, 8, 8).astype(bool)
-    top = np.concatenate([g8, g8[:, :, ::-1]], axis=2)
-    return np.concatenate([top, top[:, ::-1, :]], axis=1)
-
-
 def _make_chunk(seed: int, start: int, count: int,
                 consts: OracleConstants, geom: GeometryMeta) -> np.ndarray:
     words = stream_u64(seed, start, count)
-    s22 = response_batch(expand_words(words), consts, geom)
+    s22 = response_batch(expand_genome(u64_to_bits(words)), consts, geom)
     out = np.empty(count, dtype=RECORD_DTYPE)
     out["genome"] = words
     out["resp"] = interleave(s22)
@@ -175,7 +169,7 @@ def summarize(records: np.ndarray) -> dict:
     s22 = deinterleave(resp)
     mags = np.abs(s22)
     words = np.asarray(records["genome"], dtype=np.uint64)
-    fill4 = features_batch(expand_words(words))[:, 0]
+    fill4 = features_batch(expand_genome(u64_to_bits(words)))[:, 0]
     hist, edges = np.histogram(fill4, bins=16, range=(0.0, 1.0))
     return {
         "n": int(len(records)),

@@ -24,6 +24,7 @@ from .oracle import (
     freq_grid,
     response_batch,
 )
+from .pattern import expand_genome
 from .rng import CounterRng, bits_to_u64, u64_to_bits
 
 FITNESS_EPS = 1e-6
@@ -154,13 +155,6 @@ def fitness_of(s22: np.ndarray, target: TargetSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bits_to_grids(bits: np.ndarray) -> np.ndarray:
-    """(k, 64) genome bits -> (k, 16, 16) mirrored boolean grids."""
-    g8 = np.asarray(bits).reshape(-1, 8, 8).astype(bool)
-    top = np.concatenate([g8, g8[:, :, ::-1]], axis=2)
-    return np.concatenate([top, top[:, ::-1, :]], axis=1)
-
-
 def oracle_evaluator(consts: OracleConstants | None = None,
                      geom: GeometryMeta | None = None):
     """Evaluator mapping (k, 64) genome bits to (k, 61) complex responses."""
@@ -168,7 +162,7 @@ def oracle_evaluator(consts: OracleConstants | None = None,
     geom = geom or GeometryMeta()
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
-        return response_batch(bits_to_grids(bits), consts, geom)
+        return response_batch(expand_genome(bits), consts, geom)
 
     return evaluate
 
@@ -324,28 +318,17 @@ def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
     """
     bits = np.asarray(genome_bits, dtype=np.uint8).reshape(1, 64)
     freqs = freq_grid()
-    s22 = response_batch(bits_to_grids(bits), consts, geom)[0]
+    s22 = response_batch(expand_genome(bits), consts, geom)[0]
 
-    n = len(freqs)
-    g0 = np.empty(n, dtype=complex)
-    g1 = np.empty(n, dtype=complex)
-    loss0 = np.empty(n)
-    loss1 = np.empty(n)
-    dphi = np.empty(n)
-    for k, f in enumerate(freqs):
-        a = float(np.abs(s22[k]))
-        theta = float(np.angle(s22[k]))
-        gl0 = nc.reflection_of_load(nc.switch_impedance(switch, 0, float(f)))
-        gl1 = nc.reflection_of_load(nc.switch_impedance(switch, 1, float(f)))
-        g0[k] = nc.gamma1_reduced(a, theta, gl0)
-        g1[k] = nc.gamma1_reduced(a, theta, gl1)
-        m = nc.coding_metrics(complex(g0[k]), complex(g1[k]))
-        loss0[k], loss1[k], dphi[k] = m.loss0_db, m.loss1_db, m.phase_diff_deg
+    a, theta = np.abs(s22), np.angle(s22)
+    g0 = nc.gamma1_reduced(a, theta, nc.reflection_of_load(nc.switch_impedance(switch, 0, freqs)))
+    g1 = nc.gamma1_reduced(a, theta, nc.reflection_of_load(nc.switch_impedance(switch, 1, freqs)))
+    m = nc.coding_metrics(g0, g1)
 
     mask = (
-        (np.abs(dphi - 180.0) <= PHASE_WINDOW_DEG)
-        & (loss0 <= LOSS_LIMIT_DB)
-        & (loss1 <= LOSS_LIMIT_DB)
+        (np.abs(m.phase_diff_deg - 180.0) <= PHASE_WINDOW_DEG)
+        & (m.loss0_db <= LOSS_LIMIT_DB)
+        & (m.loss1_db <= LOSS_LIMIT_DB)
     )
     mismatch = None
     if predicted is not None:
@@ -358,9 +341,9 @@ def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
         oracle_s22=s22,
         gamma1_state0=g0,
         gamma1_state1=g1,
-        loss0_db=loss0,
-        loss1_db=loss1,
-        phase_diff_deg=dphi,
+        loss0_db=m.loss0_db,
+        loss1_db=m.loss1_db,
+        phase_diff_deg=m.phase_diff_deg,
         band_mask=mask,
         band_segments=_segments(freqs, mask),
         predicted_s22=predicted,

@@ -26,7 +26,6 @@ FREE_SPACE_ETA = 377.0  # port reference impedance, ohms
 C0 = 299_792_458.0  # speed of light, m/s
 
 RESIDUAL_CONVERGED = 1e-9  # solver convergence target on |gamma1_0 + gamma1_1|
-RESIDUAL_ROOT = 1e-6  # refined minima above this are not counted as roots
 
 
 class SingularityError(ArithmeticError):
@@ -80,16 +79,17 @@ PIN_SWITCH = SwitchModel(
 )
 
 
-def switch_impedance(model: SwitchModel, state: int, f: float) -> complex:
-    """Series impedance R + jwL + 1/(jwC) of the selected state at f (Hz)."""
-    if f <= 0.0:
+def switch_impedance(model: SwitchModel, state: int, f):
+    """Series impedance R + jwL + 1/(jwC) of the selected state at f (Hz), scalar or array."""
+    f = np.asarray(f, dtype=float)
+    if np.any(f <= 0.0):
         raise ValueError(f"frequency must be positive, got {f}")
     br = model.branch(state)
     w = 2.0 * math.pi * f
-    z = complex(br.r, w * br.l)
+    x = w * br.l
     if br.c is not None:
-        z += 1.0 / complex(0.0, w * br.c)
-    return z
+        x = x - 1.0 / (w * br.c)
+    return br.r + 1j * x
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +97,10 @@ def switch_impedance(model: SwitchModel, state: int, f: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def reflection_of_load(zl: complex) -> complex:
-    """Gamma = (zl - eta) / (zl + eta); |Gamma| <= 1 for Re(zl) >= 0."""
+def reflection_of_load(zl):
+    """Gamma = (zl - eta) / (zl + eta) elementwise; |Gamma| <= 1 for Re(zl) >= 0."""
     den = zl + FREE_SPACE_ETA
-    if den == 0:
+    if np.any(den == 0):
         raise SingularityError("load impedance equals -eta exactly")
     return (zl - FREE_SPACE_ETA) / den
 
@@ -163,14 +163,15 @@ def unitary_from_params(p: UnitaryParams) -> TwoPortS:
     )
 
 
-def gamma1_reduced(a22: float, theta22: float, gl: complex) -> complex:
+def gamma1_reduced(a22, theta22, gl):
     """Blaschke form (a22 - z)/(1 - a22*z), z = exp(j*theta22)*gl.
 
     Equals exp(-j*theta11) * gamma1_full(unitary_from_params(...), gl).
+    Arguments broadcast as numpy arrays.
     """
-    z = cmath.exp(1j * theta22) * gl
+    z = np.exp(1j * np.asarray(theta22)) * gl
     den = 1.0 - a22 * z
-    if abs(den) <= 1e-12:
+    if np.any(np.abs(den) <= 1e-12):
         raise SingularityError("1 - a22*z is (near) zero; response undefined")
     return (a22 - z) / den
 
@@ -184,9 +185,10 @@ def gamma1_reduced(a22: float, theta22: float, gl: complex) -> complex:
 class TargetSolution:
     """Smallest-a22 root of gamma1_r(gl0) = -gamma1_r(gl1), plus alternates.
 
-    `minima` holds every distinct refined residual minimum below 1e-6 as
-    (a22, theta22, residual) sorted by a22; `converged` is False when no
-    minimum reached 1e-9 and the best point found is reported instead.
+    `minima` holds the exact closed-form roots (at most two) as
+    (a22, theta22, residual) sorted by a22, residual being the closure
+    |gamma1_0 + gamma1_1| at that root; `converged` is False when no root
+    exists (minima empty) or the chosen root's residual is not below 1e-9.
     """
 
     a22: float
@@ -207,90 +209,43 @@ def _closure_residual(x, theta, gl0, gl1):
     return np.abs(g)
 
 
-def _newton_refine(x, theta, gl0, gl1, iters=60):
-    """Damped Newton on h(x, theta) = gamma1_r(gl0) + gamma1_r(gl1) = 0."""
-    res = float(_closure_residual(x, theta, gl0, gl1))
-    for _ in range(iters):
-        u = cmath.exp(1j * theta)
-        h = 0.0 + 0.0j
-        dhdx = 0.0 + 0.0j
-        dhdt = 0.0 + 0.0j
-        for gl in (gl0, gl1):
-            z = u * gl
-            den = 1.0 - x * z
-            if abs(den) < 1e-14:
-                return x, theta, res
-            h += (x - z) / den
-            dhdx += (1.0 - z * z) / (den * den)
-            dhdt += 1j * z * (x * x - 1.0) / (den * den)
-        jac = np.array([[dhdx.real, dhdt.real], [dhdx.imag, dhdt.imag]])
-        rhs = -np.array([h.real, h.imag])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            return x, theta, res
-        scale = 1.0
-        for _ in range(40):
-            xn = min(1.0, max(0.0, x + scale * step[0]))
-            tn = wrap_angle(theta + scale * step[1])
-            rn = float(_closure_residual(xn, tn, gl0, gl1))
-            if rn < res:
-                x, theta, res = xn, tn, rn
-                break
-            scale *= 0.5
-        else:
-            return x, theta, res
-        if res < 1e-14:
-            break
-    return x, theta, res
-
-
-def solve_target_s22(gl0: complex, gl1: complex, n_a: int = 200, n_theta: int = 360) -> TargetSolution:
+def solve_target_s22(gl0: complex, gl1: complex) -> TargetSolution:
     """Solve (a-z0)/(1-a*z0) = -(a-z1)/(1-a*z1) for a22 and theta22.
 
-    z_s = exp(j*theta22)*gl_s.  Coarse n_a x n_theta grid over
-    [0,1] x (-pi,pi], then damped Newton from every grid-local minimum of the
-    closure residual |gamma1_0 + gamma1_1|.  Among refined minima below 1e-6
-    the smallest-a22 root wins (product of the quadratic's roots is 1, so at
-    most one root lies inside the unit interval per theta; distinct minima
-    can still appear at different theta).
+    z_s = exp(j*theta22)*gl_s.  Cross-multiplying gives the quadratic
+    (z0+z1)*a**2 - 2*(1+z0*z1)*a + (z0+z1) = 0, i.e. with S = gl0+gl1,
+    P = gl0*gl1 and u = exp(j*theta22)
+
+        k = (a**2 + 1) / (2*a) = (conj(u) + u*P) / S,
+
+    which must be real and at least 1 for a real a22 in (0, 1].  Im(k) = 0 is
+    A*cos(theta) + B*sin(theta) = 0 with A = Im(conj S) + Im(P*conj S) and
+    B = Re(P*conj S) - Re(conj S), so the candidates are
+    theta = atan2(-A, B) and theta + pi; each with k >= 1 gives the root
+    a22 = k - sqrt(k**2 - 1) (the product of the quadratic's roots is 1, so
+    this is the one inside the unit interval).  The smallest-a22 root wins.
+    Antipodal loads (S = 0) are already anti-phase: a22 = 0, theta22 = 0.
     """
     if abs(gl0 - gl1) <= 1e-9:
         raise NoContrastError("load states coincide; no phase contrast possible")
+    s = gl0 + gl1
+    if s == 0:
+        return TargetSolution(0.0, 0.0, 0.0, converged=True, minima=((0.0, 0.0, 0.0),))
 
-    xs = np.linspace(0.0, 1.0, n_a)
-    thetas = np.linspace(-math.pi, math.pi, n_theta + 1)[1:]
-    grid = _closure_residual(xs[:, None], thetas[None, :], gl0, gl1)
-
-    # local minima: <= every neighbor, with wraparound in theta and clamped
-    # edges in a22
-    padded = np.pad(grid, ((1, 1), (0, 0)), mode="edge")
-    padded = np.concatenate([padded[:, -1:], padded, padded[:, :1]], axis=1)
-    neigh = np.ones_like(grid, dtype=bool)
-    for di in (0, 1, 2):
-        for dj in (0, 1, 2):
-            if di == 1 and dj == 1:
-                continue
-            neigh &= grid <= padded[di : di + grid.shape[0], dj : dj + grid.shape[1]]
-    cand = np.argwhere(neigh)
-    order = np.argsort(grid[neigh], kind="stable")
-    cand = cand[order][:64]
-
-    refined: list[tuple[float, float, float]] = []
-    for i, j in cand:
-        x, t, r = _newton_refine(float(xs[i]), float(thetas[j]), gl0, gl1)
-        for xo, to, _ in refined:
-            if abs(x - xo) < 1e-6 and abs(wrap_angle(t - to)) < 1e-6:
-                break
-        else:
-            refined.append((x, t, r))
-
-    roots = sorted([m for m in refined if m[2] < RESIDUAL_ROOT])
-    if roots:
-        a, t, r = roots[0]
-        return TargetSolution(a, t, r, converged=r < RESIDUAL_CONVERGED, minima=tuple(roots))
-    best = min(refined, key=lambda m: m[2])
-    return TargetSolution(best[0], best[1], best[2], converged=False, minima=())
+    p = gl0 * gl1
+    sc = s.conjugate()
+    theta = math.atan2(-(sc.imag + (p * sc).imag), (p * sc).real - sc.real)
+    roots = []
+    for t in (theta, wrap_angle(theta + math.pi)):
+        k = float(((cmath.exp(-1j * t) + cmath.exp(1j * t) * p) / s).real)
+        if k >= 1.0:
+            # equals k - sqrt(k**2 - 1) without its cancellation at large k
+            a = 1.0 / (k + math.sqrt(k * k - 1.0))
+            roots.append((a, t, float(_closure_residual(a, t, gl0, gl1))))
+    if not roots:
+        return TargetSolution(0.0, 0.0, math.inf, converged=False, minima=())
+    a, t, r = min(roots)
+    return TargetSolution(a, t, r, converged=r < RESIDUAL_CONVERGED, minima=tuple(sorted(roots)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +257,18 @@ def solve_target_s22(gl0: complex, gl1: complex, n_a: int = 200, n_theta: int = 
 class CodingMetrics:
     """Per-state reflection loss (dB, >= 0) and state phase difference (deg)."""
 
-    loss0_db: float
-    loss1_db: float
-    phase_diff_deg: float
+    loss0_db: float | np.ndarray
+    loss1_db: float | np.ndarray
+    phase_diff_deg: float | np.ndarray
 
 
-def coding_metrics(g0: complex, g1: complex) -> CodingMetrics:
-    """loss = -20*log10|gamma| per state; phase diff arg(g0)-arg(g1) in [0,360)."""
+def coding_metrics(g0, g1) -> CodingMetrics:
+    """loss = -20*log10|gamma| per state; phase diff arg(g0)-arg(g1) in [0,360); elementwise."""
     for name, g in (("g0", g0), ("g1", g1)):
-        mag = abs(g)
-        if mag == 0.0 or mag > 1.0 + 1e-9:
+        mag = np.abs(g)
+        if np.any((mag == 0.0) | (mag > 1.0 + 1e-9)):
             raise ValueError(f"|{name}| = {mag} outside (0, 1]")
-    loss0 = max(0.0, -20.0 * math.log10(abs(g0)))
-    loss1 = max(0.0, -20.0 * math.log10(abs(g1)))
-    diff = math.degrees(cmath.phase(g0) - cmath.phase(g1)) % 360.0
+    loss0 = np.maximum(0.0, -20.0 * np.log10(np.abs(g0)))
+    loss1 = np.maximum(0.0, -20.0 * np.log10(np.abs(g1)))
+    diff = np.degrees(np.angle(g0) - np.angle(g1)) % 360.0
     return CodingMetrics(loss0, loss1, diff)

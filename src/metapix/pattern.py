@@ -53,13 +53,21 @@ def as_genome(bits) -> np.ndarray:
 
 
 def expand_genome(bits) -> np.ndarray:
-    """Mirror the 8x8 genome about both axes into the (16, 16) grid.
+    """Mirror 8x8 genomes about both axes into 16x16 grids.
 
-    Bit (r, c) lands on (r, c), (r, 15-c), (15-r, c) and (15-r, 15-c).
+    One genome, (64,) or (8, 8), gives a (16, 16) grid; a batch, (n, 64) or
+    (n, 8, 8), gives (n, 16, 16).  Bit (r, c) lands on (r, c), (r, 15-c),
+    (15-r, c) and (15-r, 15-c).
     """
-    g = as_genome(bits)
-    top = np.concatenate([g, g[:, ::-1]], axis=1)
-    return np.concatenate([top, top[::-1, :]], axis=0)
+    arr = np.asarray(bits)
+    if arr.ndim in (1, 2) and arr.shape[-1] == GENOME_BITS:
+        arr = arr.reshape(arr.shape[:-1] + (GENOME_SIDE, GENOME_SIDE))
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != (GENOME_SIDE, GENOME_SIDE):
+        raise ValueError(
+            f"expected genome shape (64,), (8, 8), (n, 64) or (n, 8, 8), got {arr.shape}")
+    g = arr.astype(bool)
+    top = np.concatenate([g, g[..., ::-1]], axis=-1)
+    return np.concatenate([top, top[..., ::-1, :]], axis=-2)
 
 
 def metal_cell_count(bits) -> int:

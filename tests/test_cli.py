@@ -165,6 +165,28 @@ def test_array_pattern_peak_at_steer(tmp_path, capsys):
     assert (tmp_path / "pattern_phi0.csv.manifest.json").exists()
 
 
+def test_array_design_without_genome_is_one_error_line(tmp_path, capsys):
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps({"fitness": 1.0}))
+    code, _, err = run(capsys, "array", "--design", str(design), "--outdir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_array_design_refuses_off_grid_freq(tmp_path, capsys):
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps({"genome": "00003FC000E00000"}))
+    code, _, err = run(capsys, "array", "--freq", "100e9", "--design", str(design),
+                       "--outdir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "off the evaluation grid" in err
+    assert not (tmp_path / "codes.pbm").exists()
+    # ideal +-1 element states have no grid to leave
+    code, _, _ = run(capsys, "array", "--freq", "100e9", "--outdir", str(tmp_path))
+    assert code == 0
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ga": {"population": 24}, "outdir": str(tmp_path)}))

@@ -3,7 +3,8 @@ import pytest
 
 from metapix import dataset as ds
 from metapix.oracle import OracleConstants, freq_grid, response_batch
-from metapix.rng import stream_u64
+from metapix.pattern import expand_genome
+from metapix.rng import stream_u64, u64_to_bits
 
 
 def test_interleave_round_trip():
@@ -20,7 +21,7 @@ def test_records_hold_the_oracle_response():
     recs = ds.generate(8, seed=5)
     words = stream_u64(5, 0, 8)
     np.testing.assert_array_equal(recs["genome"], words)
-    expect = response_batch(ds.expand_words(words))
+    expect = response_batch(expand_genome(u64_to_bits(words)))
     np.testing.assert_array_equal(ds.deinterleave(recs["resp"]), expect)
 
 

@@ -37,6 +37,22 @@ def test_wideband_target_covers_grid_band():
     assert (t.weight[live] == 1.0).all()
     # requirements drift smoothly with frequency
     assert np.abs(np.diff(t.re[live])).max() < 0.02
+    # frozen from the earlier grid-scan + Newton solver
+    frozen = [
+        (-0.691768818963999, 0.02536479780812626),
+        (-0.6966668604894988, 0.02289901682321067),
+        (-0.7014071882074907, 0.020456012595265565),
+        (-0.7059969362144042, 0.018035084278797922),
+        (-0.7104428096410209, 0.015635554184164152),
+        (-0.7147511163601958, 0.013256767463912808),
+        (-0.7189277959283711, 0.010898091706404394),
+        (-0.7229784460379391, 0.008558916457838208),
+        (-0.7269083467261491, 0.006238652690226039),
+        (-0.7307224825591908, 0.003936732229589337),
+        (-0.7344255629859038, 0.0016526071562678224),
+    ]
+    np.testing.assert_allclose(np.stack([t.re[live], t.im[live]], axis=1), frozen,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_anchor_snaps_down_on_exact_half_step():

@@ -20,6 +20,15 @@ def test_expand_is_always_mirror_symmetric():
     for _ in range(50):
         grid = pt.expand_genome(rng.integers(0, 2, 64))
         assert pt.is_mirror_symmetric(grid)
+    batch = rng.integers(0, 2, (5, 64))
+    for bits in (batch, batch.reshape(5, 8, 8)):
+        grids = pt.expand_genome(bits)
+        assert grids.shape == (5, 16, 16)
+        for grid, one in zip(grids, batch):
+            np.testing.assert_array_equal(grid, pt.expand_genome(one.reshape(8, 8)))
+            assert pt.is_mirror_symmetric(grid)
+    with pytest.raises(ValueError):
+        pt.expand_genome(np.zeros((5, 63)))
     asym = np.zeros((16, 16), dtype=bool)
     asym[0, 0] = True
     assert not pt.is_mirror_symmetric(asym)
