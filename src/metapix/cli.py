@@ -249,8 +249,14 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def _load_target(path: Path) -> TargetSpec:
     _require(path, "target artifact (run `target --out` first)")
     try:
-        return TargetSpec.from_json(json.loads(path.read_text()))
-    except (ValueError, KeyError) as exc:
+        doc = json.loads(path.read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        spec = TargetSpec.from_json(doc)
+        if len(spec.freqs) != oracle.N_FREQ:
+            raise ValueError(f"{len(spec.freqs)} rows, the grid has {oracle.N_FREQ}")
+        return spec
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad target file {path}: {exc}")
 
 
@@ -315,14 +321,32 @@ def _load_design(path: Path) -> tuple[dict, np.ndarray]:
         raise CliError(f"bad design file {path}: {exc}")
 
 
+def _design_floats(doc: dict, name: str, n: int | None = None) -> np.ndarray:
+    """Design field `name` as a 1-D float array (of length n if given)."""
+    if name not in doc:
+        raise ValueError(f"no {name}")
+    try:
+        values = np.array(doc[name], dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{name}: {exc}")
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a list of numbers")
+    if n is not None and len(values) != n:
+        raise ValueError(f"{name} needs {n} values, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return values
+
+
 def cmd_validate(args, cfg: RunConfig) -> int:
     design_path = Path(args.design)
     doc, genome = _load_design(design_path)
     try:
-        predicted = np.array(doc["predicted_re"]) + 1j * np.array(doc["predicted_im"])
-        hist_b = np.array(doc["history_best"])
-        hist_m = np.array(doc["history_median"])
-    except (KeyError, ValueError) as exc:
+        predicted = (_design_floats(doc, "predicted_re", oracle.N_FREQ)
+                     + 1j * _design_floats(doc, "predicted_im", oracle.N_FREQ))
+        hist_b = _design_floats(doc, "history_best")
+        hist_m = _design_floats(doc, "history_median")
+    except ValueError as exc:
         raise CliError(f"bad design file {design_path}: {exc}")
     target = _load_target(Path(args.target))
 
@@ -344,6 +368,8 @@ def cmd_validate(args, cfg: RunConfig) -> int:
 
 
 def cmd_array(args, cfg: RunConfig) -> int:
+    if args.sweep and not args.design:
+        raise CliError("--sweep needs --design for the element reflection spectra")
     acfg = cfg.array
     steer = args.steer
     f = args.freq if args.freq is not None else cfg.geometry.f0
@@ -384,8 +410,6 @@ def cmd_array(args, cfg: RunConfig) -> int:
     _write_manifest(codes_path, "array", params, inputs, args.force)
 
     if args.sweep:
-        if not args.design:
-            raise CliError("--sweep needs --design for the element reflection spectra")
         sweep = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
                                               report.gamma1_state1, steer,
                                               f0=cfg.geometry.f0, ref_phase=args.ref_phase)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .arraysim import ArrayConfig
 from .inverse import GAConfig
-from .netcalc import PIN_SWITCH, RlcBranch, SwitchModel
+from .netcalc import PIN_SWITCH, SwitchModel
 from .oracle import OracleConstants
 from .pattern import GeometryMeta
 
@@ -63,44 +65,53 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return d
 
 
-def _rebuild(cls, defaults, data: dict, path: str):
+def _coerce(hint, value, path: str):
+    """A JSON value as the annotated field type; ValueError naming the key
+    path when it does not fit.  An int is accepted where a float is due;
+    NaN, infinities and ints beyond the float range are not."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            types = (args[0],) * len(value) if args[-1] is Ellipsis else args
+            if len(types) == len(value):
+                return tuple(_coerce(t, v, f"{path}[{i}]")
+                             for i, (t, v) in enumerate(zip(types, value)))
+    elif args:  # a union such as float | None
+        for option in args:
+            try:
+                return _coerce(option, value, path)
+            except ValueError:
+                pass
+    elif hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is hint:
+        return value
+    name = hint.__name__ if isinstance(hint, type) else hint
+    raise ValueError(f"config key {path} expects {name}, got {json.dumps(value)}")
+
+
+def _rebuild(cls, defaults, data, path: str):
     """Instantiate a dataclass from defaults overridden by a JSON dict."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {name: getattr(defaults, name) for name in fields}
+    if not isinstance(data, dict):
+        raise ValueError(f"config key {path} expects an object, got {json.dumps(data)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(cls)}
     for key, value in data.items():
-        if key not in fields:
+        if key not in kwargs:
             raise ValueError(f"unknown config key {path}.{key}")
         default = kwargs[key]
-        if dataclasses.is_dataclass(default) and isinstance(value, dict):
-            value = _rebuild(type(default), default, value, f"{path}.{key}")
-        elif isinstance(default, tuple) and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        if dataclasses.is_dataclass(default):
+            kwargs[key] = _rebuild(type(default), default, value, f"{path}.{key}")
+        else:
+            kwargs[key] = _coerce(hints[key], value, f"{path}.{key}")
     return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ValueError("config document must be a JSON object")
-    defaults = RunConfig()
-    # the switch states carry an optional capacitance, which asdict turns
-    # into plain dicts; rebuild them explicitly
-    switch_data = dict(data.get("switch", {}))
-    states = {}
-    for name in ("state0", "state1"):
-        if name in switch_data:
-            branch = switch_data.pop(name)
-            base = getattr(defaults.switch, name)
-            states[name] = _rebuild(RlcBranch, base, branch, f"switch.{name}")
-        else:
-            states[name] = getattr(defaults.switch, name)
-    for key in switch_data:
-        raise ValueError(f"unknown config key switch.{key}")
-    switch = SwitchModel(**states)
-
-    top = {k: v for k, v in data.items() if k != "switch"}
-    cfg = _rebuild(RunConfig, defaults, top, "config")
-    return dataclasses.replace(cfg, switch=switch)
+    return _rebuild(RunConfig, RunConfig(), data, "config")
 
 
 def load_config(path: str | Path | None) -> RunConfig:

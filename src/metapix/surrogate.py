@@ -2,6 +2,9 @@
 
 The network maps the 64 genome bits (encoded as -1/+1) to the 122 response
 values, laid out as the 61 real parts followed by the 61 imaginary parts.
+All parameters live in one float64 vector, `Mlp.params`: for each layer the
+(fan_in, fan_out) weight block, then the bias block.  The gradient, the Adam
+moments, the best-weight snapshot and the checkpoint body share that layout.
 Training is plain minibatch Adam on mean absolute error with a
 reduce-on-plateau schedule; every random draw (init, shuffles, coordinate
 picks) comes from CounterRng so runs are exactly repeatable.
@@ -27,22 +30,32 @@ ADAM_EPS = 1e-8
 CHECKPOINT_FORMAT = "mlp-f64"
 
 
-@dataclass
 class Mlp:
-    """Fully connected ReLU net; weights[k] has shape (fan_in, fan_out)."""
+    """Fully connected ReLU net over one flat float64 parameter vector.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    `params` holds, layer by layer, the (fan_in, fan_out) weight block and
+    then the fan_out bias block; `weights[k]`, `biases[k]` and `layers[k]`
+    (the slice of layer k in `params`) are fixed views built here.
+    """
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
+    def __init__(self, sizes, params: np.ndarray | None = None):
+        self.sizes = tuple(sizes)
+        self._blocks = []  # (start, bias start, end, fan_in, fan_out) per layer
+        end = 0
+        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
+            start, mid, end = end, end + fan_in * fan_out, end + (fan_in + 1) * fan_out
+            self._blocks.append((start, mid, end, fan_in, fan_out))
+        self.layers = [slice(a, c) for a, _, c, _, _ in self._blocks]
+        self.params = np.zeros(end) if params is None else params
+        self.weights, self.biases = self._views(self.params)
+
+    def _views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a vector laid out like `params`."""
+        return ([flat[a:b].reshape(fi, fo) for a, b, _, fi, fo in self._blocks],
+                [flat[b:c] for _, b, c, _, _ in self._blocks])
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return self.params.size
 
     def forward(self, x: np.ndarray) -> list[np.ndarray]:
         """All layer activations, input first, linear output last."""
@@ -56,32 +69,31 @@ class Mlp:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[-1]
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        """Mean absolute error and its gradients for every weight and bias."""
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean absolute error and its gradient, laid out like `params`."""
         acts = self.forward(x)
         err = acts[-1] - y
         loss = float(np.abs(err).mean())
         delta = np.sign(err) / err.size
-        gws, gbs = [None] * len(self.weights), [None] * len(self.biases)
+        grad = np.empty_like(self.params)
+        gws, gbs = self._views(grad)
         for k in range(len(self.weights) - 1, -1, -1):
-            gws[k] = acts[k].T @ delta
-            gbs[k] = delta.sum(axis=0)
+            np.matmul(acts[k].T, delta, out=gws[k])
+            delta.sum(axis=0, out=gbs[k])
             if k:
                 delta = (delta @ self.weights[k].T) * (acts[k] > 0.0)
-        return loss, gws, gbs
+        return loss, grad
 
 
 def init_mlp(seed: int, hidden: tuple[int, ...] = DEFAULT_HIDDEN,
              n_in: int = 64, n_out: int = RESP_WIDTH) -> Mlp:
     """He-uniform weights, zero biases, drawn layer by layer from one seed."""
-    sizes = (n_in, *hidden, n_out)
+    mlp = Mlp((n_in, *hidden, n_out))
     rng = CounterRng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(fan_in * fan_out, -bound, bound).reshape(fan_in, fan_out))
-        biases.append(np.zeros(fan_out))
-    return Mlp(weights, biases)
+    for w in mlp.weights:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[:] = rng.uniform(w.size, -bound, bound).reshape(w.shape)
+    return mlp
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +141,17 @@ class TrainResult:
 
 class _Adam:
     def __init__(self, mlp: Mlp):
-        self.m = [np.zeros_like(w) for w in mlp.weights] + [np.zeros_like(b) for b in mlp.biases]
-        self.v = [np.zeros_like(p) for p in self.m]
+        self.m = np.zeros_like(mlp.params)
+        self.v = np.zeros_like(mlp.params)
         self.t = 0
 
-    def step(self, mlp: Mlp, gws, gbs, lr: float):
+    def step(self, mlp: Mlp, grad: np.ndarray, lr: float):
         self.t += 1
-        params = mlp.weights + mlp.biases
-        grads = gws + gbs
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        # layer by layer: whole-vector temporaries would not stay in cache
+        for s in mlp.layers:
+            p, g, m, v = mlp.params[s], grad[s], self.m[s], self.v[s]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -169,7 +181,7 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
     """
     rng = CounterRng(seed)
     opt = _Adam(mlp)
-    best = Mlp([w.copy() for w in mlp.weights], [b.copy() for b in mlp.biases])
+    best = mlp.params.copy()
     best_val = np.inf
     best_epoch = 0
     lr = lr0
@@ -186,8 +198,8 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
         running = 0.0
         for i in range(0, n, batch_size):
             idx = order[i : i + batch_size]
-            loss, gws, gbs = mlp.loss_and_grads(x_train[idx], y_train[idx])
-            opt.step(mlp, gws, gbs, lr)
+            loss, grad = mlp.loss_and_grads(x_train[idx], y_train[idx])
+            opt.step(mlp, grad, lr)
             running += loss * len(idx)
         train_mae = running / n
         val_mae = mae(mlp, x_val, y_val)
@@ -198,10 +210,7 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
         if val_mae < best_val - min_delta:
             best_val = val_mae
             best_epoch = epoch
-            for bw, w in zip(best.weights, mlp.weights):
-                np.copyto(bw, w)
-            for bb, b in zip(best.biases, mlp.biases):
-                np.copyto(bb, b)
+            np.copyto(best, mlp.params)
             bad = 0
         else:
             bad += 1
@@ -213,10 +222,7 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
                     break
                 lr /= 10.0
 
-    for w, bw in zip(mlp.weights, best.weights):
-        np.copyto(w, bw)
-    for b, bb in zip(mlp.biases, best.biases):
-        np.copyto(b, bb)
+    np.copyto(mlp.params, best)
     if not np.isfinite(best_val):
         best_val = history[-1][2] if history else float("nan")
         best_epoch = epochs_run
@@ -236,8 +242,8 @@ def save_history(path: str, history) -> None:
 
 
 def save_checkpoint(path: str, mlp: Mlp, meta: dict | None = None) -> None:
-    """One JSON line (format, sizes, meta), then per layer the raw little
-    endian float64 weight block followed by the bias block."""
+    """One JSON line (format, sizes, meta), then `mlp.params` as raw little
+    endian float64: per layer the weight block followed by the bias block."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": 1,
@@ -247,13 +253,12 @@ def save_checkpoint(path: str, mlp: Mlp, meta: dict | None = None) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for w, b in zip(mlp.weights, mlp.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(mlp.params.astype("<f8", copy=False).tobytes())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> tuple[Mlp, dict]:
+    """Network and meta dict; ValueError on any malformed header or body."""
     with open(path, "rb") as fh:
         line = fh.readline()
         body = fh.read()
@@ -261,23 +266,24 @@ def load_checkpoint(path: str) -> tuple[Mlp, dict]:
         header = json.loads(line.decode())
     except ValueError as exc:
         raise ValueError(f"{path}: not a checkpoint file") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: not a checkpoint file")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unknown checkpoint format {header.get('format')!r}")
-    sizes = header["sizes"]
-    weights, biases = [], []
-    off = 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        nw, nb = fan_in * fan_out, fan_out
-        need = (nw + nb) * 8
-        if off + need > len(body):
-            raise ValueError(f"{path}: checkpoint truncated")
-        weights.append(np.frombuffer(body, "<f8", nw, off).reshape(fan_in, fan_out).copy())
-        off += nw * 8
-        biases.append(np.frombuffer(body, "<f8", nb, off).copy())
-        off += nb * 8
-    if off != len(body):
-        raise ValueError(f"{path}: {len(body) - off} trailing bytes in checkpoint")
-    return Mlp(weights, biases), header.get("meta", {})
+    sizes = header.get("sizes")
+    if not (isinstance(sizes, list) and len(sizes) >= 2
+            and all(type(s) is int and s > 0 for s in sizes)):
+        raise ValueError(f"{path}: checkpoint sizes must be a list of at least two "
+                         f"positive ints, got {sizes!r}")
+    need = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if len(body) < need:
+        raise ValueError(f"{path}: checkpoint truncated")
+    if len(body) > need:
+        raise ValueError(f"{path}: {len(body) - need} trailing bytes in checkpoint")
+    params = np.frombuffer(body, "<f8").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise ValueError(f"{path}: non-finite weights in checkpoint")
+    return Mlp(sizes, params), header.get("meta", {})
 
 
 # ---------------------------------------------------------------------------
@@ -290,40 +296,32 @@ def grad_check(mlp: Mlp, x: np.ndarray, y: np.ndarray, *, n_coords: int = 120,
                grad_fn=None) -> tuple[float, int, int]:
     """Central-difference audit of the analytic gradient.
 
-    Checks n_coords randomly chosen weight/bias coordinates and returns
+    Checks n_coords randomly chosen coordinates of `mlp.params` and returns
     (max relative error, checked, skipped).  A coordinate is skipped when the
     +/- eps evaluations disagree on any ReLU gate or error sign, since the
     difference quotient straddles a kink there and says nothing about the
-    gradient.  `grad_fn(mlp, x, y) -> (loss, gws, gbs)` substitutes the
+    gradient.  `grad_fn(mlp, x, y) -> (loss, grad)` substitutes the
     gradient implementation under audit; default is the network's own.
     """
-    loss_grads = grad_fn or (lambda m, a, b: m.loss_and_grads(a, b))
-    _, gws, gbs = loss_grads(mlp, x, y)
-    analytic = gws + gbs
-    params = mlp.weights + mlp.biases
+    loss_grad = grad_fn or (lambda m, a, b: m.loss_and_grads(a, b))
+    _, analytic = loss_grad(mlp, x, y)
+    params = mlp.params
 
-    def signature_and_loss(pert_k, pert_idx, delta):
-        flat = params[pert_k].reshape(-1)
-        keep = flat[pert_idx]
-        flat[pert_idx] = keep + delta
+    def signature_and_loss(i, delta):
+        keep = params[i]
+        params[i] = keep + delta
         acts = mlp.forward(x)
-        flat[pert_idx] = keep
+        params[i] = keep
         err = acts[-1] - y
         gates = [a > 0.0 for a in acts[1:-1]]
         return float(np.abs(err).mean()), gates, np.sign(err)
 
-    rng = CounterRng(seed)
-    sizes = np.array([p.size for p in params])
-    cum = np.cumsum(sizes)
-    picks = rng.integers(n_coords, int(cum[-1]))
-
+    picks = CounterRng(seed).integers(n_coords, params.size)
     max_rel = 0.0
     checked = skipped = 0
-    for flat_idx in picks:
-        k = int(np.searchsorted(cum, flat_idx, side="right"))
-        idx = int(flat_idx - (cum[k - 1] if k else 0))
-        lp, gates_p, signs_p = signature_and_loss(k, idx, +eps)
-        lm, gates_m, signs_m = signature_and_loss(k, idx, -eps)
+    for i in picks:
+        lp, gates_p, signs_p = signature_and_loss(i, +eps)
+        lm, gates_m, signs_m = signature_and_loss(i, -eps)
         same = np.array_equal(signs_p, signs_m) and all(
             np.array_equal(a, b) for a, b in zip(gates_p, gates_m)
         )
@@ -331,7 +329,7 @@ def grad_check(mlp: Mlp, x: np.ndarray, y: np.ndarray, *, n_coords: int = 120,
             skipped += 1
             continue
         fd = (lp - lm) / (2.0 * eps)
-        ga = float(analytic[k].reshape(-1)[idx])
+        ga = float(analytic[i])
         rel = abs(ga - fd) / max(abs(ga), abs(fd), 1e-12)
         max_rel = max(max_rel, rel)
         checked += 1

@@ -202,3 +202,69 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
     code, _, err = run(capsys, "config", "--config", str(bad))
     assert code == 1
     assert "unknown config key" in err
+
+
+def _one_error_line(err):
+    return err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def _design_doc():
+    return {"genome": "00003FC000E00000", "predicted_re": [0.0] * 61,
+            "predicted_im": [0.0] * 61, "history_best": [1.0], "history_median": [0.5]}
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    json.dumps({"freqs": [5.8e9], "re": [-0.7], "im": [0.0], "weight": [1.0]}),
+])
+def test_validate_bad_target_file_is_one_error_line(tmp_path, capsys, text):
+    target = tmp_path / "t.json"
+    target.write_text(text)
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps(_design_doc()))
+    code, _, err = run(capsys, "validate", "--design", str(design), "--target", str(target),
+                       "--outdir", str(tmp_path))
+    assert code == 1
+    assert _one_error_line(err) and "bad target file" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("predicted_re", "abc"),
+    ("predicted_re", [0.1, 0.2]),
+    ("predicted_im", [[0.0]] * 61),
+    ("predicted_im", [None] * 61),
+    ("history_best", 3.0),
+    ("history_median", {"a": 1}),
+])
+def test_validate_bad_design_fields_are_one_error_line(tmp_path, capsys, field, value):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    doc = _design_doc()
+    doc[field] = value
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--design", str(design), "--target", str(target),
+                       "--outdir", str(tmp_path))
+    assert code == 1
+    assert _one_error_line(err)
+    assert f"bad design file {design}: {field}" in err
+    assert not (tmp_path / "validation.csv").exists()
+
+
+def test_array_sweep_without_design_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "array", "--sweep", "--outdir", str(out))
+    assert code == 1
+    assert _one_error_line(err) and "--sweep needs --design" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_design_checkpoint_without_sizes_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    ckpt = tmp_path / "net.ckpt"
+    ckpt.write_bytes(b'{"format": "mlp-f64", "version": 1}\n' + b"\x00" * 16)
+    code, _, err = run(capsys, "design", "--target", str(target), "--ckpt", str(ckpt),
+                       "--outdir", str(tmp_path))
+    assert code == 1
+    assert _one_error_line(err) and "sizes" in err

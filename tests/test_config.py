@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -63,3 +64,37 @@ def test_load_config_paths(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"train": {"hidden": [32, 32]}}))
     assert load_config(good).train.hidden == (32, 32)
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"ga": {"population": "10"}}, "config.ga.population"),
+    ({"ga": {"population": True}}, "config.ga.population"),
+    ({"ga": {"population": 10.5}}, "config.ga.population"),
+    ({"train": {"lr0": "1e-3"}}, "config.train.lr0"),
+    ({"train": {"lr0": False}}, "config.train.lr0"),
+    ({"train": {"lr0": [1e-3]}}, "config.train.lr0"),
+    ({"train": {"lr0": float("nan")}}, "config.train.lr0"),
+    ({"constants": {"l_lead": float("inf")}}, "config.constants.l_lead"),
+    ({"geometry": {"f0": 10**400}}, "config.geometry.f0"),
+    ({"train": {"hidden": [32, "32"]}}, "config.train.hidden[1]"),
+    ({"train": {"hidden": 32}}, "config.train.hidden"),
+    ({"array": {"feed_xyz": [0.0, 0.3]}}, "config.array.feed_xyz"),
+    ({"array": {"plane_wave_feed": 1}}, "config.array.plane_wave_feed"),
+    ({"switch": {"state0": {"c": "1e-13"}}}, "config.switch.state0.c"),
+    ({"switch": {"state1": 5}}, "config.switch.state1"),
+    ({"ga": [24]}, "config.ga"),
+    ({"outdir": 5}, "config.outdir"),
+])
+def test_wrong_value_types_rejected(doc, path):
+    with pytest.raises(ValueError, match=re.escape(f"config key {path} expects")):
+        config_from_dict(doc)
+
+
+def test_ints_widen_to_floats_and_null_fits_optional():
+    cfg = config_from_dict({"train": {"lr0": 1}, "array": {"feed_xyz": [0, 0, 1]},
+                            "switch": {"state0": {"c": 1e-13}, "state1": {"c": None}}})
+    assert cfg.train.lr0 == 1.0 and type(cfg.train.lr0) is float
+    assert cfg.array.feed_xyz == (0.0, 0.0, 1.0)
+    assert cfg.switch.state0.c == 1e-13
+    assert cfg.switch.state1.c is None
+    assert config_from_dict({"switch": {"state0": {"c": None}}}) == RunConfig()

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -55,7 +58,7 @@ def test_loss_is_mean_absolute_error():
     mlp = sg.init_mlp(1, hidden=(8,), n_in=4, n_out=2)
     x = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
     y = np.array([[0.1, -0.2], [0.3, 0.0]])
-    loss, _, _ = mlp.loss_and_grads(x, y)
+    loss, _ = mlp.loss_and_grads(x, y)
     np.testing.assert_allclose(loss, np.abs(mlp.predict(x) - y).mean(), rtol=1e-15)
 
 
@@ -73,8 +76,8 @@ def test_grad_check_catches_a_corrupted_gradient():
     mlp = sg.init_mlp(3, hidden=(32, 32))
 
     def off_by_two_percent(m, a, b):
-        loss, gws, gbs = m.loss_and_grads(a, b)
-        return loss, [g * 1.02 for g in gws], gbs
+        loss, grad = m.loss_and_grads(a, b)
+        return loss, grad * 1.02
 
     rel, checked, _ = sg.grad_check(mlp, x, y, n_coords=150, seed=5, grad_fn=off_by_two_percent)
     assert checked >= 100
@@ -101,6 +104,30 @@ def test_training_is_deterministic():
     assert r1.history == r2.history
     for a, b in zip(m1.weights, m2.weights):
         np.testing.assert_array_equal(a, b)
+
+
+def test_training_history_and_checkpoint_are_frozen(tmp_path):
+    """A small seeded run must reproduce its exact history and checkpoint
+    bytes; the best epoch (5) is not the last, so the snapshot and restore
+    of the best weights are covered too."""
+    x, y = _toy_data(16)
+    mlp = sg.init_mlp(5, hidden=(16, 8))
+    res = sg.train(mlp, x[:12], y[:12], x[12:], y[12:], seed=9, batch_size=4,
+                   max_epochs=7, lr0=0.3, patience=2, min_delta=0.02)
+    assert res.history == [
+        (1, 1.0920825364595932, 0.36463030014574227, 0.3),
+        (2, 0.5810365247498281, 0.21195894319434444, 0.3),
+        (3, 0.19704648638784197, 0.20179553528814073, 0.3),
+        (4, 0.18109565906207106, 0.17098851551960123, 0.3),
+        (5, 0.15289886169459424, 0.15051622929633632, 0.3),
+        (6, 0.13397884136019975, 0.1365684349930864, 0.3),
+        (7, 0.12399900224730948, 0.13717086502001216, 0.3),
+    ]
+    assert (res.best_epoch, res.epochs_run) == (5, 7)
+    path = tmp_path / "net.ckpt"
+    sg.save_checkpoint(str(path), mlp, meta={"best_epoch": res.best_epoch})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "0f23cc9ae0ddb8838ece7e546e4ea28d01aacba83598f8d01a84bde35ae4b22d")
 
 
 def test_plateau_drops_lr_twice_then_stops():
@@ -159,6 +186,31 @@ def test_checkpoint_rejects_damage(tmp_path):
         fh.write(b"garbage\n")
     with pytest.raises(ValueError, match="not a checkpoint"):
         sg.load_checkpoint(path)
+
+    with open(path, "wb") as fh:
+        fh.write(b'["mlp-f64", [4, 8, 2]]\n')
+    with pytest.raises(ValueError, match="not a checkpoint"):
+        sg.load_checkpoint(path)
+
+    header, body = blob.split(b"\n", 1)
+    for sizes in (None, [4], [4, "8", 2], [4, 8.0, 2], [4, 0, 2], [4, True, 2], "4,8,2"):
+        doc = json.loads(header)
+        if sizes is None:
+            del doc["sizes"]
+        else:
+            doc["sizes"] = sizes
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(doc).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match="sizes"):
+            sg.load_checkpoint(path)
+
+    for bad in (np.nan, np.inf):
+        params = np.frombuffer(body, "<f8").copy()
+        params[3] = bad
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n" + params.tobytes())
+        with pytest.raises(ValueError, match="non-finite"):
+            sg.load_checkpoint(path)
 
 
 def test_history_csv(tmp_path):
