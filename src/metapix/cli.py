@@ -107,8 +107,10 @@ def _require(path: Path, what: str) -> Path:
 
 
 def _check_fresh(path: Path, force: bool) -> None:
-    if path.exists() and not force:
-        raise CliError(f"refusing to overwrite existing artifact: {path} (use --force)")
+    """Refuse to replace an artifact or its manifest sidecar unless forced."""
+    for p in (path, path.with_name(path.name + ".manifest.json")):
+        if p.exists() and not force:
+            raise CliError(f"refusing to overwrite existing artifact: {p} (use --force)")
 
 
 def _write_text(path: Path, text: str, force: bool) -> None:
@@ -119,8 +121,9 @@ def _write_text(path: Path, text: str, force: bool) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(artifact: Path, command: str, params: dict, inputs: dict[str, Path],
-                    force: bool) -> None:
+def _write_manifest(artifact: Path, command: str, params: dict,
+                    inputs: dict[str, Path]) -> None:
+    """Write the sidecar; callers check it with _check_fresh before any write."""
     manifest = {
         "artifact": artifact.name,
         "sha256": _sha256(artifact),
@@ -130,8 +133,6 @@ def _write_manifest(artifact: Path, command: str, params: dict, inputs: dict[str
         "version": __version__,
     }
     side = artifact.with_name(artifact.name + ".manifest.json")
-    if side.exists() and not force:
-        raise CliError(f"refusing to overwrite existing artifact: {side} (use --force)")
     tmp = side.with_name(side.name + f".tmp.{os.getpid()}")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, side)
@@ -167,12 +168,14 @@ def cmd_target(args, cfg: RunConfig) -> int:
         _write_text(out, json.dumps(spec.to_json(), indent=2) + "\n", args.force)
         _write_manifest(out, "target",
                         {"band": [lo, hi], "anchors": [list(a) for a in args.anchor]},
-                        {}, args.force)
+                        {})
         print(f"wrote {out}")
     return 0
 
 
 def cmd_gen(args, cfg: RunConfig) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     out = Path(args.out) if args.out else _outdir(args, cfg) / "dataset.bin"
     _check_fresh(out, args.force)
     n = args.n if args.n is not None else cfg.dataset_n
@@ -184,7 +187,7 @@ def cmd_gen(args, cfg: RunConfig) -> int:
                     {"n": n, "seed": seed,
                      "fingerprint": oracle.fingerprint(cfg.constants, cfg.geometry),
                      "dataset_version": dataset.DATASET_VERSION},
-                    {}, args.force)
+                    {})
     print(f"wrote {out} ({n} records, seed {seed})")
     return 0
 
@@ -199,7 +202,7 @@ def cmd_stats(args, cfg: RunConfig) -> int:
         out = Path(args.out)
         _write_text(out, text, args.force)
         _write_manifest(out, "stats", {"n": header.n, "seed": header.seed},
-                        {"dataset": path}, args.force)
+                        {"dataset": path})
         print(f"wrote {out}")
     else:
         print(text, end="")
@@ -207,6 +210,9 @@ def cmd_stats(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    ts = cfg.train
+    if args.epochs is not None:
+        ts = dataclasses.replace(ts, max_epochs=args.epochs)
     data_path = Path(args.data) if args.data else _outdir(args, cfg) / "dataset.bin"
     _require(data_path, "dataset artifact (run `gen` first)")
     ckpt = Path(args.out) if args.out else _outdir(args, cfg) / "surrogate.ckpt"
@@ -219,13 +225,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     xt, yt = surrogate.records_to_xy(train_recs)
     xv, yv = surrogate.records_to_xy(val_recs)
 
-    ts = cfg.train
-    epochs = args.epochs if args.epochs is not None else ts.max_epochs
     mlp = surrogate.init_mlp(ts.seed, ts.hidden)
     log = (lambda msg: print(msg)) if args.verbose else None
     result = surrogate.train(
         mlp, xt, yt, xv, yv, seed=ts.seed, batch_size=ts.batch_size, lr0=ts.lr0,
-        max_epochs=epochs, patience=ts.patience, min_delta=ts.min_delta,
+        max_epochs=ts.max_epochs, patience=ts.patience, min_delta=ts.min_delta,
         lr_drops=ts.lr_drops, log=log,
     )
     ckpt.parent.mkdir(parents=True, exist_ok=True)
@@ -235,11 +239,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
         "seed": ts.seed,
     })
     surrogate.save_history(hist_path, result.history)
-    params = {"hidden": list(ts.hidden), "batch_size": ts.batch_size, "lr0": ts.lr0,
-              "max_epochs": epochs, "patience": ts.patience, "min_delta": ts.min_delta,
-              "lr_drops": ts.lr_drops, "seed": ts.seed}
-    _write_manifest(ckpt, "train", params, {"dataset": data_path}, args.force)
-    _write_manifest(hist_path, "train", params, {"dataset": data_path}, args.force)
+    params = dataclasses.asdict(ts)
+    _write_manifest(ckpt, "train", params, {"dataset": data_path})
+    _write_manifest(hist_path, "train", params, {"dataset": data_path})
     print(f"best val MAE {result.best_val_mae:.6f} at epoch {result.best_epoch} "
           f"({result.epochs_run} epochs, {result.stop_reason})")
     print(f"wrote {ckpt}")
@@ -255,6 +257,8 @@ def _load_target(path: Path) -> TargetSpec:
         spec = TargetSpec.from_json(doc)
         if len(spec.freqs) != oracle.N_FREQ:
             raise ValueError(f"{len(spec.freqs)} rows, the grid has {oracle.N_FREQ}")
+        if not np.all(np.abs(spec.freqs - oracle.freq_grid()) <= 1.0):
+            raise ValueError(f"freqs are off the {oracle.N_FREQ}-point evaluation grid")
         return spec
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad target file {path}: {exc}")
@@ -290,16 +294,14 @@ def cmd_design(args, cfg: RunConfig) -> int:
         "genome": pack_genome(genome_from_u64(result.best_word)),
         "fitness": result.best_fitness,
         "evaluator": args.evaluator,
-        "ga": {"population": ga.population, "generations": ga.generations,
-               "tournament": ga.tournament, "crossover_p": ga.crossover_p,
-               "mutation_p": ga.mutation_p, "elitism": ga.elitism, "seed": ga.seed},
+        "ga": dataclasses.asdict(ga),
         "predicted_re": [float(v) for v in predicted.real],
         "predicted_im": [float(v) for v in predicted.imag],
         "history_best": [float(v) for v in result.history_best],
         "history_median": [float(v) for v in result.history_median],
     }
     _write_text(out, json.dumps(doc, indent=2) + "\n", args.force)
-    _write_manifest(out, "design", doc["ga"] | {"evaluator": args.evaluator}, inputs, args.force)
+    _write_manifest(out, "design", doc["ga"] | {"evaluator": args.evaluator}, inputs)
     print(f"best genome {doc['genome']}  fitness {result.best_fitness:.4f}")
     print(f"wrote {out}")
     return 0
@@ -349,19 +351,20 @@ def cmd_validate(args, cfg: RunConfig) -> int:
     except ValueError as exc:
         raise CliError(f"bad design file {design_path}: {exc}")
     target = _load_target(Path(args.target))
+    out_csv = Path(args.out) if args.out else _outdir(args, cfg) / "validation.csv"
+    pbm = Path(args.pbm) if args.pbm else _outdir(args, cfg) / "genome.pbm"
+    for path in (out_csv, pbm):
+        _check_fresh(path, args.force)
 
     report = inverse.validate_design(
         genome.reshape(-1), cfg.switch, cfg.constants, cfg.geometry,
         predicted=predicted, history_best=hist_b, history_median=hist_m,
     )
-    out_csv = Path(args.out) if args.out else _outdir(args, cfg) / "validation.csv"
     _write_text(out_csv, inverse.report_csv(report, target), args.force)
     _write_manifest(out_csv, "validate", {"genome": doc["genome"]},
-                    {"design": design_path, "target": Path(args.target)}, args.force)
-    pbm = Path(args.pbm) if args.pbm else _outdir(args, cfg) / "genome.pbm"
+                    {"design": design_path, "target": Path(args.target)})
     _write_text(pbm, render_pbm(expand_genome(genome)), args.force)
-    _write_manifest(pbm, "validate", {"genome": doc["genome"]},
-                    {"design": design_path}, args.force)
+    _write_manifest(pbm, "validate", {"genome": doc["genome"]}, {"design": design_path})
     print(inverse.report_summary(report))
     print(f"wrote {out_csv}")
     return 0
@@ -374,6 +377,13 @@ def cmd_array(args, cfg: RunConfig) -> int:
     steer = args.steer
     f = args.freq if args.freq is not None else cfg.geometry.f0
     outdir = _outdir(args, cfg)
+    names = ["pattern_phi0.csv", "pattern_phi90.csv", "codes.pbm"]
+    if args.sweep:
+        names.append("sweep.csv")
+    if args.hemisphere:
+        names.append("hemisphere.pgm")
+    for name in names:
+        _check_fresh(outdir / name, args.force)
 
     if args.design:
         design_path = Path(args.design)
@@ -401,13 +411,13 @@ def cmd_array(args, cfg: RunConfig) -> int:
         lines += [f"{cut[i]:.2f},{p[i]:.6f}" for i in range(len(cut))]
         path = outdir / f"pattern_phi{int(phi)}.csv"
         _write_text(path, "\n".join(lines) + "\n", args.force)
-        _write_manifest(path, "array", params | {"cut_phi": phi}, inputs, args.force)
+        _write_manifest(path, "array", params | {"cut_phi": phi}, inputs)
         peak = cut[int(np.argmax(p))]
         print(f"phi={int(phi)} cut: peak at {peak:.2f} deg -> {path}")
 
     codes_path = outdir / "codes.pbm"
     _write_text(codes_path, render_pbm(codes), args.force)
-    _write_manifest(codes_path, "array", params, inputs, args.force)
+    _write_manifest(codes_path, "array", params, inputs)
 
     if args.sweep:
         sweep = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
@@ -417,7 +427,7 @@ def cmd_array(args, cfg: RunConfig) -> int:
         lines += [f"{sweep.freqs[i]:.6e},{sweep.power_db[i]:.6f}" for i in range(len(sweep.freqs))]
         path = outdir / "sweep.csv"
         _write_text(path, "\n".join(lines) + "\n", args.force)
-        _write_manifest(path, "array", params, inputs, args.force)
+        _write_manifest(path, "array", params, inputs)
         if sweep.band is None:
             print(f"no 3-dB band around {cfg.geometry.f0:.3e} Hz -> {path}")
         else:
@@ -436,7 +446,7 @@ def cmd_array(args, cfg: RunConfig) -> int:
         db = 10.0 * np.log10(np.maximum(rows, 1e-10))
         path = outdir / "hemisphere.pgm"
         _write_text(path, arraysim.render_pgm(db), args.force)
-        _write_manifest(path, "array", params, inputs, args.force)
+        _write_manifest(path, "array", params, inputs)
         print(f"wrote {path}")
     return 0
 

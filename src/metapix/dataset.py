@@ -25,7 +25,6 @@ from .oracle import (
     N_FREQ,
     GeometryMeta,
     OracleConstants,
-    features_batch,
     fingerprint,
     response_batch,
 )
@@ -74,20 +73,22 @@ def _make_chunk(seed: int, start: int, count: int,
     return out
 
 
-def generate(n: int, seed: int, consts: OracleConstants | None = None,
-             geom: GeometryMeta | None = None, jobs: int = 1,
+def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
+             geom: GeometryMeta = GeometryMeta(), jobs: int = 1,
              chunk: int = 4096) -> np.ndarray:
-    """n records for (seed, constants); bit-identical for any jobs/chunk."""
+    """n records for (seed, constants); bit-identical for any jobs/chunk.
+
+    At most one worker process per chunk is started.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
-    consts = consts or OracleConstants()
-    geom = geom or GeometryMeta()
     starts = list(range(0, n, chunk))
     args = [(seed, s, min(chunk, n - s), consts, geom) for s in starts]
-    if jobs <= 1 or len(args) == 1:
+    workers = min(jobs, len(args))
+    if workers <= 1:
         parts = [_make_chunk(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_make_chunk, *zip(*args)))
     # concatenate promotes the big-endian genome field to native order;
     # cast back so in-memory records match the file layout byte for byte
@@ -108,11 +109,9 @@ def _header_for(records: np.ndarray, seed: int, consts: OracleConstants,
 
 
 def save(path: str, records: np.ndarray, seed: int,
-         consts: OracleConstants | None = None,
-         geom: GeometryMeta | None = None) -> DatasetHeader:
+         consts: OracleConstants = OracleConstants(),
+         geom: GeometryMeta = GeometryMeta()) -> DatasetHeader:
     """Write header + records atomically (tmp file, then rename)."""
-    consts = consts or OracleConstants()
-    geom = geom or GeometryMeta()
     records = np.ascontiguousarray(records, dtype=RECORD_DTYPE)
     header = _header_for(records, seed, consts, geom)
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -123,8 +122,8 @@ def save(path: str, records: np.ndarray, seed: int,
     return header
 
 
-def load(path: str, consts: OracleConstants | None = None,
-         geom: GeometryMeta | None = None,
+def load(path: str, consts: OracleConstants = OracleConstants(),
+         geom: GeometryMeta = GeometryMeta(),
          check_fingerprint: bool = True) -> tuple[DatasetHeader, np.ndarray]:
     """Read a dataset; refuse one generated under different model constants."""
     with open(path, "rb") as fh:
@@ -137,7 +136,7 @@ def load(path: str, consts: OracleConstants | None = None,
     if header.version != DATASET_VERSION:
         raise ValueError(f"{path}: dataset version {header.version}, expected {DATASET_VERSION}")
     if check_fingerprint:
-        want = fingerprint(consts or OracleConstants(), geom or GeometryMeta())
+        want = fingerprint(consts, geom)
         if header.fingerprint != want:
             raise ValueError(
                 f"{path}: dataset fingerprint {header.fingerprint} does not match "
@@ -169,8 +168,8 @@ def summarize(records: np.ndarray) -> dict:
     s22 = deinterleave(resp)
     mags = np.abs(s22)
     words = np.asarray(records["genome"], dtype=np.uint64)
-    fill4 = features_batch(expand_genome(u64_to_bits(words)))[:, 0]
-    hist, edges = np.histogram(fill4, bins=16, range=(0.0, 1.0))
+    fill = u64_to_bits(words).mean(axis=1)  # the quadrant's fill is the grid's
+    hist, edges = np.histogram(fill, bins=16, range=(0.0, 1.0))
     return {
         "n": int(len(records)),
         "re_mean": resp[:, 0::2].mean(axis=0).tolist(),
@@ -179,7 +178,7 @@ def summarize(records: np.ndarray) -> dict:
         "im_std": resp[:, 1::2].std(axis=0).tolist(),
         "mag_min": float(mags.min()),
         "mag_max": float(mags.max()),
-        "fill_mean": float(fill4.mean()),
+        "fill_mean": float(fill.mean()),
         "fill_hist": hist.tolist(),
         "fill_edges": edges.tolist(),
     }

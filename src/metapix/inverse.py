@@ -155,11 +155,9 @@ def fitness_of(s22: np.ndarray, target: TargetSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def oracle_evaluator(consts: OracleConstants | None = None,
-                     geom: GeometryMeta | None = None):
+def oracle_evaluator(consts: OracleConstants = OracleConstants(),
+                     geom: GeometryMeta = GeometryMeta()):
     """Evaluator mapping (k, 64) genome bits to (k, 61) complex responses."""
-    consts = consts or OracleConstants()
-    geom = geom or GeometryMeta()
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
         return response_batch(expand_genome(bits), consts, geom)
@@ -305,8 +303,8 @@ def _segments(freqs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float],
 
 
 def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
-                    consts: OracleConstants | None = None,
-                    geom: GeometryMeta | None = None,
+                    consts: OracleConstants = OracleConstants(),
+                    geom: GeometryMeta = GeometryMeta(),
                     predicted: np.ndarray | None = None,
                     history_best=None, history_median=None) -> DesignReport:
     """Re-evaluate a genome under the electrical model with the switch loaded.

@@ -86,33 +86,19 @@ def fingerprint(consts: OracleConstants, geom: GeometryMeta) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The six grid reductions the circuit responds to, each in [0, 1]."""
-
-    rho: float  # overall metal fill
-    v_conn: float  # mean per-column longest vertical metal run / 16
-    e_h: float  # horizontally dissimilar neighbor pairs / (16*15)
-    e_v: float  # vertically dissimilar neighbor pairs / (16*15)
-    rho_center: float  # fill of the central 8x8 block
-    q_cb: float  # |rho_center - rho_border|
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in FEATURE_NAMES])
-
-
-def _check_grids(grids) -> np.ndarray:
-    arr = np.asarray(grids).astype(bool)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    if arr.shape[1:] != (GRID_SIDE, GRID_SIDE):
-        raise ValueError(f"expected (n, {GRID_SIDE}, {GRID_SIDE}) grids, got {arr.shape}")
-    return arr
-
-
 def features_batch(grids) -> np.ndarray:
-    """(n, 16, 16) grids -> (n, 6) feature rows in FEATURE_NAMES order."""
-    g = _check_grids(grids)
+    """(n, 16, 16) or (16, 16) grids -> (n, 6) feature rows in FEATURE_NAMES order.
+
+    Each feature lies in [0, 1]: rho is the overall metal fill, v_conn the
+    mean per-column longest vertical metal run / 16, e_h and e_v the
+    horizontally and vertically dissimilar neighbor pairs / (16*15),
+    rho_center the fill of the central 8x8 block, q_cb |rho_center - rho_border|.
+    """
+    g = np.asarray(grids).astype(bool)
+    if g.ndim == 2:
+        g = g[None, :, :]
+    if g.shape[1:] != (GRID_SIDE, GRID_SIDE):
+        raise ValueError(f"expected (n, {GRID_SIDE}, {GRID_SIDE}) grids, got {g.shape}")
     n = g.shape[0]
     rho = g.mean(axis=(1, 2))
 
@@ -130,11 +116,6 @@ def features_batch(grids) -> np.ndarray:
     border = (rho * GRID_SIDE**2 - center * 64.0) / (GRID_SIDE**2 - 64.0)
     q_cb = np.abs(center - border)
     return np.stack([rho, v_conn, e_h, e_v, center, q_cb], axis=1)
-
-
-def extract_features(grid) -> FeatureVector:
-    row = features_batch(grid)[0]
-    return FeatureVector(*(float(v) for v in row))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +149,7 @@ def _s22_kernel(feats: np.ndarray, freqs: np.ndarray, consts: OracleConstants,
 
     eta_s = eta / math.sqrt(geom.eps_r)
     beta_h = w * math.sqrt(geom.eps_r) * geom.substrate_h / C0
-    z_stub = 1j * eta_s * np.tan(beta_h) * np.ones_like(zb1)
+    z_stub = 1j * eta_s * np.tan(beta_h)  # frequency only: (m,) or (n, m)
 
     singular = (np.abs(zb1) < _POLE_EPS) | (np.abs(zb2) < _POLE_EPS) | (np.abs(z_stub) < _POLE_EPS)
     if np.any(singular):
@@ -187,35 +168,14 @@ def _finish(z_series, zb1, zb2, z_stub, eta):
     return (z_in - eta) / (z_in + eta)
 
 
-def response_batch(grids, consts: OracleConstants | None = None,
-                   geom: GeometryMeta | None = None,
+def response_batch(grids, consts: OracleConstants = OracleConstants(),
+                   geom: GeometryMeta = GeometryMeta(),
                    freqs: np.ndarray | None = None) -> np.ndarray:
-    """(n, 16, 16) grids -> (n, m) complex s22 over the grid frequencies."""
-    consts = consts or OracleConstants()
-    geom = geom or GeometryMeta()
+    """(n, 16, 16) or (16, 16) grids -> (n, m) complex s22.
+
+    The m frequencies (Hz) default to the 61-point grid of freq_grid().
+    """
     f = freq_grid() if freqs is None else np.atleast_1d(np.asarray(freqs, dtype=float))
     if np.any(f <= 0):
         raise ValueError("frequencies must be positive")
     return _s22_kernel(features_batch(grids), f, consts, geom)
-
-
-def features_response_batch(feats: np.ndarray, consts: OracleConstants | None = None,
-                            geom: GeometryMeta | None = None,
-                            freqs: np.ndarray | None = None) -> np.ndarray:
-    """Same as response_batch but straight from (n, 6) feature rows."""
-    consts = consts or OracleConstants()
-    geom = geom or GeometryMeta()
-    f = freq_grid() if freqs is None else np.atleast_1d(np.asarray(freqs, dtype=float))
-    return _s22_kernel(np.asarray(feats, dtype=float), f, consts, geom)
-
-
-def oracle_response(grid, consts: OracleConstants | None = None,
-                    geom: GeometryMeta | None = None) -> np.ndarray:
-    """Single grid -> (61,) complex s22 on the fixed frequency grid."""
-    return response_batch(grid, consts, geom)[0]
-
-
-def oracle_s22(grid, f: float, consts: OracleConstants | None = None,
-               geom: GeometryMeta | None = None) -> complex:
-    """Single grid, single frequency (Hz) -> complex s22."""
-    return complex(response_batch(grid, consts, geom, freqs=np.array([float(f)]))[0, 0])

@@ -216,6 +216,9 @@ def _design_doc():
 @pytest.mark.parametrize("text", [
     "[]",
     json.dumps({"freqs": [5.8e9], "re": [-0.7], "im": [0.0], "weight": [1.0]}),
+    pytest.param(json.dumps({"freqs": [9.8e9 + 0.1e9 * k for k in range(61)],
+                             "re": [-0.7] * 61, "im": [0.0] * 61, "weight": [1.0] * 61}),
+                 id="freqs-7GHz-above-grid"),
 ])
 def test_validate_bad_target_file_is_one_error_line(tmp_path, capsys, text):
     target = tmp_path / "t.json"
@@ -268,3 +271,44 @@ def test_design_checkpoint_without_sizes_is_one_error_line(tmp_path, capsys):
                        "--outdir", str(tmp_path))
     assert code == 1
     assert _one_error_line(err) and "sizes" in err
+
+
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_train_refuses_nonpositive_epochs(tmp_path, capsys, epochs):
+    run(capsys, "gen", "--n", "44", "--seed", "3", "--outdir", str(tmp_path))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, _, err = run(capsys, "train", "--epochs", epochs, "--outdir", str(tmp_path))
+    assert code == 1
+    assert _one_error_line(err) and "epoch" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_gen_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    code, _, err = run(capsys, "gen", "--n", "44", "--jobs", jobs, "--outdir", str(tmp_path))
+    assert code == 1
+    assert _one_error_line(err) and "--jobs" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_validate_writes_nothing_when_an_output_exists(tmp_path, capsys):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps(_design_doc()))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "genome.pbm").write_text("P1\n")
+    code, _, err = run(capsys, "validate", "--design", str(design), "--target", str(target),
+                       "--outdir", str(out))
+    assert code == 1
+    assert _one_error_line(err) and "genome.pbm" in err
+    assert [p.name for p in out.iterdir()] == ["genome.pbm"]
+
+
+def test_array_writes_nothing_when_an_output_exists(tmp_path, capsys):
+    (tmp_path / "codes.pbm").write_text("P1\n")
+    code, _, err = run(capsys, "array", "--steer", "30:0", "--outdir", str(tmp_path))
+    assert code == 1
+    assert _one_error_line(err) and "codes.pbm" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["codes.pbm"]

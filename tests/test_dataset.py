@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metapix import dataset as ds
-from metapix.oracle import OracleConstants, freq_grid, response_batch
+from metapix.oracle import OracleConstants, features_batch, freq_grid, response_batch
 from metapix.pattern import expand_genome
 from metapix.rng import stream_u64, u64_to_bits
 
@@ -32,6 +32,31 @@ def test_generation_is_chunk_and_worker_invariant():
     np.testing.assert_array_equal(ds.generate(600, seed=9, chunk=64), base)
     np.testing.assert_array_equal(ds.generate(600, seed=9, jobs=3, chunk=97), base)
     assert base.tobytes() == ds.generate(600, seed=9, jobs=2, chunk=200).tobytes()
+
+
+@pytest.mark.parametrize("jobs, chunk, workers", [(64, 100, 3), (2, 100, 2), (64, 300, None)])
+def test_generation_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, chunk, workers):
+    started = []
+
+    class FakePool:
+        """Runs the chunks in this process and records the requested pool size."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ds, "ProcessPoolExecutor", FakePool)
+    recs = ds.generate(300, seed=9, jobs=jobs, chunk=chunk)
+    assert started == ([] if workers is None else [workers])
+    assert recs.tobytes() == ds.generate(300, seed=9).tobytes()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -105,6 +130,10 @@ def test_summary_statistics():
     assert sum(s["fill_hist"]) == 512
     # genome bits are fair coin flips: fill concentrates near 1/2
     assert abs(s["fill_mean"] - 0.5) < 0.02
+    # fill read straight from the quadrant words equals the grid feature rho
+    rho = features_batch(expand_genome(u64_to_bits(recs["genome"])))[:, 0]
+    assert s["fill_mean"] == float(rho.mean())
+    assert s["fill_hist"] == np.histogram(rho, bins=16, range=(0.0, 1.0))[0].tolist()
     grid_re = ds.deinterleave(recs["resp"]).real
     np.testing.assert_allclose(s["re_mean"], grid_re.mean(axis=0))
     assert len(freq_grid()) * 2 == recs["resp"].shape[1]

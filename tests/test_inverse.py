@@ -6,7 +6,7 @@ import pytest
 
 from metapix import inverse as iv
 from metapix import netcalc as nc
-from metapix.oracle import freq_grid, oracle_response
+from metapix.oracle import freq_grid, response_batch
 from metapix.pattern import expand_genome, genome_from_u64
 from metapix.rng import stream_u64, u64_to_bits
 
@@ -200,7 +200,7 @@ def test_ga_seed_changes_search_path():
 def test_elitism_keeps_a_planted_perfect_genome():
     word = int(stream_u64(5, 0, 1)[0])
     bits = u64_to_bits(np.array([word], dtype=np.uint64))[0]
-    resp = oracle_response(expand_genome(genome_from_u64(word)))
+    resp = response_batch(expand_genome(genome_from_u64(word)))[0]
     f = freq_grid()
     w = np.zeros_like(f)
     w[25:30] = 1.0

@@ -33,43 +33,42 @@ def _hand_s22(feat, f, consts=None, geom=None):
     return (z_in - ETA) / (z_in + ETA)
 
 
-def _expand_words(words):
-    bits = u64_to_bits(np.asarray(words, dtype=np.uint64))
-    g8 = bits.reshape(-1, 8, 8).astype(bool)
-    top = np.concatenate([g8, g8[:, :, ::-1]], axis=2)
-    return np.concatenate([top, top[:, ::-1, :]], axis=1)
+def _grids(seed, n):
+    return expand_genome(u64_to_bits(stream_u64(seed, 0, n)))
+
+
+def _features(grid):
+    return dict(zip(oc.FEATURE_NAMES, oc.features_batch(grid)[0].tolist()))
 
 
 # --- features ----------------------------------------------------------------
 
 
 def test_features_of_uniform_grids():
-    zeros = oc.extract_features(np.zeros((16, 16), bool))
-    assert zeros.as_array().tolist() == [0.0] * 6
-    ones = oc.extract_features(np.ones((16, 16), bool))
-    assert ones.rho == 1.0
-    assert ones.v_conn == 1.0
-    assert ones.e_h == 0.0 and ones.e_v == 0.0
-    assert ones.rho_center == 1.0
-    assert ones.q_cb == 0.0
+    assert oc.features_batch(np.zeros((16, 16), bool))[0].tolist() == [0.0] * 6
+    ones = _features(np.ones((16, 16), bool))
+    assert ones["rho"] == 1.0
+    assert ones["v_conn"] == 1.0
+    assert ones["e_h"] == 0.0 and ones["e_v"] == 0.0
+    assert ones["rho_center"] == 1.0
+    assert ones["q_cb"] == 0.0
 
 
 def test_features_of_checkerboard():
     r, c = np.indices((16, 16))
     board = (r + c) % 2 == 0
-    f = oc.extract_features(board)
-    assert f.rho == 0.5
-    assert f.e_h == 1.0 and f.e_v == 1.0
-    assert f.v_conn == 1.0 / 16.0  # longest vertical run is a single cell
-    assert f.rho_center == 0.5
-    assert f.q_cb == 0.0
+    f = _features(board)
+    assert f["rho"] == 0.5
+    assert f["e_h"] == 1.0 and f["e_v"] == 1.0
+    assert f["v_conn"] == 1.0 / 16.0  # longest vertical run is a single cell
+    assert f["rho_center"] == 0.5
+    assert f["q_cb"] == 0.0
 
 
 def test_features_frozen_example():
     grid = expand_genome(genome_from_u64(0x15780B2E0C2EC716))
-    f = oc.extract_features(grid)
     np.testing.assert_allclose(
-        f.as_array(),
+        oc.features_batch(grid)[0],
         [0.4375, 0.2109375, 0.43333333333333335, 0.43333333333333335, 0.625, 0.25],
         rtol=0,
         atol=0,
@@ -77,10 +76,10 @@ def test_features_frozen_example():
 
 
 def test_features_batch_matches_scalar():
-    grids = _expand_words(stream_u64(17, 0, 64))
+    grids = _grids(17, 64)
     batch = oc.features_batch(grids)
     for k in (0, 13, 63):
-        np.testing.assert_array_equal(batch[k], oc.extract_features(grids[k]).as_array())
+        np.testing.assert_array_equal(batch[k], oc.features_batch(grids[k])[0])
 
 
 def test_features_rejects_bad_shapes():
@@ -97,11 +96,9 @@ def test_equal_features_give_bit_equal_responses():
     ga = expand_genome(genome_from_u64(0xA3E4A1CE03A73526))
     gb = expand_genome(genome_from_u64(0x8C1F28B6939E844D))
     assert not np.array_equal(ga, gb)
-    fa = oc.extract_features(ga).as_array()
-    fb = oc.extract_features(gb).as_array()
-    np.testing.assert_array_equal(fa, fb)
-    ra = oc.oracle_response(ga)
-    rb = oc.oracle_response(gb)
+    np.testing.assert_array_equal(oc.features_batch(ga), oc.features_batch(gb))
+    ra = oc.response_batch(ga)[0]
+    rb = oc.response_batch(gb)[0]
     np.testing.assert_array_equal(ra.view(np.float64), rb.view(np.float64))
 
 
@@ -123,20 +120,20 @@ def test_response_matches_hand_cascade_zeros():
         (5.8e9, -0.8636211947046073 - 0.1439481990442973j),
         (8.8e9, -0.21713994673706138 + 0.2178555366072246j),
     ):
-        np.testing.assert_allclose(oc.oracle_s22(zeros, f), expect, atol=1e-15)
+        np.testing.assert_allclose(oc.response_batch(zeros, freqs=[f])[0, 0], expect, atol=1e-15)
         np.testing.assert_allclose(_hand_s22((0, 0, 0, 0, 0, 0), f), expect, atol=1e-15)
 
 
 def test_response_matches_hand_cascade_everywhere():
     grid = expand_genome(genome_from_u64(0x15780B2E0C2EC716))
-    feat = oc.extract_features(grid)
-    resp = oc.oracle_response(grid)
+    feat = tuple(oc.features_batch(grid)[0])
+    resp = oc.response_batch(grid)[0]
     for k, f in enumerate(oc.freq_grid()):
-        np.testing.assert_allclose(resp[k], _hand_s22(tuple(feat.as_array()), f), atol=1e-12)
+        np.testing.assert_allclose(resp[k], _hand_s22(feat, f), atol=1e-12)
 
 
 def test_response_frozen_values():
-    resp = oc.oracle_response(expand_genome(genome_from_u64(0x15780B2E0C2EC716)))
+    resp = oc.response_batch(expand_genome(genome_from_u64(0x15780B2E0C2EC716)))[0]
     np.testing.assert_allclose(resp[0], 0.16485526292445687 - 0.9765614082360845j, atol=1e-15)
     np.testing.assert_allclose(resp[30], 0.12002203652641277 - 0.3414082210307481j, atol=1e-15)
     np.testing.assert_allclose(resp[60], -0.7286049852301283 - 0.6848569038553993j, atol=1e-15)
@@ -144,28 +141,28 @@ def test_response_frozen_values():
 
 def test_scalar_equals_batch_element():
     grid = expand_genome(genome_from_u64(0xABCDEF0123456789))
-    resp = oc.oracle_response(grid)
+    resp = oc.response_batch(grid)[0]
     for k in (0, 30, 60):
-        assert oc.oracle_s22(grid, float(oc.freq_grid()[k])) == complex(resp[k])
+        assert oc.response_batch(grid, freqs=[oc.freq_grid()[k]])[0, 0] == resp[k]
 
 
 def test_batch_is_chunk_invariant():
     """Splitting a batch arbitrarily never changes a single bit of output."""
-    feats = oc.features_batch(_expand_words(stream_u64(1234, 0, 500)))
-    whole = oc.features_response_batch(feats)
-    parts = np.concatenate([oc.features_response_batch(feats[i : i + 137]) for i in range(0, 500, 137)])
+    grids = _grids(1234, 500)
+    whole = oc.response_batch(grids)
+    parts = np.concatenate([oc.response_batch(grids[i : i + 137]) for i in range(0, 500, 137)])
     np.testing.assert_array_equal(whole.view(np.float64), parts.view(np.float64))
 
 
 def test_response_is_strictly_passive():
     """1/eta shunt conductance keeps |s22| strictly below 1 for every grid."""
-    grids = _expand_words(stream_u64(1234, 0, 1000))
+    grids = _grids(1234, 1000)
     mags = np.abs(oc.response_batch(grids))
     assert mags.max() < 1.0
 
 
 def test_response_is_smooth_across_the_grid():
-    grids = _expand_words(stream_u64(1234, 0, 1000))
+    grids = _grids(1234, 1000)
     resp = oc.response_batch(grids)
     steps = np.abs(np.diff(resp, axis=1))
     assert steps.max() < 1.5
@@ -173,8 +170,8 @@ def test_response_is_smooth_across_the_grid():
 
 def test_constants_change_the_response():
     grid = expand_genome(genome_from_u64(0x15780B2E0C2EC716))
-    base = oc.oracle_response(grid)
-    bumped = oc.oracle_response(grid, consts=oc.OracleConstants(c_b=200e-15))
+    base = oc.response_batch(grid)
+    bumped = oc.response_batch(grid, consts=oc.OracleConstants(c_b=200e-15))
     assert np.abs(base - bumped).max() > 1e-3
 
 
@@ -188,7 +185,7 @@ def test_constants_validation_and_fingerprint():
 
 def test_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
-        oc.oracle_s22(np.zeros((16, 16), bool), 0.0)
+        oc.response_batch(np.zeros((16, 16), bool), freqs=[0.0])
 
 
 def test_pole_nudge_is_deterministic():
@@ -199,9 +196,10 @@ def test_pole_nudge_is_deterministic():
     l1 = consts.l_a + consts.l_b
     c1 = consts.c_a
     f_res = 1.0 / (2 * math.pi * math.sqrt(l1 * c1))
-    feats = np.zeros((1, 6))
-    a = oc.features_response_batch(feats, consts, freqs=np.array([f_res]))
-    b = oc.features_response_batch(feats, consts, freqs=np.array([f_res]))
+    zeros = np.zeros((16, 16), bool)
+    assert oc.features_batch(zeros).tolist() == [[0.0] * 6]
+    a = oc.response_batch(zeros, consts, freqs=[f_res])
+    b = oc.response_batch(zeros, consts, freqs=[f_res])
     assert np.isfinite(a).all()
     np.testing.assert_array_equal(a.view(np.float64), b.view(np.float64))
     assert np.abs(a) < 1.0
