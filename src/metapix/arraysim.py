@@ -149,6 +149,9 @@ def far_field(cfg: ArrayConfig, codes: np.ndarray, gamma0: complex, gamma1: comp
 
 
 def default_cut(step_deg: float = 0.25) -> np.ndarray:
+    """Elevation angles from -90 to 90 degrees in steps of step_deg."""
+    if not (math.isfinite(step_deg) and 0.001 <= step_deg <= 90.0):
+        raise ValueError(f"cut step must lie in [0.001, 90] degrees, got {step_deg}")
     n = int(round(180.0 / step_deg))
     return -90.0 + step_deg * np.arange(n + 1)
 

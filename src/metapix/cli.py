@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -42,6 +43,8 @@ def _parse_freq(text: str) -> float:
         f = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad frequency {text!r}: expected Hz")
+    if not math.isfinite(f):
+        raise argparse.ArgumentTypeError(f"frequency must be finite, got {text}")
     if f <= 0:
         raise argparse.ArgumentTypeError(f"frequency must be positive, got {text}")
     return f
@@ -67,6 +70,8 @@ def _parse_anchor(text: str) -> tuple[float, float, float]:
         f, re, im = float(parts[0]), float(parts[1]), float(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad anchor {text!r}: non-numeric field")
+    if not all(map(math.isfinite, (f, re, im))):
+        raise argparse.ArgumentTypeError(f"bad anchor {text!r}: non-finite field")
     return f, re, im
 
 
@@ -373,6 +378,12 @@ def cmd_validate(args, cfg: RunConfig) -> int:
 def cmd_array(args, cfg: RunConfig) -> int:
     if args.sweep and not args.design:
         raise CliError("--sweep needs --design for the element reflection spectra")
+    if not math.isfinite(args.ref_phase):
+        raise CliError(f"--ref-phase must be finite, got {args.ref_phase}")
+    try:
+        cut = arraysim.default_cut(args.step)
+    except ValueError as exc:
+        raise CliError(f"--step: {exc}")
     acfg = cfg.array
     steer = args.steer
     f = args.freq if args.freq is not None else cfg.geometry.f0
@@ -400,7 +411,6 @@ def cmd_array(args, cfg: RunConfig) -> int:
         inputs = {}
 
     codes = arraysim.quantize_1bit(arraysim.ideal_phase(acfg, steer, f, args.ref_phase))
-    cut = arraysim.default_cut(args.step)
     params = {"steer": [steer.theta_deg, steer.phi_deg], "freq": f,
               "ref_phase": args.ref_phase, "step": args.step,
               "gamma0": [gamma0.real, gamma0.imag], "gamma1": [gamma1.real, gamma1.imag]}
@@ -530,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="THETA:PHI", help="beam direction in degrees (default 0:0)")
     p.add_argument("--freq", type=_parse_freq, help="pattern frequency in Hz (default 5.8e9)")
     p.add_argument("--ref-phase", type=float, default=0.0, help="reference phase in radians")
-    p.add_argument("--step", type=float, default=0.25, help="cut resolution in degrees")
+    p.add_argument("--step", type=float, default=0.25,
+                   help="cut resolution in degrees, 0.001 to 90")
     p.add_argument("--design", help="take element states from this design JSON")
     p.add_argument("--sweep", action="store_true",
                    help="also write the frequency sweep CSV (needs --design)")

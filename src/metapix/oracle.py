@@ -174,8 +174,14 @@ def response_batch(grids, consts: OracleConstants = OracleConstants(),
     """(n, 16, 16) or (16, 16) grids -> (n, m) complex s22.
 
     The m frequencies (Hz) default to the 61-point grid of freq_grid().
+    The kernel runs once per distinct feature row (rows keyed on their exact
+    bytes) and is elementwise per row, so every output row has the same bits
+    as a one-grid call.
     """
     f = freq_grid() if freqs is None else np.atleast_1d(np.asarray(freqs, dtype=float))
     if np.any(f <= 0):
         raise ValueError("frequencies must be positive")
-    return _s22_kernel(features_batch(grids), f, consts, geom)
+    feats = features_batch(grids)
+    keys = feats.view(np.dtype((np.void, feats.itemsize * feats.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return _s22_kernel(feats[first], f, consts, geom)[inverse]

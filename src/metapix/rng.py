@@ -10,28 +10,32 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK = 0xFFFFFFFFFFFFFFFF
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MUL2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 output finalizer on uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _SM_MUL1
-    z = (z ^ (z >> np.uint64(27))) * _SM_MUL2
-    return z ^ (z >> np.uint64(31))
-
-
-def _rotl(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64 output finalizer, in place on uint64 array z; t is scratch."""
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= _SM_MUL1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _SM_MUL2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def splitmix64_word(seed: int, k: np.ndarray) -> np.ndarray:
     """k-th output of the splitmix64 stream seeded with `seed` (vectorized)."""
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    step = (np.asarray(k, dtype=np.uint64) + np.uint64(1)) * np.uint64(_SM_GAMMA)
-    return _mix64(base + step)
+    z = np.array(k, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(_SM_GAMMA)
+    z += np.uint64(seed & _MASK)
+    return _mix64(z, np.empty_like(z))
 
 
 def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
@@ -39,11 +43,21 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
 
     Draw i is the first xoshiro256** output of the instance whose state is
     splitmix64 words 4i..4i+3 of `seed`; that output reads only state word
-    s[1], so only word 4i+1 is materialized.
+    s[1], so only word 4i+1 is materialized.  It is computed in place in the
+    counter array, with one scratch array for the shifts: the splitmix64 input
+    (4i+2)*gamma + seed mod 2**64, then the finalizer, then rotl(s1*5, 7)*9.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    s1 = splitmix64_word(seed, idx * np.uint64(4) + np.uint64(1))
-    return _rotl(s1 * np.uint64(5), 7) * np.uint64(9)
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= np.uint64((4 * _SM_GAMMA) & _MASK)
+    z += np.uint64((2 * _SM_GAMMA + seed) & _MASK)
+    t = np.empty_like(z)
+    _mix64(z, t)
+    z *= np.uint64(5)
+    np.right_shift(z, np.uint64(57), out=t)
+    z <<= np.uint64(7)
+    z |= t
+    z *= np.uint64(9)
+    return z
 
 
 def u64_to_bits(words: np.ndarray) -> np.ndarray:
@@ -105,7 +119,11 @@ class CounterRng:
 
     def random(self, n: int) -> np.ndarray:
         """float64 in [0, 1), 53-bit resolution."""
-        return (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        words = self.u64(n)
+        words >>= np.uint64(11)
+        out = words.astype(np.float64)
+        out *= 2.0**-53
+        return out
 
     def uniform(self, n: int, low: float, high: float) -> np.ndarray:
         return low + (high - low) * self.random(n)

@@ -182,6 +182,14 @@ def test_default_cut_shape():
     assert len(cut) == 721
     assert cut[0] == -90.0 and cut[-1] == 90.0
     assert 0.0 in cut
+    assert len(default_cut(0.001)) == 180_001
+    np.testing.assert_array_equal(default_cut(90.0), [-90.0, 0.0, 90.0])
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 1e-9, 0.0009, 90.5])
+def test_default_cut_refuses_bad_steps(step):
+    with pytest.raises(ValueError, match="cut step"):
+        default_cut(step)
 
 
 def test_spectral_sweep_band_around_center():

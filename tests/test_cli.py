@@ -312,3 +312,36 @@ def test_array_writes_nothing_when_an_output_exists(tmp_path, capsys):
     assert code == 1
     assert _one_error_line(err) and "codes.pbm" in err
     assert [p.name for p in tmp_path.iterdir()] == ["codes.pbm"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"),
+    ("--step", "1e-9"), ("--step", "91"),
+    ("--ref-phase", "nan"), ("--ref-phase", "inf"), ("--ref-phase", "-inf"),
+])
+def test_array_bad_number_is_one_error_line_and_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "array", f"{flag}={value}", "--outdir", str(out))
+    assert code == 1
+    assert _one_error_line(err) and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("array", "--freq", "nan"),
+    ("array", "--freq", "inf"),
+    ("target", "--freq", "nan"),
+    ("target", "--freq", "inf"),
+    ("target", "--band", "nan:6.3e9"),
+    ("target", "--band", "5.3e9:inf"),
+    ("target", "--band", "5.3e9:6.3e9", "--anchor", "5.0e9:nan:0"),
+    ("target", "--band", "5.3e9:6.3e9", "--anchor", "nan:-0.1:0"),
+    ("target", "--band", "5.3e9:6.3e9", "--anchor", "5.0e9:-0.1:inf"),
+])
+def test_non_finite_flag_values_are_refused(tmp_path, capsys, argv):
+    extra = ["--out", str(tmp_path / "t.json")] if argv[0] == "target" else []
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + extra + ["--outdir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -187,6 +188,19 @@ def test_ga_is_deterministic_and_monotone():
     assert len(a.history_best) == 13  # initial population + 12 generations
     assert (np.diff(a.history_best) >= 0).all()
     assert a.best_fitness == a.history_best[-1]
+
+
+def test_ga_run_is_frozen():
+    """A seeded oracle GA reproduces its winner and both histories bit for bit."""
+    target = iv.build_target(5.3e9, 6.3e9)
+    cfg = iv.GAConfig(population=200, generations=25, seed=7)
+    res = iv.ga_run(cfg, iv.oracle_evaluator(), target)
+    assert res.best_word == 0x00C03B0080C00000
+    assert res.best_fitness == 11.300083232757057
+    assert hashlib.sha256(res.history_best.astype("<f8").tobytes()).hexdigest() == (
+        "05af4a0c17fa7fa6d523905304f3d0cf5ca1410b1081db7fd8d246140f6c1519")
+    assert hashlib.sha256(res.history_median.astype("<f8").tobytes()).hexdigest() == (
+        "21eaaa682086f80c8ebee45fde75b10f9a344702b0c5211e1c56c6266cf6bcc9")
 
 
 def test_ga_seed_changes_search_path():

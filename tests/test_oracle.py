@@ -203,3 +203,26 @@ def test_pole_nudge_is_deterministic():
     assert np.isfinite(a).all()
     np.testing.assert_array_equal(a.view(np.float64), b.view(np.float64))
     assert np.abs(a) < 1.0
+
+
+def test_duplicate_feature_rows_give_bit_equal_rows():
+    """Rows evaluated in one batch with repeats, a shuffle, two different
+    genomes that share a feature row, and duplicated all-zero grids at a
+    branch resonance each equal a one-row call, byte for byte."""
+    consts = oc.OracleConstants()
+    f_res = 1.0 / (2 * math.pi * math.sqrt((consts.l_a + consts.l_b) * consts.c_a))
+    words = np.array([0x033011D280E05D12, 0x2278711904689003], dtype=np.uint64)
+    pair = expand_genome(u64_to_bits(words))
+    assert not np.array_equal(pair[0], pair[1])
+    np.testing.assert_array_equal(oc.features_batch(pair[0]), oc.features_batch(pair[1]))
+
+    base = _grids(77, 40)
+    zeros = np.zeros((3, 16, 16), bool)
+    shuffled = base[np.random.default_rng(0).permutation(40)]
+    grids = np.concatenate([base, pair, zeros, shuffled, base[:7], pair[::-1], zeros])
+    for freqs in (None, np.append(oc.freq_grid()[::12], f_res)):
+        batch = oc.response_batch(grids, consts, freqs=freqs)
+        assert np.isfinite(batch).all()
+        for k, grid in enumerate(grids):
+            one = oc.response_batch(grid, consts, freqs=freqs)[0]
+            assert batch[k].view(np.float64).tobytes() == one.view(np.float64).tobytes()

@@ -102,3 +102,30 @@ def test_permutation_is_a_permutation():
     p = CounterRng(5).permutation(100)
     np.testing.assert_array_equal(np.sort(p), np.arange(100))
     np.testing.assert_array_equal(p, CounterRng(5).permutation(100))
+
+
+@pytest.mark.parametrize("start", [(1 << 62) - 3, 1 << 62, (1 << 62) + 5, (1 << 63) - 2])
+def test_stream_matches_reference_where_word_index_wraps(start):
+    """Word index 4i wraps modulo 2**64 from counter 2**62 on; batches that
+    start before, at and after the wrap still match the exact-integer path."""
+    for seed in (0, 0xDEADBEEF):
+        vec = stream_u64(seed, start, 6)
+        for j in range(6):
+            ref = Xoshiro256StarStar(seed, first_word=4 * (start + j))
+            assert int(vec[j]) == ref.next_u64()
+
+
+def test_successive_draws_are_independent_arrays():
+    """Each call returns fresh memory: `integers` rewrites its own draw in
+    place, so no buffer may be shared between calls."""
+    r = CounterRng(9)
+    a, b = r.u64(64), r.u64(64)
+    x, y = r.random(64), r.random(64)
+    assert not np.shares_memory(a, b)
+    assert not np.shares_memory(x, y)
+    expect_b, expect_y = b.copy(), y.copy()
+    a[:] = 0
+    x[:] = -1.0
+    np.testing.assert_array_equal(b, expect_b)
+    np.testing.assert_array_equal(y, expect_y)
+    np.testing.assert_array_equal(b, CounterRng(9).u64(128)[64:])
