@@ -85,13 +85,6 @@ def _parse_steer(text: str) -> arraysim.SteerTarget:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_genome(text: str) -> np.ndarray:
-    try:
-        return unpack_genome(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 # ---------------------------------------------------------------------------
 # artifact plumbing
 # ---------------------------------------------------------------------------
@@ -181,9 +174,11 @@ def cmd_target(args, cfg: RunConfig) -> int:
 def cmd_gen(args, cfg: RunConfig) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+    n = args.n if args.n is not None else cfg.dataset_n
+    if n < 1:
+        raise CliError(f"--n must be at least 1, got {n}")
     out = Path(args.out) if args.out else _outdir(args, cfg) / "dataset.bin"
     _check_fresh(out, args.force)
-    n = args.n if args.n is not None else cfg.dataset_n
     seed = args.seed if args.seed is not None else cfg.dataset_seed
     records = dataset.generate(n, seed, cfg.constants, cfg.geometry, jobs=args.jobs)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -276,12 +271,12 @@ def cmd_design(args, cfg: RunConfig) -> int:
 
     inputs: dict[str, Path] = {"target": Path(args.target)}
     if args.evaluator == "oracle":
-        evaluator = inverse.oracle_evaluator(cfg.constants, cfg.geometry)
+        evaluator = inverse.oracle_evaluator(target, cfg.constants, cfg.geometry)
     else:
         ckpt = Path(args.ckpt) if args.ckpt else _outdir(args, cfg) / "surrogate.ckpt"
         _require(ckpt, "surrogate checkpoint (run `train` or pass --evaluator oracle)")
         mlp, _ = surrogate.load_checkpoint(ckpt)
-        evaluator = inverse.surrogate_evaluator(mlp)
+        evaluator = inverse.surrogate_evaluator(mlp, target)
         inputs["checkpoint"] = ckpt
 
     overrides = {}
@@ -292,9 +287,13 @@ def cmd_design(args, cfg: RunConfig) -> int:
     if args.generations is not None:
         overrides["generations"] = args.generations
     ga = dataclasses.replace(cfg.ga, **overrides) if overrides else cfg.ga
-    result = inverse.ga_run(ga, evaluator, target)
+    result = inverse.ga_run(ga, evaluator)
 
-    predicted = evaluator(result.best_bits[None, :])[0]
+    if args.evaluator == "oracle":
+        predicted = oracle.response_batch(expand_genome(result.best_bits[None, :]),
+                                          cfg.constants, cfg.geometry)[0]
+    else:
+        predicted = surrogate.predict_s22(mlp, np.array([result.best_word], dtype=np.uint64))[0]
     doc = {
         "genome": pack_genome(genome_from_u64(result.best_word)),
         "fitness": result.best_fitness,

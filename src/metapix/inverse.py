@@ -2,7 +2,7 @@
 
 The flow: build_target turns a frequency band plus a switch model into the
 required reflection spectrum (solving the anti-phase condition per frequency),
-ga_run searches genome space against any pure evaluator for it, and
+ga_run searches genome space against any pure fitness scorer for it, and
 validate_design re-checks the winner against the electrical model with the
 switch loaded, reporting the usable operating band.
 """
@@ -21,6 +21,7 @@ from .oracle import (
     FREQ_STEP,
     GeometryMeta,
     OracleConstants,
+    feature_codes,
     freq_grid,
     response_batch,
 )
@@ -155,22 +156,47 @@ def fitness_of(s22: np.ndarray, target: TargetSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def oracle_evaluator(consts: OracleConstants = OracleConstants(),
+def oracle_evaluator(target: TargetSpec, consts: OracleConstants = OracleConstants(),
                      geom: GeometryMeta = GeometryMeta()):
-    """Evaluator mapping (k, 64) genome bits to (k, 61) complex responses."""
+    """Scorer mapping (k, 64) genome bits to (k,) oracle fitness against target.
+
+    Fitness depends on a genome only through its feature code, so the scorer
+    runs the oracle once per code for its whole life: a sorted int64 array of
+    the codes seen and a parallel float64 array of their fitness.  The kernel
+    and fitness_of are exact row by row, so every value has the bits of a
+    one-genome fitness_of(response_batch(...)) call.
+    """
+    # a sentinel above every code keeps each searchsorted position in range
+    keys = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+    values = np.array([np.nan])
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
-        return response_batch(expand_genome(bits), consts, geom)
+        nonlocal keys, values
+        bits = np.asarray(bits, dtype=np.uint8)
+        codes, first, inverse = np.unique(feature_codes(bits), return_index=True,
+                                          return_inverse=True)
+        pos = np.searchsorted(keys, codes)
+        seen = keys[pos] == codes
+        fit = np.empty(len(codes))
+        fit[seen] = values[pos[seen]]
+        miss = ~seen
+        if miss.any():
+            grids = expand_genome(bits[first[miss]])
+            fit[miss] = fitness_of(response_batch(grids, consts, geom), target)
+            keys = np.insert(keys, pos[miss], codes[miss])
+            values = np.insert(values, pos[miss], fit[miss])
+        return fit[inverse]
 
     return evaluate
 
 
-def surrogate_evaluator(mlp):
-    """Same contract as oracle_evaluator, backed by a trained network."""
+def surrogate_evaluator(mlp, target: TargetSpec):
+    """Same contract as oracle_evaluator, backed by a trained network (uncached)."""
     from .surrogate import predict_s22
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
-        return predict_s22(mlp, bits_to_u64(np.asarray(bits, dtype=np.uint8)))
+        words = bits_to_u64(np.asarray(bits, dtype=np.uint8))
+        return fitness_of(predict_s22(mlp, words), target)
 
     return evaluate
 
@@ -210,12 +236,14 @@ class GaResult:
     history_median: np.ndarray = field(repr=False)
 
 
-def ga_run(cfg: GAConfig, evaluator, target: TargetSpec,
-           seed_genomes=None) -> GaResult:
+def ga_run(cfg: GAConfig, evaluator, seed_genomes=None) -> GaResult:
     """Tournament GA with elitism over 64-bit genomes, exactly reproducible.
 
-    history_* hold one entry for the initial population and one per
-    generation; elitism makes history_best nondecreasing.
+    evaluator maps (k, 64) genome bits to (k,) fitness, as the scorers from
+    oracle_evaluator and surrogate_evaluator do; it is called once on the
+    initial population and once per generation.  history_* hold one entry
+    for the initial population and one per generation; elitism makes
+    history_best nondecreasing.
     """
     rng = CounterRng(cfg.seed)
     pop = u64_to_bits(rng.u64(cfg.population))
@@ -225,7 +253,7 @@ def ga_run(cfg: GAConfig, evaluator, target: TargetSpec,
             raise ValueError("seed genomes must be (k <= population, 64) bits")
         pop[: planted.shape[0]] = planted
 
-    fit = fitness_of(evaluator(pop), target)
+    fit = evaluator(pop)
     hist_best = [float(fit.max())]
     hist_median = [float(np.median(fit))]
 
@@ -245,7 +273,7 @@ def ga_run(cfg: GAConfig, evaluator, target: TargetSpec,
         children = children ^ flips.astype(np.uint8)
 
         pop = np.concatenate([elites, children])
-        fit = fitness_of(evaluator(pop), target)
+        fit = evaluator(pop)
         hist_best.append(float(fit.max()))
         hist_median.append(float(np.median(fit)))
 

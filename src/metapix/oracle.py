@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .netcalc import C0, FREE_SPACE_ETA
-from .pattern import GRID_SIDE, GeometryMeta
+from .pattern import GENOME_BITS, GENOME_SIDE, GRID_SIDE, GeometryMeta
 
 FREQ_START = 2.8e9  # Hz
 FREQ_STEP = 0.1e9  # Hz
@@ -118,6 +118,34 @@ def features_batch(grids) -> np.ndarray:
     return np.stack([rho, v_conn, e_h, e_v, center, q_cb], axis=1)
 
 
+def feature_codes(bits) -> np.ndarray:
+    """(k, 64) quadrant bits -> (k,) int64 codes n | s<<7 | h<<16 | v<<24 | c<<32.
+
+    The five integers are counted on the 8x8 quadrant: n its fill, h and v its
+    horizontally and vertically dissimilar neighbor pairs (the mirror seams add
+    none), c the fill of its [4:, 4:] corner (a quarter of the central block),
+    and s the sum over its columns of max(longest run, 2 x the run ending at
+    row 7, which the horizontal seam doubles).  Every feature of the mirrored
+    grid is a function of these integers alone, so genomes with equal codes
+    have byte-equal features_batch rows.
+    """
+    q = np.asarray(bits).astype(bool)
+    if q.ndim != 2 or q.shape[1] != GENOME_BITS:
+        raise ValueError(f"expected (k, {GENOME_BITS}) genome bits, got {q.shape}")
+    q = q.reshape(-1, GENOME_SIDE, GENOME_SIDE)
+    run = np.zeros((len(q), GENOME_SIDE), dtype=np.int64)
+    best = np.zeros_like(run)
+    for r in range(GENOME_SIDE):
+        run = (run + 1) * q[:, r, :]
+        best = np.maximum(best, run)
+    n = q.sum(axis=(1, 2))
+    s = np.maximum(best, 2 * run).sum(axis=1)
+    h = (q[:, :, 1:] != q[:, :, :-1]).sum(axis=(1, 2))
+    v = (q[:, 1:, :] != q[:, :-1, :]).sum(axis=(1, 2))
+    c = q[:, 4:, 4:].sum(axis=(1, 2))
+    return n | s << 7 | h << 16 | v << 24 | c << 32
+
+
 # ---------------------------------------------------------------------------
 # response
 # ---------------------------------------------------------------------------
@@ -173,15 +201,12 @@ def response_batch(grids, consts: OracleConstants = OracleConstants(),
                    freqs: np.ndarray | None = None) -> np.ndarray:
     """(n, 16, 16) or (16, 16) grids -> (n, m) complex s22.
 
-    The m frequencies (Hz) default to the 61-point grid of freq_grid().
-    The kernel runs once per distinct feature row (rows keyed on their exact
-    bytes) and is elementwise per row, so every output row has the same bits
-    as a one-grid call.
+    The m frequencies (Hz) default to the 61-point grid of freq_grid().  The
+    kernel is elementwise per row, so every output row has the same bits as a
+    one-grid call; callers that meet repeated genomes deduplicate them first
+    (the oracle GA scores each feature_codes value once).
     """
     f = freq_grid() if freqs is None else np.atleast_1d(np.asarray(freqs, dtype=float))
     if np.any(f <= 0):
         raise ValueError("frequencies must be positive")
-    feats = features_batch(grids)
-    keys = feats.view(np.dtype((np.void, feats.itemsize * feats.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return _s22_kernel(feats[first], f, consts, geom)[inverse]
+    return _s22_kernel(features_batch(grids), f, consts, geom)

@@ -291,6 +291,15 @@ def test_gen_refuses_jobs_below_one(tmp_path, capsys, jobs):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_gen_refuses_n_below_one_and_creates_no_outdir(tmp_path, capsys, n):
+    outdir = tmp_path / "g0"
+    code, _, err = run(capsys, "gen", "--n", n, "--outdir", str(outdir))
+    assert code == 1
+    assert _one_error_line(err) and "--n" in err
+    assert not outdir.exists()
+
+
 def test_validate_writes_nothing_when_an_output_exists(tmp_path, capsys):
     target = tmp_path / "t.json"
     run(capsys, "target", "--freq", "5.8e9", "--out", str(target))

@@ -180,9 +180,8 @@ def test_ga_config_validation():
 
 def test_ga_is_deterministic_and_monotone():
     target = iv.build_target(5.8e9, 5.8e9)
-    ev = iv.oracle_evaluator()
-    a = iv.ga_run(_tiny_cfg(), ev, target)
-    b = iv.ga_run(_tiny_cfg(), ev, target)
+    a = iv.ga_run(_tiny_cfg(), iv.oracle_evaluator(target))
+    b = iv.ga_run(_tiny_cfg(), iv.oracle_evaluator(target))
     assert a.best_word == b.best_word
     np.testing.assert_array_equal(a.history_best, b.history_best)
     assert len(a.history_best) == 13  # initial population + 12 generations
@@ -194,7 +193,7 @@ def test_ga_run_is_frozen():
     """A seeded oracle GA reproduces its winner and both histories bit for bit."""
     target = iv.build_target(5.3e9, 6.3e9)
     cfg = iv.GAConfig(population=200, generations=25, seed=7)
-    res = iv.ga_run(cfg, iv.oracle_evaluator(), target)
+    res = iv.ga_run(cfg, iv.oracle_evaluator(target))
     assert res.best_word == 0x00C03B0080C00000
     assert res.best_fitness == 11.300083232757057
     assert hashlib.sha256(res.history_best.astype("<f8").tobytes()).hexdigest() == (
@@ -205,9 +204,9 @@ def test_ga_run_is_frozen():
 
 def test_ga_seed_changes_search_path():
     target = iv.build_target(5.8e9, 5.8e9)
-    ev = iv.oracle_evaluator()
-    a = iv.ga_run(_tiny_cfg(seed=1), ev, target)
-    b = iv.ga_run(_tiny_cfg(seed=2), ev, target)
+    ev = iv.oracle_evaluator(target)
+    a = iv.ga_run(_tiny_cfg(seed=1), ev)
+    b = iv.ga_run(_tiny_cfg(seed=2), ev)
     assert not np.array_equal(a.history_median, b.history_median)
 
 
@@ -220,7 +219,7 @@ def test_elitism_keeps_a_planted_perfect_genome():
     w[25:30] = 1.0
     target = iv.TargetSpec(f, resp.real * (w > 0), resp.imag * (w > 0), w)
 
-    res = iv.ga_run(_tiny_cfg(), iv.oracle_evaluator(), target, seed_genomes=[bits])
+    res = iv.ga_run(_tiny_cfg(), iv.oracle_evaluator(target), seed_genomes=[bits])
     assert res.best_fitness == 1e6
     assert res.best_word == word
     assert (res.history_best == 1e6).all()
@@ -229,20 +228,37 @@ def test_elitism_keeps_a_planted_perfect_genome():
 def test_ga_rejects_oversized_seed_population():
     target = iv.build_target(5.8e9, 5.8e9)
     with pytest.raises(ValueError, match="seed genomes"):
-        iv.ga_run(_tiny_cfg(population=4), iv.oracle_evaluator(), target,
+        iv.ga_run(_tiny_cfg(population=4), iv.oracle_evaluator(target),
                   seed_genomes=np.zeros((5, 64), dtype=np.uint8))
+
+
+def test_oracle_evaluator_cache_is_exact():
+    """Repeats, new genomes and an equal-code pair all get one-row fitness bits."""
+    target = iv.build_target(5.3e9, 6.3e9)
+    ev = iv.oracle_evaluator(target)
+    a = u64_to_bits(stream_u64(11, 0, 300))
+    pair = u64_to_bits(np.array([0x033011D280E05D12, 0x2278711904689003], dtype=np.uint64))
+    assert not np.array_equal(pair[0], pair[1])
+    mixed = np.concatenate([a[::-3], u64_to_bits(stream_u64(12, 0, 200)), pair, a[:50], pair])
+    for batch in (a, mixed):
+        out = ev(batch)
+        assert out.shape == (len(batch),) and out.dtype == np.float64
+        expect = np.array([iv.fitness_of(response_batch(expand_genome(row)), target)[0]
+                           for row in batch])
+        np.testing.assert_array_equal(out.view(np.uint64), expect.view(np.uint64))
 
 
 def test_surrogate_evaluator_contract():
     from metapix import surrogate as sg
 
+    target = iv.build_target(5.3e9, 6.3e9)
     mlp = sg.init_mlp(0, hidden=(16,))
-    ev = iv.surrogate_evaluator(mlp)
-    bits = u64_to_bits(stream_u64(3, 0, 5))
-    out = ev(bits)
-    assert out.shape == (5, 61)
-    assert out.dtype == complex
-    np.testing.assert_array_equal(out, sg.predict_s22(mlp, stream_u64(3, 0, 5)))
+    ev = iv.surrogate_evaluator(mlp, target)
+    out = ev(u64_to_bits(stream_u64(3, 0, 5)))
+    assert out.shape == (5,)
+    assert out.dtype == np.float64
+    expect = iv.fitness_of(sg.predict_s22(mlp, stream_u64(3, 0, 5)), target)
+    np.testing.assert_array_equal(out, expect)
 
 
 # --- validation ------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from metapix import oracle as oc
 from metapix.pattern import GeometryMeta, expand_genome, genome_from_u64
-from metapix.rng import stream_u64, u64_to_bits
+from metapix.rng import CounterRng, stream_u64, u64_to_bits
 
 ETA = 377.0
 C0 = 299_792_458.0
@@ -226,3 +226,21 @@ def test_duplicate_feature_rows_give_bit_equal_rows():
         for k, grid in enumerate(grids):
             one = oc.response_batch(grid, consts, freqs=freqs)[0]
             assert batch[k].view(np.float64).tobytes() == one.view(np.float64).tobytes()
+
+
+def test_feature_code_determines_the_feature_row():
+    """Genomes share a feature code exactly when their grid feature rows are
+    byte-equal, on random words and on edge words."""
+    edge = np.array([0, 2**64 - 1, 1 << 63, 1, 0xFF00FF00FF00FF00, 0x00FF00FF00FF00FF,
+                     0x8040201008040201, 0x0102040810204080, 0x00003FC000E00000,
+                     0x033011D280E05D12, 0x2278711904689003], dtype=np.uint64)
+    bits = u64_to_bits(np.concatenate([CounterRng(3).u64(200_000), edge]))
+    codes = oc.feature_codes(bits)
+    assert codes.dtype == np.int64 and codes.shape == (len(bits),)
+    assert codes[-2] == codes[-1]  # the equal-feature pair
+    rows = oc.features_batch(expand_genome(bits)).view(np.uint64)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    np.testing.assert_array_equal(rows, rows[first][inverse])
+    assert len(np.unique(rows, axis=0)) == len(first)
+    with pytest.raises(ValueError, match="genome bits"):
+        oc.feature_codes(expand_genome(bits[:2]))
