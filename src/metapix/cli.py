@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, arraysim, dataset, inverse, oracle, surrogate
+from . import __version__, arraysim, dataset, inverse, oracle, pattern, surrogate
 from .config import RunConfig, config_to_dict, load_config
 from .inverse import NoSolutionError, TargetSpec
 from .netcalc import NoContrastError, SingularityError
@@ -276,6 +276,9 @@ def cmd_design(args, cfg: RunConfig) -> int:
         ckpt = Path(args.ckpt) if args.ckpt else _outdir(args, cfg) / "surrogate.ckpt"
         _require(ckpt, "surrogate checkpoint (run `train` or pass --evaluator oracle)")
         mlp, _ = surrogate.load_checkpoint(ckpt)
+        if (mlp.sizes[0], mlp.sizes[-1]) != (pattern.GENOME_BITS, dataset.RESP_WIDTH):
+            raise CliError(f"checkpoint {ckpt} maps {mlp.sizes[0]} to {mlp.sizes[-1]} values; "
+                           f"the surrogate needs {pattern.GENOME_BITS} to {dataset.RESP_WIDTH}")
         evaluator = inverse.surrogate_evaluator(mlp, target)
         inputs["checkpoint"] = ckpt
 

@@ -125,7 +125,7 @@ def save(path: str, records: np.ndarray, seed: int,
 def load(path: str, consts: OracleConstants = OracleConstants(),
          geom: GeometryMeta = GeometryMeta(),
          check_fingerprint: bool = True) -> tuple[DatasetHeader, np.ndarray]:
-    """Read a dataset; refuse one generated under different model constants."""
+    """Read a dataset; refuse one built under other model constants or frequencies."""
     with open(path, "rb") as fh:
         line = fh.readline()
         body = fh.read()
@@ -135,6 +135,9 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
         raise ValueError(f"{path}: not a dataset file ({exc})") from exc
     if header.version != DATASET_VERSION:
         raise ValueError(f"{path}: dataset version {header.version}, expected {DATASET_VERSION}")
+    grid = (header.freq_start, header.freq_step, header.n_freq)
+    if grid != (FREQ_START, FREQ_STEP, N_FREQ):
+        raise ValueError(f"{path}: frequency grid {grid} is not {(FREQ_START, FREQ_STEP, N_FREQ)}")
     if check_fingerprint:
         want = fingerprint(consts, geom)
         if header.fingerprint != want:

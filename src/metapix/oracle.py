@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .netcalc import C0, FREE_SPACE_ETA
-from .pattern import GENOME_BITS, GENOME_SIDE, GRID_SIDE, GeometryMeta
+from .pattern import GENOME_BITS, GENOME_SIDE, GRID_SIDE, GeometryMeta, is_mirror_symmetric
 
 FREQ_START = 2.8e9  # Hz
 FREQ_STEP = 0.1e9  # Hz
@@ -86,33 +86,44 @@ def fingerprint(consts: OracleConstants, geom: GeometryMeta) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _quadrant_counts(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(k, 8, 8) bool quadrants -> the five (k,) int64 counts of feature_codes."""
+    run = np.zeros((len(q), GENOME_SIDE), dtype=np.int64)
+    best = np.zeros_like(run)
+    for r in range(GENOME_SIDE):
+        run = (run + 1) * q[:, r, :]
+        best = np.maximum(best, run)
+    n = q.sum(axis=(1, 2))
+    s = np.maximum(best, 2 * run).sum(axis=1)
+    h = (q[:, :, 1:] != q[:, :, :-1]).sum(axis=(1, 2))
+    v = (q[:, 1:, :] != q[:, :-1, :]).sum(axis=(1, 2))
+    c = q[:, 4:, 4:].sum(axis=(1, 2))
+    return n, s, h, v, c
+
+
 def features_batch(grids) -> np.ndarray:
-    """(n, 16, 16) or (16, 16) grids -> (n, 6) feature rows in FEATURE_NAMES order.
+    """(n, 16, 16) or (16, 16) mirrored grids -> (n, 6) feature rows in FEATURE_NAMES order.
 
     Each feature lies in [0, 1]: rho is the overall metal fill, v_conn the
     mean per-column longest vertical metal run / 16, e_h and e_v the
     horizontally and vertically dissimilar neighbor pairs / (16*15),
     rho_center the fill of the central 8x8 block, q_cb |rho_center - rho_border|.
+    They are computed from the quadrant counts that feature_codes packs (the
+    grid's are 4x those, 2x for s); an unmirrored grid raises ValueError.
     """
-    g = np.asarray(grids).astype(bool)
+    g = np.asarray(grids).astype(bool, copy=False)
     if g.ndim == 2:
         g = g[None, :, :]
     if g.shape[1:] != (GRID_SIDE, GRID_SIDE):
         raise ValueError(f"expected (n, {GRID_SIDE}, {GRID_SIDE}) grids, got {g.shape}")
-    n = g.shape[0]
-    rho = g.mean(axis=(1, 2))
-
-    run = np.zeros((n, GRID_SIDE))
-    best = np.zeros((n, GRID_SIDE))
-    for r in range(GRID_SIDE):
-        run = (run + 1.0) * g[:, r, :]
-        best = np.maximum(best, run)
-    v_conn = best.mean(axis=1) / GRID_SIDE
-
-    e_h = (g[:, :, 1:] != g[:, :, :-1]).mean(axis=(1, 2))
-    e_v = (g[:, 1:, :] != g[:, :-1, :]).mean(axis=(1, 2))
-
-    center = g[:, 4:12, 4:12].mean(axis=(1, 2))
+    if not is_mirror_symmetric(g):
+        raise ValueError("grids must have the four-fold mirror symmetry of expand_genome")
+    n, s, h, v, c = _quadrant_counts(g[:, :GENOME_SIDE, :GENOME_SIDE])
+    rho = 4 * n / GRID_SIDE**2
+    v_conn = 2 * s / GRID_SIDE / GRID_SIDE
+    e_h = 4 * h / (GRID_SIDE * (GRID_SIDE - 1))
+    e_v = 4 * v / (GRID_SIDE * (GRID_SIDE - 1))
+    center = 4 * c / 64
     border = (rho * GRID_SIDE**2 - center * 64.0) / (GRID_SIDE**2 - 64.0)
     q_cb = np.abs(center - border)
     return np.stack([rho, v_conn, e_h, e_v, center, q_cb], axis=1)
@@ -125,24 +136,13 @@ def feature_codes(bits) -> np.ndarray:
     horizontally and vertically dissimilar neighbor pairs (the mirror seams add
     none), c the fill of its [4:, 4:] corner (a quarter of the central block),
     and s the sum over its columns of max(longest run, 2 x the run ending at
-    row 7, which the horizontal seam doubles).  Every feature of the mirrored
-    grid is a function of these integers alone, so genomes with equal codes
-    have byte-equal features_batch rows.
+    row 7, which the horizontal seam doubles).  features_batch converts these
+    same integers to its six floats, so equal codes give byte-equal rows.
     """
     q = np.asarray(bits).astype(bool)
     if q.ndim != 2 or q.shape[1] != GENOME_BITS:
         raise ValueError(f"expected (k, {GENOME_BITS}) genome bits, got {q.shape}")
-    q = q.reshape(-1, GENOME_SIDE, GENOME_SIDE)
-    run = np.zeros((len(q), GENOME_SIDE), dtype=np.int64)
-    best = np.zeros_like(run)
-    for r in range(GENOME_SIDE):
-        run = (run + 1) * q[:, r, :]
-        best = np.maximum(best, run)
-    n = q.sum(axis=(1, 2))
-    s = np.maximum(best, 2 * run).sum(axis=1)
-    h = (q[:, :, 1:] != q[:, :, :-1]).sum(axis=(1, 2))
-    v = (q[:, 1:, :] != q[:, :-1, :]).sum(axis=(1, 2))
-    c = q[:, 4:, 4:].sum(axis=(1, 2))
+    n, s, h, v, c = _quadrant_counts(q.reshape(-1, GENOME_SIDE, GENOME_SIDE))
     return n | s << 7 | h << 16 | v << 24 | c << 32
 
 
@@ -199,7 +199,7 @@ def _finish(z_series, zb1, zb2, z_stub, eta):
 def response_batch(grids, consts: OracleConstants = OracleConstants(),
                    geom: GeometryMeta = GeometryMeta(),
                    freqs: np.ndarray | None = None) -> np.ndarray:
-    """(n, 16, 16) or (16, 16) grids -> (n, m) complex s22.
+    """(n, 16, 16) or (16, 16) mirrored grids -> (n, m) complex s22.
 
     The m frequencies (Hz) default to the 61-point grid of freq_grid().  The
     kernel is elementwise per row, so every output row has the same bits as a

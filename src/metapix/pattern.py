@@ -12,6 +12,7 @@ constants.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +71,6 @@ def expand_genome(bits) -> np.ndarray:
     return np.concatenate([top, top[..., ::-1, :]], axis=-2)
 
 
-def metal_cell_count(bits) -> int:
-    """Metal cells in the expanded grid: exactly 4x the genome popcount."""
-    return 4 * int(as_genome(bits).sum())
-
-
 def genome_to_u64(bits) -> int:
     """Pack row-major, bit (0,0) most significant."""
     packed = np.packbits(as_genome(bits).reshape(-1).astype(np.uint8))
@@ -96,13 +92,10 @@ def pack_genome(bits) -> str:
 def unpack_genome(text: str) -> np.ndarray:
     """Inverse of pack_genome; accepts either case, rejects anything else."""
     s = text.strip()
-    if len(s) != 16:
-        raise ValueError(f"genome hex must be 16 digits, got {len(s)}")
-    try:
-        word = int(s, 16)
-    except ValueError as exc:
-        raise ValueError(f"malformed genome hex {text!r}") from exc
-    return genome_from_u64(word)
+    # int(s, 16) alone would also take a sign, a 0x prefix and _ separators
+    if len(s) != 16 or not all(ch in string.hexdigits for ch in s):
+        raise ValueError(f"genome hex must be 16 hex digits, got {text!r}")
+    return genome_from_u64(int(s, 16))
 
 
 def render_pbm(grid) -> str:
@@ -115,6 +108,6 @@ def render_pbm(grid) -> str:
 
 
 def is_mirror_symmetric(grid) -> bool:
-    """True when a 16x16 grid has the four-fold symmetry expand_genome makes."""
-    arr = np.asarray(grid).astype(bool)
-    return bool(np.array_equal(arr, arr[:, ::-1]) and np.array_equal(arr, arr[::-1, :]))
+    """True when a 16x16 grid, or each of a batch, has expand_genome's four-fold symmetry."""
+    arr = np.asarray(grid).astype(bool, copy=False)
+    return bool(np.array_equal(arr, arr[..., ::-1]) and np.array_equal(arr, arr[..., ::-1, :]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metapix.cli import main
+from metapix.surrogate import init_mlp, save_checkpoint
 
 
 def sha(path):
@@ -101,6 +102,20 @@ def test_stats_reads_dataset(tmp_path, capsys):
     assert "mag_max" in doc
 
 
+def test_stats_refuses_another_frequency_grid(tmp_path, capsys):
+    run(capsys, "gen", "--n", "44", "--seed", "3", "--outdir", str(tmp_path))
+    data = tmp_path / "dataset.bin"
+    head, body = data.read_bytes().split(b"\n", 1)
+    header = json.loads(head) | {"freq_start": 1e9, "freq_step": 0.5e9}
+    data.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    out = tmp_path / "stats.json"
+    for extra in ([], ["--no-fingerprint-check"]):
+        code, _, err = run(capsys, "stats", "--data", str(data), "--out", str(out), *extra)
+        assert code == 1
+        assert _one_error_line(err) and f"{data}: frequency grid" in err
+        assert not out.exists()
+
+
 def test_train_missing_dataset_names_file(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--outdir", str(tmp_path))
     assert code == 1
@@ -171,6 +186,18 @@ def test_array_design_without_genome_is_one_error_line(tmp_path, capsys):
     code, _, err = run(capsys, "array", "--design", str(design), "--outdir", str(tmp_path))
     assert code == 1
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("genome", ["0x003FC000E00000", "0000_3FC0_00E000", "+0003FC000E00000"])
+def test_array_design_with_non_hex_genome_writes_nothing(tmp_path, capsys, genome):
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps({"genome": genome}))
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "array", "--design", str(design), "--outdir", str(out))
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"bad design file {design}" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_array_design_refuses_off_grid_freq(tmp_path, capsys):
@@ -271,6 +298,20 @@ def test_design_checkpoint_without_sizes_is_one_error_line(tmp_path, capsys):
                        "--outdir", str(tmp_path))
     assert code == 1
     assert _one_error_line(err) and "sizes" in err
+
+
+@pytest.mark.parametrize("sizes", [(64, 4, 100), (10, 4, 122), (64, 122, 4)])
+def test_design_checkpoint_of_wrong_width_is_one_error_line(tmp_path, capsys, sizes):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, init_mlp(1, sizes[1:-1], n_in=sizes[0], n_out=sizes[-1]))
+    out = tmp_path / "d.json"
+    code, _, err = run(capsys, "design", "--target", str(target), "--ckpt", str(ckpt),
+                       "--population", "8", "--generations", "1", "--out", str(out))
+    assert code == 1
+    assert _one_error_line(err) and f"checkpoint {ckpt} maps {sizes[0]} to {sizes[-1]}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("epochs", ["0", "-1"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,30 @@ def test_load_rejects_truncation(tmp_path):
         fh.write(blob[:-100])
     with pytest.raises(ValueError, match="header says 16"):
         ds.load(path)
+
+
+def _edit_header(path, **fields):
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        body = fh.read()
+    header.update(fields)
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode() + body)
+
+
+@pytest.mark.parametrize("fields", [
+    {"freq_start": 1e9, "freq_step": 0.5e9},
+    {"freq_start": 2.9e9},
+    {"freq_step": 0.2e9},
+    {"n_freq": 60},
+])
+def test_load_rejects_another_frequency_grid(tmp_path, fields):
+    path = str(tmp_path / "set.bin")
+    ds.save(path, ds.generate(4, seed=1), seed=1)
+    _edit_header(path, **fields)
+    for check in (True, False):
+        with pytest.raises(ValueError, match=f"{path}: frequency grid"):
+            ds.load(path, check_fingerprint=check)
 
 
 def test_split_sizes_and_order():

@@ -33,6 +33,32 @@ def _hand_s22(feat, f, consts=None, geom=None):
     return (z_in - ETA) / (z_in + ETA)
 
 
+def _grid_features(grids):
+    """Float scan of the full 16x16 grids, kept deliberately independent of
+    the quadrant counts features_batch converts; takes grids of any symmetry."""
+    g = np.asarray(grids).astype(bool).reshape(-1, 16, 16)
+    rho = g.mean(axis=(1, 2))
+    run = np.zeros((len(g), 16))
+    best = np.zeros((len(g), 16))
+    for r in range(16):
+        run = (run + 1.0) * g[:, r, :]
+        best = np.maximum(best, run)
+    v_conn = best.mean(axis=1) / 16
+    e_h = (g[:, :, 1:] != g[:, :, :-1]).mean(axis=(1, 2))
+    e_v = (g[:, 1:, :] != g[:, :-1, :]).mean(axis=(1, 2))
+    center = g[:, 4:12, 4:12].mean(axis=(1, 2))
+    border = (rho * 256 - center * 64.0) / (256 - 64.0)
+    q_cb = np.abs(center - border)
+    return np.stack([rho, v_conn, e_h, e_v, center, q_cb], axis=1)
+
+
+# edge words: empty, full, single corner bits, stripes, diagonals, the netcalc
+# test genome, and two genomes that share every feature
+_EDGE_WORDS = np.array([0, 2**64 - 1, 1 << 63, 1, 0xFF00FF00FF00FF00, 0x00FF00FF00FF00FF,
+                        0x8040201008040201, 0x0102040810204080, 0x00003FC000E00000,
+                        0x033011D280E05D12, 0x2278711904689003], dtype=np.uint64)
+
+
 def _grids(seed, n):
     return expand_genome(u64_to_bits(stream_u64(seed, 0, n)))
 
@@ -55,9 +81,12 @@ def test_features_of_uniform_grids():
 
 
 def test_features_of_checkerboard():
+    """The board lacks the four-fold symmetry, so only the grid scan takes it."""
     r, c = np.indices((16, 16))
     board = (r + c) % 2 == 0
-    f = _features(board)
+    f = dict(zip(oc.FEATURE_NAMES, _grid_features(board)[0].tolist()))
+    with pytest.raises(ValueError, match="symmetry"):
+        oc.features_batch(board)
     assert f["rho"] == 0.5
     assert f["e_h"] == 1.0 and f["e_v"] == 1.0
     assert f["v_conn"] == 1.0 / 16.0  # longest vertical run is a single cell
@@ -73,6 +102,15 @@ def test_features_frozen_example():
         rtol=0,
         atol=0,
     )
+
+
+def test_features_match_the_grid_scan():
+    """The six floats converted from the quadrant counts have the bits of the
+    full-grid float scan, on random words and on edge words."""
+    words = np.concatenate([CounterRng(3).u64(200_000), _EDGE_WORDS])
+    grids = expand_genome(u64_to_bits(words))
+    got = oc.features_batch(grids).view(np.uint64)
+    np.testing.assert_array_equal(got, _grid_features(grids).view(np.uint64))
 
 
 def test_features_batch_matches_scalar():
@@ -231,10 +269,7 @@ def test_duplicate_feature_rows_give_bit_equal_rows():
 def test_feature_code_determines_the_feature_row():
     """Genomes share a feature code exactly when their grid feature rows are
     byte-equal, on random words and on edge words."""
-    edge = np.array([0, 2**64 - 1, 1 << 63, 1, 0xFF00FF00FF00FF00, 0x00FF00FF00FF00FF,
-                     0x8040201008040201, 0x0102040810204080, 0x00003FC000E00000,
-                     0x033011D280E05D12, 0x2278711904689003], dtype=np.uint64)
-    bits = u64_to_bits(np.concatenate([CounterRng(3).u64(200_000), edge]))
+    bits = u64_to_bits(np.concatenate([CounterRng(3).u64(200_000), _EDGE_WORDS]))
     codes = oc.feature_codes(bits)
     assert codes.dtype == np.int64 and codes.shape == (len(bits),)
     assert codes[-2] == codes[-1]  # the equal-feature pair

@@ -12,7 +12,7 @@ def test_expand_single_bit_mirrors_four_ways():
     assert grid.shape == (16, 16)
     hits = {(0, 0), (0, 15), (15, 0), (15, 15)}
     assert {tuple(rc) for rc in np.argwhere(grid)} == hits
-    assert pt.metal_cell_count(g) == 4
+    assert grid.sum() == 4 * g.sum()
 
 
 def test_expand_is_always_mirror_symmetric():
@@ -32,6 +32,12 @@ def test_expand_is_always_mirror_symmetric():
     asym = np.zeros((16, 16), dtype=bool)
     asym[0, 0] = True
     assert not pt.is_mirror_symmetric(asym)
+    grids = pt.expand_genome(batch)
+    assert pt.is_mirror_symmetric(grids)
+    for other in ((0, 15), (15, 0)):  # one of the two mirrors holds, the other not
+        broken = grids.copy()
+        broken[3, 0, 0] = broken[3][other] = not grids[3, 0, 0]
+        assert not pt.is_mirror_symmetric(broken)
 
 
 def test_pack_is_canonical_hex():
@@ -49,7 +55,8 @@ def test_hex_round_trip(word):
 
 
 def test_unpack_rejects_malformed():
-    for bad in ("", "123", "15780B2E0C2EC71", "15780B2E0C2EC7160", "15780B2E0C2EC71G"):
+    for bad in ("", "123", "15780B2E0C2EC71", "15780B2E0C2EC7160", "15780B2E0C2EC71G",
+                "0x003FC000E00000", "0000_3FC0_00E000", "+15780B2E0C2EC71"):
         with pytest.raises(ValueError):
             pt.unpack_genome(bad)
     with pytest.raises(ValueError):
@@ -94,8 +101,7 @@ def test_metal_count_is_four_times_popcount():
     rng = np.random.default_rng(9)
     for _ in range(20):
         bits = rng.integers(0, 2, 64)
-        assert pt.metal_cell_count(bits) == 4 * bits.sum()
-        assert pt.expand_genome(bits).sum() == pt.metal_cell_count(bits)
+        assert pt.expand_genome(bits).sum() == 4 * bits.sum()
 
 
 def test_geometry_defaults_and_validation():
