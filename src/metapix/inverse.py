@@ -54,7 +54,10 @@ class TargetSpec:
 
     def __post_init__(self):
         for name in ("freqs", "re", "im", "weight"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(value).all():
+                raise ValueError(f"target {name} must be finite")
+            object.__setattr__(self, name, value)
         n = len(self.freqs)
         if not (len(self.re) == len(self.im) == len(self.weight) == n):
             raise ValueError("target arrays must share one length")
@@ -156,49 +159,67 @@ def fitness_of(s22: np.ndarray, target: TargetSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def oracle_evaluator(target: TargetSpec, consts: OracleConstants = OracleConstants(),
-                     geom: GeometryMeta = GeometryMeta()):
-    """Scorer mapping (k, 64) genome bits to (k,) oracle fitness against target.
+def _cached_scorer(key_of, score):
+    """Scorer from (k, 64) genome bits to (k,) fitness that scores each key once.
 
-    Fitness depends on a genome only through its feature code, so the scorer
-    runs the oracle once per code for its whole life: a sorted int64 array of
-    the codes seen and a parallel float64 array of their fitness.  The kernel
-    and fitness_of are exact row by row, so every value has the bits of a
-    one-genome fitness_of(response_batch(...)) call.
+    key_of maps bits to the (k,) integer keys fitness depends on alone, and
+    score(rows, keys) scores one row per new key.  The scorer keeps a sorted
+    array of the keys seen, in their own dtype, and their float64 fitness.
     """
-    # a sentinel above every code keeps each searchsorted position in range
-    keys = np.array([np.iinfo(np.int64).max], dtype=np.int64)
-    values = np.array([np.nan])
+    keys = values = None
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
         nonlocal keys, values
         bits = np.asarray(bits, dtype=np.uint8)
-        codes, first, inverse = np.unique(feature_codes(bits), return_index=True,
-                                          return_inverse=True)
-        pos = np.searchsorted(keys, codes)
-        seen = keys[pos] == codes
-        fit = np.empty(len(codes))
+        batch, first, inverse = np.unique(key_of(bits), return_index=True, return_inverse=True)
+        if keys is None:
+            keys, values = batch[:0], np.empty(0)
+        pos = np.searchsorted(keys, batch)
+        # every key value can occur (the all-ones genome word included), so
+        # positions past the end are masked rather than caught by a sentinel
+        seen = pos < len(keys)
+        seen[seen] = keys[pos[seen]] == batch[seen]
+        fit = np.empty(len(batch))
         fit[seen] = values[pos[seen]]
         miss = ~seen
         if miss.any():
-            grids = expand_genome(bits[first[miss]])
-            fit[miss] = fitness_of(response_batch(grids, consts, geom), target)
-            keys = np.insert(keys, pos[miss], codes[miss])
+            fit[miss] = score(bits[first[miss]], batch[miss])
+            keys = np.insert(keys, pos[miss], batch[miss])
             values = np.insert(values, pos[miss], fit[miss])
         return fit[inverse]
 
     return evaluate
 
 
+def oracle_evaluator(target: TargetSpec, consts: OracleConstants = OracleConstants(),
+                     geom: GeometryMeta = GeometryMeta()):
+    """Scorer mapping (k, 64) genome bits to (k,) oracle fitness against target.
+
+    Fitness depends on a genome only through its feature code, so the scorer
+    runs the oracle once per code for its whole life.  The kernel and
+    fitness_of are exact row by row, so every value has the bits of a
+    one-genome fitness_of(response_batch(...)) call.
+    """
+    def score(rows, codes):
+        return fitness_of(response_batch(expand_genome(rows), consts, geom), target)
+
+    return _cached_scorer(feature_codes, score)
+
+
 def surrogate_evaluator(mlp, target: TargetSpec):
-    """Same contract as oracle_evaluator, backed by a trained network (uncached)."""
+    """Same contract as oracle_evaluator, backed by a trained network.
+
+    The scorer runs the network once per distinct genome word for its whole
+    life, on each call's new words as one batch, so a call sequence always
+    gives the same bits.  A batch of other size may differ in the last bit,
+    as the matrix library picks its kernel by batch size.
+    """
     from .surrogate import predict_s22
 
-    def evaluate(bits: np.ndarray) -> np.ndarray:
-        words = bits_to_u64(np.asarray(bits, dtype=np.uint8))
+    def score(rows, words):
         return fitness_of(predict_s22(mlp, words), target)
 
-    return evaluate
+    return _cached_scorer(bits_to_u64, score)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,26 @@ def test_validate_bad_target_file_is_one_error_line(tmp_path, capsys, text):
     assert _one_error_line(err) and "bad target file" in err
 
 
+@pytest.mark.parametrize("field, k, value", [
+    ("re", 0, float("nan")),  # a don't-care row
+    ("re", 30, float("nan")),
+    ("weight", 30, float("inf")),
+])
+def test_design_non_finite_target_is_one_error_line(tmp_path, capsys, field, k, value):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    doc = json.loads(target.read_text())
+    doc[field][k] = value
+    target.write_text(json.dumps(doc))
+    out = tmp_path / "design.json"
+    code, _, err = run(capsys, "design", "--target", str(target), "--evaluator", "oracle",
+                       "--population", "8", "--generations", "1", "--out", str(out))
+    assert code == 1
+    assert _one_error_line(err)
+    assert f"bad target file {target}: target {field} must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("predicted_re", "abc"),
     ("predicted_re", [0.1, 0.2]),

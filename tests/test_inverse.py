@@ -99,6 +99,22 @@ def test_target_spec_validation():
         iv.TargetSpec(f, z, z, -w)
 
 
+@pytest.mark.parametrize("name, k, value", [
+    ("re", 0, math.nan),  # a don't-care row: NaN * 0 is NaN inside target_error
+    ("re", 30, math.nan),
+    ("im", 30, -math.inf),
+    ("weight", 30, math.inf),
+    ("weight", 0, math.nan),
+    ("freqs", 5, math.inf),
+])
+def test_target_spec_refuses_non_finite_values(name, k, value):
+    t = _point_target(30, -0.7, 0.0)
+    arrays = {n: getattr(t, n).copy() for n in ("freqs", "re", "im", "weight")}
+    arrays[name][k] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        iv.TargetSpec(**arrays)
+
+
 def test_target_json_round_trip():
     t = iv.build_target(5.7e9, 5.9e9, anchors=[(5.3e9, -0.1, 0.0)])
     back = iv.TargetSpec.from_json(t.to_json())
@@ -259,6 +275,47 @@ def test_surrogate_evaluator_contract():
     assert out.dtype == np.float64
     expect = iv.fitness_of(sg.predict_s22(mlp, stream_u64(3, 0, 5)), target)
     np.testing.assert_array_equal(out, expect)
+
+
+def test_surrogate_evaluator_scores_each_word_once():
+    """Repeats within and across calls, and the extreme words 0 and 2**64-1,
+    get the bits of the first call's batch of distinct words, every time."""
+    from metapix import surrogate as sg
+
+    target = iv.build_target(5.3e9, 6.3e9)
+    mlp = sg.init_mlp(0, hidden=(16,))
+    a = stream_u64(3, 0, 40)
+    edge = np.array([0, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    calls = [np.concatenate([a, edge, a[::-2], edge[::-1]]),
+             np.concatenate([stream_u64(4, 0, 30), edge, a[5:25], edge])]
+
+    def run(ev):
+        return [ev(u64_to_bits(words)) for words in calls]
+
+    first = run(iv.surrogate_evaluator(mlp, target))
+    by_word = {}
+    for words, out in zip(calls, first):
+        assert out.shape == (len(words),) and out.dtype == np.float64
+        for w, v in zip(words.tolist(), out.view(np.uint64).tolist()):
+            assert by_word.setdefault(w, v) == v
+    distinct, back = np.unique(calls[0], return_inverse=True)
+    expect = iv.fitness_of(sg.predict_s22(mlp, distinct), target)[back]
+    np.testing.assert_array_equal(first[0].view(np.uint64), expect.view(np.uint64))
+    for out, again in zip(first, run(iv.surrogate_evaluator(mlp, target))):
+        np.testing.assert_array_equal(out.view(np.uint64), again.view(np.uint64))
+
+
+def test_surrogate_ga_is_repeatable():
+    from metapix import surrogate as sg
+
+    target = iv.build_target(5.3e9, 6.3e9)
+    mlp = sg.init_mlp(2, hidden=(16,))
+    cfg = iv.GAConfig(population=60, generations=15, seed=5)
+    a = iv.ga_run(cfg, iv.surrogate_evaluator(mlp, target))
+    b = iv.ga_run(cfg, iv.surrogate_evaluator(mlp, target))
+    assert (a.best_word, a.best_fitness) == (b.best_word, b.best_fitness)
+    for x, y in ((a.history_best, b.history_best), (a.history_median, b.history_median)):
+        assert x.tobytes() == y.tobytes()
 
 
 # --- validation ------------------------------------------------------------------
