@@ -1,4 +1,4 @@
-"""Direct-summation simulator for a 1-bit coding reflectarray.
+"""Far-field simulator for a 1-bit coding reflectarray.
 
 Geometry: n_x by n_y elements on a square grid in the z = 0 plane, feed above
 the center radiating a cos^q_f pattern, elements radiating cos^q_e.  The
@@ -7,7 +7,11 @@ field toward direction u(theta, phi) is
     E = sum_mn [cos^q_f(theta_f,mn) / d_mn] e^{-j k d_mn} Gamma_mn
         cos^q_e(theta) e^{+j k (r_mn . u)}
 
-with d_mn the feed-to-element distance.  Element phases are compensated with
+with d_mn the feed-to-element distance.  On the regular grid the steering
+phase k (x_m ux + y_n uy) splits into an x factor and a y factor, so the sum
+is taken as sum_m e^{j k x_m ux} sum_n e^{j k y_n uy} A_nm with A the
+feed-weighted reflections: n_x + n_y complex exponentials per direction
+instead of n_x * n_y.  Element phases are compensated with
 phi_mn = +k d_mn - k (r_mn . u0) + phi_ref: the feed term cancels the
 incident spherical delay, the steering term forms the beam at u0.  A plane
 wave feed option removes the feed amplitude taper and delay entirely, which
@@ -16,6 +20,7 @@ turns the boresight case into the textbook uniform-aperture array.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -57,21 +62,26 @@ class SteerTarget:
             raise ValueError("steer phi must lie in [0, 360)")
 
 
-def element_positions(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(n_y, n_x) x and y coordinates, array centered on the origin."""
+def _axes(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(n_x,) column x and (n_y,) row y coordinates, centered on the origin."""
     xs = (np.arange(cfg.n_x) - (cfg.n_x - 1) / 2.0) * cfg.spacing
     ys = (np.arange(cfg.n_y) - (cfg.n_y - 1) / 2.0) * cfg.spacing
-    return np.meshgrid(xs, ys)
+    return xs, ys
+
+
+def element_positions(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(n_y, n_x) x and y coordinates, array centered on the origin."""
+    return np.meshgrid(*_axes(cfg))
 
 
 def _feed_terms(cfg: ArrayConfig, k0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element feed amplitude and phase (radians, delay negative)."""
-    x, y = element_positions(cfg)
+    """(n_y, n_x) feed amplitude and phase per element (radians, delay negative)."""
     if cfg.plane_wave_feed:
-        one = np.ones_like(x)
-        return one, np.zeros_like(x)
+        shape = (cfg.n_y, cfg.n_x)
+        return np.ones(shape), np.zeros(shape)
+    xs, ys = _axes(cfg)
     fx, fy, fz = cfg.feed_xyz
-    d = np.sqrt((x - fx) ** 2 + (y - fy) ** 2 + fz**2)
+    d = np.sqrt((xs[None, :] - fx) ** 2 + (ys[:, None] - fy) ** 2 + fz**2)
     amp = (fz / d) ** cfg.q_feed / d
     return amp, -k0 * d
 
@@ -112,17 +122,20 @@ def far_field_gammas(cfg: ArrayConfig, gammas: np.ndarray, f: float,
     if gammas.shape != (cfg.n_y, cfg.n_x):
         raise ValueError(f"gammas must be ({cfg.n_y}, {cfg.n_x}), got {gammas.shape}")
     k0 = TWO_PI * f / C0
-    x, y = element_positions(cfg)
+    xs, ys = _axes(cfg)
     amp, feed_phase = _feed_terms(cfg, k0)
-    excite = (amp * gammas * np.exp(1j * feed_phase)).reshape(-1)
+    excite = amp * gammas * np.exp(1j * feed_phase)
 
     t = np.radians(np.asarray(thetas_deg, dtype=float))
     p = math.radians(phi_deg)
     ux = np.sin(t) * math.cos(p)
     uy = np.sin(t) * math.sin(p)
-    phase = k0 * (x.reshape(-1)[None, :] * ux[:, None] + y.reshape(-1)[None, :] * uy[:, None])
+    # the steering phase separates per axis: sum rows with (D, n_y) y
+    # factors, then columns with (D, n_x) x factors
+    ex = np.exp(1j * k0 * np.multiply.outer(ux, xs))
+    ey = np.exp(1j * k0 * np.multiply.outer(uy, ys))
     elem = np.cos(t) ** cfg.q_elem
-    return (np.exp(1j * phase) @ excite) * elem
+    return ((ey @ excite) * ex).sum(axis=1) * elem
 
 
 def pattern_db(cfg: ArrayConfig, gammas: np.ndarray, f: float,
@@ -142,6 +155,8 @@ def far_field(cfg: ArrayConfig, codes: np.ndarray, gamma0: complex, gamma1: comp
               f: float, thetas_deg: np.ndarray, phi_deg: float = 0.0,
               floor_db: float = -100.0) -> np.ndarray:
     """Normalized 1-bit pattern for a coding matrix and two element states."""
+    if not (cmath.isfinite(gamma0) and cmath.isfinite(gamma1)):
+        raise ValueError("element reflections must be finite")
     if abs(gamma0) > 1.0 + 1e-9 or abs(gamma1) > 1.0 + 1e-9:
         raise ValueError("element reflection magnitudes must not exceed 1")
     g = gammas_from_codes(codes, gamma0, gamma1)
@@ -179,13 +194,16 @@ def spectral_power_sweep(cfg: ArrayConfig, freqs: np.ndarray,
     per frequency the two element states take the supplied reflection
     spectra.  Output is normalized to its own peak; the reported band is the
     contiguous run of grid frequencies around f0 staying within 3 dB of the
-    peak, as (lo, hi) and as a percentage of the band center.
+    peak, as (lo, hi) and as a percentage of the band center.  With no power
+    at any frequency every row sits at the floor and no band is reported.
     """
     freqs = np.asarray(freqs, dtype=float)
     g0 = np.asarray(gamma0_spec, dtype=complex)
     g1 = np.asarray(gamma1_spec, dtype=complex)
     if not (len(freqs) == len(g0) == len(g1)):
         raise ValueError("freqs and reflection spectra must share one length")
+    if not (np.isfinite(g0).all() and np.isfinite(g1).all()):
+        raise ValueError("reflection spectra must be finite")
     k0_idx = int(np.argmin(np.abs(freqs - f0)))
     codes = quantize_1bit(ideal_phase(cfg, steer, f0, ref_phase))
 
@@ -196,7 +214,11 @@ def spectral_power_sweep(cfg: ArrayConfig, freqs: np.ndarray,
         e = far_field_gammas(cfg, gammas, float(f), theta, steer.phi_deg)
         power[k] = float(np.abs(e[0]) ** 2)
 
-    power_db = 10.0 * np.log10(np.maximum(power / power.max(), 1e-30))
+    floor_db = -300.0
+    peak = power.max()
+    if peak == 0.0:
+        return SweepResult(freqs, np.full(len(freqs), floor_db), None, 0.0)
+    power_db = 10.0 * np.log10(np.maximum(power / peak, 10.0 ** (floor_db / 10.0)))
     ok = power_db >= -3.0
     if not ok[k0_idx]:
         return SweepResult(freqs, power_db, None, 0.0)

@@ -454,7 +454,9 @@ def cmd_array(args, cfg: RunConfig) -> int:
         for i, phi in enumerate(phis):
             e = arraysim.far_field_gammas(acfg, gam, f, thetas, float(phi))
             rows[i] = np.abs(e) ** 2
-        rows /= rows.max()
+        peak = rows.max()
+        if peak > 0.0:
+            rows /= peak
         db = 10.0 * np.log10(np.maximum(rows, 1e-10))
         path = outdir / "hemisphere.pgm"
         _write_text(path, arraysim.render_pgm(db), args.force)

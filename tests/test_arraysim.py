@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,25 @@ from metapix.arraysim import (
 from metapix.netcalc import C0
 
 F0 = 5.8e9
+
+
+def _direct_far_field(cfg: ArrayConfig, gammas: np.ndarray, f: float,
+                      thetas_deg: np.ndarray, phi_deg: float) -> np.ndarray:
+    """Independent reference: one exponential per element and direction."""
+    k0 = 2.0 * math.pi * f / C0
+    x, y = element_positions(cfg)
+    if cfg.plane_wave_feed:
+        feed = np.ones(x.shape, dtype=complex)
+    else:
+        fx, fy, fz = cfg.feed_xyz
+        d = np.sqrt((x - fx) ** 2 + (y - fy) ** 2 + fz**2)
+        feed = (fz / d) ** cfg.q_feed / d * np.exp(-1j * k0 * d)
+    excite = (feed * gammas).reshape(-1)
+    t = np.radians(thetas_deg)
+    ux = np.sin(t) * math.cos(math.radians(phi_deg))
+    uy = np.sin(t) * math.sin(math.radians(phi_deg))
+    phase = k0 * (x.reshape(-1)[None, :] * ux[:, None] + y.reshape(-1)[None, :] * uy[:, None])
+    return (np.exp(1j * phase) @ excite) * np.cos(t) ** cfg.q_elem
 
 
 def first_sidelobe_db(pattern: np.ndarray) -> float:
@@ -96,6 +116,47 @@ def test_far_field_input_validation():
         far_field_gammas(cfg, np.ones((8, 8)), F0, np.array([0.0]))
     with pytest.raises(ValueError):
         far_field(cfg, np.zeros((16, 16)), 1.2, -1.0, F0, np.array([0.0]))
+
+
+@pytest.mark.parametrize("cfg", [
+    ArrayConfig(),
+    ArrayConfig(n_x=5, n_y=9, feed_xyz=(0.01, -0.02, 0.3)),
+    ArrayConfig(plane_wave_feed=True),
+], ids=["default", "5x9-offset-feed", "plane-wave"])
+def test_far_field_matches_direct_sum(cfg):
+    rng = np.random.default_rng(7)
+    shape = (cfg.n_y, cfg.n_x)
+    gammas = rng.uniform(0.0, 1.0, shape) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
+    cut = default_cut(0.5)
+    for phi in (0.0, 37.5, 90.0, 215.0):
+        ref = _direct_far_field(cfg, gammas, F0, cut, phi)
+        e = far_field_gammas(cfg, gammas, F0, cut, phi)
+        assert e.shape == ref.shape
+        assert np.abs(e - ref).max() <= 1e-12 * np.abs(ref).max(), f"phi {phi}"
+
+
+@pytest.mark.parametrize("gamma0, gamma1", [
+    (complex(math.nan, 0.0), -1.0), (1.0, complex(0.0, math.nan)),
+    (math.inf, -1.0), (1.0, complex(-math.inf, 0.0)),
+])
+def test_far_field_refuses_non_finite_reflections(gamma0, gamma1):
+    with pytest.raises(ValueError, match="finite"):
+        far_field(ArrayConfig(), np.zeros((16, 16)), gamma0, gamma1, F0, np.array([0.0]))
+
+
+def test_far_field_memory_peak_stays_small():
+    # the per-axis sum holds (directions, n_x) arrays, never the dense
+    # (directions, n_x * n_y) phase matrix
+    cfg = ArrayConfig()
+    codes = quantize_1bit(ideal_phase(cfg, SteerTarget(30.0, 0.0), F0))
+    cut = default_cut(0.01)
+    tracemalloc.start()
+    try:
+        far_field(cfg, codes, 1.0, -1.0, F0, cut)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_uniform_aperture_sidelobe_level():
@@ -220,12 +281,35 @@ def test_spectral_sweep_degenerate_center_reports_no_band():
     assert res.bandwidth_pct == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_spectral_sweep_zero_power_sits_at_floor():
+    cfg = ArrayConfig()
+    freqs = np.arange(5.6e9, 6.001e9, 0.1e9)
+    zeros = np.zeros(len(freqs), dtype=complex)
+    res = spectral_power_sweep(cfg, freqs, zeros, zeros, SteerTarget(30.0, 0.0))
+    np.testing.assert_array_equal(res.power_db, np.full(len(freqs), -300.0))
+    assert res.band is None
+    assert res.bandwidth_pct == 0.0
+
+
 def test_spectral_sweep_length_mismatch():
     cfg = ArrayConfig()
     with pytest.raises(ValueError):
         spectral_power_sweep(
             cfg, np.array([5.8e9]), np.ones(2), np.ones(1), SteerTarget(0.0, 0.0)
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+def test_spectral_sweep_refuses_non_finite_spectra(bad):
+    freqs = np.arange(5.6e9, 6.001e9, 0.1e9)
+    g0 = np.ones(len(freqs), dtype=complex)
+    g1 = -np.ones(len(freqs), dtype=complex)
+    g1[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        spectral_power_sweep(ArrayConfig(), freqs, g0, g1, SteerTarget(30.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        spectral_power_sweep(ArrayConfig(), freqs, g1, g0, SteerTarget(30.0, 0.0))
 
 
 def test_render_pgm_format():

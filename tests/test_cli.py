@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from metapix import arraysim
 from metapix.cli import main
 from metapix.surrogate import init_mlp, save_checkpoint
 
@@ -178,6 +179,17 @@ def test_array_pattern_peak_at_steer(tmp_path, capsys):
     assert abs(peak_angle - 30.0) <= 1.5
     assert (tmp_path / "codes.pbm").exists()
     assert (tmp_path / "pattern_phi0.csv.manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_array_hemisphere_with_no_power_renders_the_floor(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(arraysim, "far_field_gammas",
+                        lambda cfg, gammas, f, thetas, phi=0.0: np.zeros(len(thetas), complex))
+    code, _, _ = run(capsys, "array", "--hemisphere", "--outdir", str(tmp_path))
+    assert code == 0
+    lines = (tmp_path / "hemisphere.pgm").read_text().splitlines()
+    assert lines[:3] == ["P2", "91 360", "255"]
+    assert all(set(row.split()) == {"0"} for row in lines[3:])
 
 
 def test_array_design_without_genome_is_one_error_line(tmp_path, capsys):
