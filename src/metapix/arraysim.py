@@ -20,7 +20,6 @@ turns the boresight case into the textbook uniform-aperture array.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,8 @@ import numpy as np
 from .netcalc import C0
 
 TWO_PI = 2.0 * math.pi
+PATTERN_FLOOR_DB = -100.0  # lowest level of a normalized pattern cut
+PGM_FLOOR_DB = -40.0  # dB level that renders black in render_pgm
 
 
 @dataclass(frozen=True)
@@ -139,28 +140,29 @@ def far_field_gammas(cfg: ArrayConfig, gammas: np.ndarray, f: float,
 
 
 def pattern_db(cfg: ArrayConfig, gammas: np.ndarray, f: float,
-               thetas_deg: np.ndarray, phi_deg: float = 0.0,
-               floor_db: float = -100.0) -> np.ndarray:
+               thetas_deg: np.ndarray, phi_deg: float = 0.0) -> np.ndarray:
     """|E|^2 along the cut, normalized so the peak sits at 0 dB."""
     e = far_field_gammas(cfg, gammas, f, thetas_deg, phi_deg)
     p = np.abs(e) ** 2
     peak = p.max()
     if peak == 0.0:
-        return np.full_like(p, floor_db)
-    p = np.maximum(p / peak, 10.0 ** (floor_db / 10.0))
+        return np.full_like(p, PATTERN_FLOOR_DB)
+    p = np.maximum(p / peak, 10.0 ** (PATTERN_FLOOR_DB / 10.0))
     return 10.0 * np.log10(p)
 
 
+def _check_reflections(*gammas) -> None:
+    """ValueError unless every element reflection is finite with |gamma| <= 1."""
+    if not (np.abs(np.asarray(gammas, dtype=complex)) <= 1.0 + 1e-9).all():  # NaN fails too
+        raise ValueError("element reflections must be finite, of magnitude at most 1")
+
+
 def far_field(cfg: ArrayConfig, codes: np.ndarray, gamma0: complex, gamma1: complex,
-              f: float, thetas_deg: np.ndarray, phi_deg: float = 0.0,
-              floor_db: float = -100.0) -> np.ndarray:
+              f: float, thetas_deg: np.ndarray, phi_deg: float = 0.0) -> np.ndarray:
     """Normalized 1-bit pattern for a coding matrix and two element states."""
-    if not (cmath.isfinite(gamma0) and cmath.isfinite(gamma1)):
-        raise ValueError("element reflections must be finite")
-    if abs(gamma0) > 1.0 + 1e-9 or abs(gamma1) > 1.0 + 1e-9:
-        raise ValueError("element reflection magnitudes must not exceed 1")
+    _check_reflections(gamma0, gamma1)
     g = gammas_from_codes(codes, gamma0, gamma1)
-    return pattern_db(cfg, g, f, thetas_deg, phi_deg, floor_db)
+    return pattern_db(cfg, g, f, thetas_deg, phi_deg)
 
 
 def default_cut(step_deg: float = 0.25) -> np.ndarray:
@@ -202,8 +204,7 @@ def spectral_power_sweep(cfg: ArrayConfig, freqs: np.ndarray,
     g1 = np.asarray(gamma1_spec, dtype=complex)
     if not (len(freqs) == len(g0) == len(g1)):
         raise ValueError("freqs and reflection spectra must share one length")
-    if not (np.isfinite(g0).all() and np.isfinite(g1).all()):
-        raise ValueError("reflection spectra must be finite")
+    _check_reflections(g0, g1)
     k0_idx = int(np.argmin(np.abs(freqs - f0)))
     codes = quantize_1bit(ideal_phase(cfg, steer, f0, ref_phase))
 
@@ -238,12 +239,12 @@ def spectral_power_sweep(cfg: ArrayConfig, freqs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def render_pgm(values_db: np.ndarray, floor_db: float = -40.0) -> str:
-    """Plain PGM (P2) of a dB map; floor_db..0 maps to 0..255."""
+def render_pgm(values_db: np.ndarray) -> str:
+    """Plain PGM (P2) of a dB map; PGM_FLOOR_DB..0 maps to 0..255."""
     v = np.asarray(values_db, dtype=float)
     if v.ndim != 2:
         raise ValueError("PGM rendering needs a 2-D map")
-    scaled = np.clip((v - floor_db) / -floor_db, 0.0, 1.0)
+    scaled = np.clip((v - PGM_FLOOR_DB) / -PGM_FLOOR_DB, 0.0, 1.0)
     pix = np.round(scaled * 255.0).astype(int)
     rows = [" ".join(str(p) for p in row) for row in pix]
     return f"P2\n{v.shape[1]} {v.shape[0]}\n255\n" + "\n".join(rows) + "\n"

@@ -26,7 +26,7 @@ from . import __version__, arraysim, dataset, inverse, oracle, pattern, surrogat
 from .config import RunConfig, config_to_dict, load_config
 from .inverse import NoSolutionError, TargetSpec
 from .netcalc import NoContrastError, SingularityError
-from .pattern import expand_genome, genome_from_u64, pack_genome, render_pbm, unpack_genome
+from .pattern import expand_genome, pack_genome, render_pbm, unpack_genome
 
 
 class CliError(Exception):
@@ -227,11 +227,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
     mlp = surrogate.init_mlp(ts.seed, ts.hidden)
     log = (lambda msg: print(msg)) if args.verbose else None
-    result = surrogate.train(
-        mlp, xt, yt, xv, yv, seed=ts.seed, batch_size=ts.batch_size, lr0=ts.lr0,
-        max_epochs=ts.max_epochs, patience=ts.patience, min_delta=ts.min_delta,
-        lr_drops=ts.lr_drops, log=log,
-    )
+    result = surrogate.train(mlp, xt, yt, xv, yv, ts, log=log)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     surrogate.save_checkpoint(ckpt, mlp, meta={
         "best_val_mae": result.best_val_mae, "best_epoch": result.best_epoch,
@@ -298,7 +294,7 @@ def cmd_design(args, cfg: RunConfig) -> int:
     else:
         predicted = surrogate.predict_s22(mlp, np.array([result.best_word], dtype=np.uint64))[0]
     doc = {
-        "genome": pack_genome(genome_from_u64(result.best_word)),
+        "genome": pack_genome(result.best_word),
         "fitness": result.best_fitness,
         "evaluator": args.evaluator,
         "ga": dataclasses.asdict(ga),

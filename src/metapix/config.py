@@ -2,7 +2,9 @@
 
 A config file may specify any subset of the fields; missing ones are filled
 from the committed defaults so that an empty document is a valid config.
-Unknown keys are rejected loudly since they are almost always typos.
+Unknown keys are rejected loudly since they are almost always typos.  Each
+section's dataclass lives beside its code: TrainSettings in surrogate (and
+importable from here), GAConfig in inverse, ArrayConfig in arraysim.
 """
 
 from __future__ import annotations
@@ -19,26 +21,7 @@ from .inverse import GAConfig
 from .netcalc import PIN_SWITCH, SwitchModel
 from .oracle import OracleConstants
 from .pattern import GeometryMeta
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    hidden: tuple[int, ...] = (256, 256, 256)
-    batch_size: int = 64
-    lr0: float = 1e-3
-    max_epochs: int = 150
-    patience: int = 10
-    min_delta: float = 1e-4
-    lr_drops: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("hidden sizes must be positive")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch size and epoch count must be positive")
-        if self.lr0 <= 0 or self.patience < 1 or self.lr_drops < 0:
-            raise ValueError("bad training settings")
+from .surrogate import TrainSettings
 
 
 @dataclass(frozen=True)

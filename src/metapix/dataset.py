@@ -33,6 +33,7 @@ from .rng import stream_u64, u64_to_bits
 
 DATASET_VERSION = 1
 RESP_WIDTH = 2 * N_FREQ
+SPLIT_NUM, SPLIT_DEN = 10, 11  # split trains on 10 of every 11 records
 
 RECORD_DTYPE = np.dtype([("genome", ">u8"), ("resp", "<f8", (RESP_WIDTH,))])
 
@@ -155,13 +156,11 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
     return header, np.frombuffer(body, dtype=RECORD_DTYPE)
 
 
-def split(records: np.ndarray, num: int = 10, den: int = 11) -> tuple[np.ndarray, np.ndarray]:
-    """Leading floor(n*num/den) records for training, the rest for validation."""
-    if not 0 < num < den:
-        raise ValueError("split fraction must be in (0, 1)")
-    k = len(records) * num // den
+def split(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading floor(n*10/11) records for training, the rest for validation."""
+    k = len(records) * SPLIT_NUM // SPLIT_DEN
     if k == 0 or k == len(records):
-        raise ValueError(f"cannot split {len(records)} records {num}/{den}")
+        raise ValueError(f"cannot split {len(records)} records {SPLIT_NUM}/{SPLIT_DEN}")
     return records[:k], records[k:]
 
 

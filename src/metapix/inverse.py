@@ -25,7 +25,7 @@ from .oracle import (
     freq_grid,
     response_batch,
 )
-from .pattern import expand_genome
+from .pattern import expand_genome, pack_genome
 from .rng import CounterRng, bits_to_u64, u64_to_bits
 
 FITNESS_EPS = 1e-6
@@ -96,12 +96,12 @@ def _grid_index(f: float) -> int:
 
 
 def build_target(f_lo: float, f_hi: float, switch: SwitchModel = PIN_SWITCH,
-                 anchors=(), w_out: float = 1.0) -> TargetSpec:
+                 anchors=()) -> TargetSpec:
     """Solve the anti-phase condition over [f_lo, f_hi] on the grid.
 
     Each in-band grid frequency gets the solved required response at weight 1,
     the switch impedances being re-evaluated per frequency.  Anchors are
-    explicit (f, re, im) rows at weight w_out, snapped to the nearest grid
+    explicit (f, re, im) rows, also at weight 1, snapped to the nearest grid
     frequency; an anchor landing on an in-band row is refused rather than
     silently replacing the solved value.
     """
@@ -132,7 +132,7 @@ def build_target(f_lo: float, f_hi: float, switch: SwitchModel = PIN_SWITCH,
             raise ValueError(
                 f"anchor at {f} Hz snaps to in-band grid frequency {freqs[k]} Hz"
             )
-        re[k], im[k], weight[k] = float(a_re), float(a_im), float(w_out)
+        re[k], im[k], weight[k] = float(a_re), float(a_im), 1.0
     return TargetSpec(freqs, re, im, weight)
 
 
@@ -334,7 +334,7 @@ class DesignReport:
 
     @property
     def genome_hex(self) -> str:
-        return f"{self.genome_word:016X}"
+        return pack_genome(self.genome_word)
 
 
 def _segments(freqs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float], ...]:

@@ -57,6 +57,12 @@ class RlcBranch:
     l: float
     c: float | None = None
 
+    def __post_init__(self):
+        if not (0 <= self.r < math.inf and 0 <= self.l < math.inf):  # also false for NaN
+            raise ValueError(f"switch branch r and l must be finite and nonnegative, got {self}")
+        if self.c is not None and not 0 < self.c < math.inf:
+            raise ValueError(f"switch branch c must be finite and positive, or null, got {self}")
+
 
 @dataclass(frozen=True)
 class SwitchModel:

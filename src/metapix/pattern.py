@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import u64_to_bits
+
 GENOME_SIDE = 8
 GRID_SIDE = 16
 GENOME_BITS = GENOME_SIDE * GENOME_SIDE
@@ -45,14 +47,6 @@ class GeometryMeta:
                 raise ValueError(f"{name} must be positive")
 
 
-def as_genome(bits) -> np.ndarray:
-    """Coerce to a (8, 8) boolean genome; accepts (8,8) or flat 64."""
-    arr = np.asarray(bits)
-    if arr.size != GENOME_BITS:
-        raise ValueError(f"genome needs {GENOME_BITS} bits, got {arr.size}")
-    return arr.reshape(GENOME_SIDE, GENOME_SIDE).astype(bool)
-
-
 def expand_genome(bits) -> np.ndarray:
     """Mirror 8x8 genomes about both axes into 16x16 grids.
 
@@ -71,31 +65,21 @@ def expand_genome(bits) -> np.ndarray:
     return np.concatenate([top, top[..., ::-1, :]], axis=-2)
 
 
-def genome_to_u64(bits) -> int:
-    """Pack row-major, bit (0,0) most significant."""
-    packed = np.packbits(as_genome(bits).reshape(-1).astype(np.uint8))
-    return int.from_bytes(packed.tobytes(), "big")
-
-
-def genome_from_u64(word: int) -> np.ndarray:
-    if not 0 <= word < (1 << 64):
-        raise ValueError("genome word out of 64-bit range")
-    raw = np.frombuffer(int(word).to_bytes(8, "big"), dtype=np.uint8)
-    return np.unpackbits(raw).astype(bool).reshape(GENOME_SIDE, GENOME_SIDE)
-
-
-def pack_genome(bits) -> str:
-    """Canonical 16-digit uppercase hex, MSB first."""
-    return f"{genome_to_u64(bits):016X}"
+def pack_genome(word: int) -> str:
+    """Genome word as canonical 16-digit uppercase hex, bit (0, 0) first."""
+    if not 0 <= word < 1 << 64:
+        raise ValueError(f"genome word out of 64-bit range: {word}")
+    return f"{word:016X}"
 
 
 def unpack_genome(text: str) -> np.ndarray:
-    """Inverse of pack_genome; accepts either case, rejects anything else."""
+    """(8, 8) bool genome of a pack_genome string, in either case."""
     s = text.strip()
     # int(s, 16) alone would also take a sign, a 0x prefix and _ separators
     if len(s) != 16 or not all(ch in string.hexdigits for ch in s):
         raise ValueError(f"genome hex must be 16 hex digits, got {text!r}")
-    return genome_from_u64(int(s, 16))
+    word = np.array([int(s, 16)], dtype=np.uint64)
+    return u64_to_bits(word).reshape(GENOME_SIDE, GENOME_SIDE).astype(bool)
 
 
 def render_pbm(grid) -> str:

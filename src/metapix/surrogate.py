@@ -26,6 +26,9 @@ DEFAULT_HIDDEN = (256, 256, 256)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+PREDICT_BATCH = 4096  # rows per forward pass in predict_s22
+MAE_BATCH = 8192  # rows per forward pass in mae
+GRAD_CHECK_EPS = 1e-5  # central-difference half step of grad_check
 
 CHECKPOINT_FORMAT = "mlp-f64"
 
@@ -117,10 +120,10 @@ def records_to_xy(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return encode_bits(records["genome"]), targets_from_resp(records["resp"])
 
 
-def predict_s22(mlp: Mlp, words: np.ndarray, batch: int = 4096) -> np.ndarray:
+def predict_s22(mlp: Mlp, words: np.ndarray) -> np.ndarray:
     """Genome words -> (n, 61) complex response under the surrogate."""
     x = encode_bits(words)
-    outs = [mlp.predict(x[i : i + batch]) for i in range(0, len(x), batch)]
+    outs = [mlp.predict(x[i : i + PREDICT_BATCH]) for i in range(0, len(x), PREDICT_BATCH)]
     out = np.concatenate(outs) if outs else np.empty((0, RESP_WIDTH))
     return out[:, :N_FREQ] + 1j * out[:, N_FREQ:]
 
@@ -128,6 +131,32 @@ def predict_s22(mlp: Mlp, words: np.ndarray, batch: int = 4096) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    """Network shape and training schedule; `seed` drives init and shuffles."""
+
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN
+    batch_size: int = 64
+    lr0: float = 1e-3
+    max_epochs: int = 150
+    patience: int = 10
+    min_delta: float = 1e-4
+    lr_drops: int = 2
+    seed: int = 0
+
+    def __post_init__(self):
+        if not self.hidden or any(h < 1 for h in self.hidden):
+            raise ValueError("hidden sizes must be positive")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("batch size and epoch count must be positive")
+        if not 0 < self.lr0 < np.inf:  # also false for NaN
+            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
+        if not 0 <= self.min_delta < np.inf:  # NaN or < 0 corrupts the best snapshot
+            raise ValueError(f"min_delta must be finite and nonnegative, got {self.min_delta}")
+        if self.patience < 1 or self.lr_drops < 0:
+            raise ValueError("bad training settings")
 
 
 @dataclass
@@ -159,32 +188,31 @@ class _Adam:
             p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def mae(mlp: Mlp, x: np.ndarray, y: np.ndarray, batch: int = 8192) -> float:
+def mae(mlp: Mlp, x: np.ndarray, y: np.ndarray) -> float:
     total = 0.0
-    for i in range(0, len(x), batch):
-        xb, yb = x[i : i + batch], y[i : i + batch]
+    for i in range(0, len(x), MAE_BATCH):
+        xb, yb = x[i : i + MAE_BATCH], y[i : i + MAE_BATCH]
         total += float(np.abs(mlp.predict(xb) - yb).sum())
     return total / y.size
 
 
 def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
-          x_val: np.ndarray, y_val: np.ndarray, *, seed: int,
-          batch_size: int = 64, lr0: float = 1e-3, max_epochs: int = 150,
-          patience: int = 10, min_delta: float = 1e-4, lr_drops: int = 2,
-          log=None) -> TrainResult:
+          x_val: np.ndarray, y_val: np.ndarray,
+          settings: TrainSettings = TrainSettings(), log=None) -> TrainResult:
     """Adam + reduce-on-plateau, in place on `mlp`.
 
     Plateau events fire when the best validation error has not improved by
     min_delta for `patience` straight epochs; the first `lr_drops` events
     divide the rate by 10, the next one stops training.  The weights left in
-    `mlp` are the best-validation ones, not the last ones.
+    `mlp` are the best-validation ones, not the last ones.  `settings.hidden`
+    is not read here: the network's shape is fixed by `mlp`.
     """
-    rng = CounterRng(seed)
+    rng = CounterRng(settings.seed)
     opt = _Adam(mlp)
     best = mlp.params.copy()
     best_val = np.inf
     best_epoch = 0
-    lr = lr0
+    lr = settings.lr0
     bad = 0
     events = 0
     history: list[tuple[int, float, float, float]] = []
@@ -192,12 +220,12 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
 
     n = len(x_train)
     epochs_run = 0
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, settings.max_epochs + 1):
         epochs_run = epoch
         order = rng.permutation(n)
         running = 0.0
-        for i in range(0, n, batch_size):
-            idx = order[i : i + batch_size]
+        for i in range(0, n, settings.batch_size):
+            idx = order[i : i + settings.batch_size]
             loss, grad = mlp.loss_and_grads(x_train[idx], y_train[idx])
             opt.step(mlp, grad, lr)
             running += loss * len(idx)
@@ -207,17 +235,17 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
         if log is not None:
             log(f"epoch {epoch:4d}  train {train_mae:.5f}  val {val_mae:.5f}  lr {lr:g}")
 
-        if val_mae < best_val - min_delta:
+        if val_mae < best_val - settings.min_delta:
             best_val = val_mae
             best_epoch = epoch
             np.copyto(best, mlp.params)
             bad = 0
         else:
             bad += 1
-            if bad >= patience:
+            if bad >= settings.patience:
                 events += 1
                 bad = 0
-                if events > lr_drops:
+                if events > settings.lr_drops:
                     stop_reason = "plateau"
                     break
                 lr /= 10.0
@@ -292,15 +320,14 @@ def load_checkpoint(path: str) -> tuple[Mlp, dict]:
 
 
 def grad_check(mlp: Mlp, x: np.ndarray, y: np.ndarray, *, n_coords: int = 120,
-               eps: float = 1e-5, seed: int = 0,
-               grad_fn=None) -> tuple[float, int, int]:
+               seed: int = 0, grad_fn=None) -> tuple[float, int, int]:
     """Central-difference audit of the analytic gradient.
 
     Checks n_coords randomly chosen coordinates of `mlp.params` and returns
     (max relative error, checked, skipped).  A coordinate is skipped when the
-    +/- eps evaluations disagree on any ReLU gate or error sign, since the
-    difference quotient straddles a kink there and says nothing about the
-    gradient.  `grad_fn(mlp, x, y) -> (loss, grad)` substitutes the
+    +/- GRAD_CHECK_EPS evaluations disagree on any ReLU gate or error sign,
+    since the difference quotient straddles a kink there and says nothing
+    about the gradient.  `grad_fn(mlp, x, y) -> (loss, grad)` substitutes the
     gradient implementation under audit; default is the network's own.
     """
     loss_grad = grad_fn or (lambda m, a, b: m.loss_and_grads(a, b))
@@ -320,15 +347,15 @@ def grad_check(mlp: Mlp, x: np.ndarray, y: np.ndarray, *, n_coords: int = 120,
     max_rel = 0.0
     checked = skipped = 0
     for i in picks:
-        lp, gates_p, signs_p = signature_and_loss(i, +eps)
-        lm, gates_m, signs_m = signature_and_loss(i, -eps)
+        lp, gates_p, signs_p = signature_and_loss(i, +GRAD_CHECK_EPS)
+        lm, gates_m, signs_m = signature_and_loss(i, -GRAD_CHECK_EPS)
         same = np.array_equal(signs_p, signs_m) and all(
             np.array_equal(a, b) for a, b in zip(gates_p, gates_m)
         )
         if not same:
             skipped += 1
             continue
-        fd = (lp - lm) / (2.0 * eps)
+        fd = (lp - lm) / (2.0 * GRAD_CHECK_EPS)
         ga = float(analytic[i])
         rel = abs(ga - fd) / max(abs(ga), abs(fd), 1e-12)
         max_rel = max(max_rel, rel)

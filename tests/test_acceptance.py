@@ -180,8 +180,9 @@ def test_08_surrogate_learns(acceptance):
     xt, yt = surrogate.records_to_xy(train_recs)
     xv, yv = surrogate.records_to_xy(val_recs)
     assert len(xt) == 10_000 and len(xv) == 1_000
-    mlp = surrogate.init_mlp(0, (256, 256, 256))
-    result = surrogate.train(mlp, xt, yt, xv, yv, seed=0)
+    settings = surrogate.TrainSettings()  # the settings `metapix train` uses by default
+    mlp = surrogate.init_mlp(settings.seed, settings.hidden)
+    result = surrogate.train(mlp, xt, yt, xv, yv, settings)
     elapsed = time.perf_counter() - t0
     ok = result.best_val_mae <= 0.06 and elapsed < 1800.0
     acceptance(8, "SURROGATE-LEARN", ok,

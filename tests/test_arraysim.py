@@ -312,9 +312,26 @@ def test_spectral_sweep_refuses_non_finite_spectra(bad):
         spectral_power_sweep(ArrayConfig(), freqs, g1, g0, SteerTarget(30.0, 0.0))
 
 
+def test_sweep_and_far_field_refuse_gain_alike():
+    """A passive element reflects at most what it receives: |gamma| <= 1, with
+    1e-9 of rounding slack, in the sweep exactly as in the pattern."""
+    freqs = np.arange(5.6e9, 6.001e9, 0.1e9)
+    g0 = np.ones(len(freqs), dtype=complex)
+    steer = SteerTarget(30.0, 0.0)
+    for g1 in (-3.0, complex(0.0, 1.0 + 1e-6)):
+        with pytest.raises(ValueError, match="magnitude at most 1"):
+            spectral_power_sweep(ArrayConfig(), freqs, g0, np.full(len(freqs), g1), steer)
+        with pytest.raises(ValueError, match="magnitude at most 1"):
+            far_field(ArrayConfig(), np.zeros((16, 16)), 1.0, g1, F0, np.array([0.0]))
+    edge = -(1.0 + 1e-10)
+    res = spectral_power_sweep(ArrayConfig(), freqs, g0, np.full(len(freqs), edge), steer)
+    assert res.band is not None
+    assert far_field(ArrayConfig(), np.zeros((16, 16)), 1.0, edge, F0, np.array([0.0]))[0] == 0.0
+
+
 def test_render_pgm_format():
     img = np.array([[0.0, -20.0], [-40.0, -80.0]])
-    text = render_pgm(img, floor_db=-40.0)
+    text = render_pgm(img)
     lines = text.splitlines()
     assert lines[0] == "P2"
     assert lines[1] == "2 2"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,24 @@ def test_design_checkpoint_of_wrong_width_is_one_error_line(tmp_path, capsys, si
                        "--population", "8", "--generations", "1", "--out", str(out))
     assert code == 1
     assert _one_error_line(err) and f"checkpoint {ckpt} maps {sizes[0]} to {sizes[-1]}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("branch", [
+    {"state1": {"c": 0.0}},
+    {"state1": {"l": 0.0, "c": -1e-13}},
+    {"state0": {"r": -1.0}},
+])
+def test_target_refuses_an_unphysical_switch_branch(tmp_path, capsys, branch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"switch": branch}))
+    out = tmp_path / "target.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "target", "--freq", "5.8e9", "--config", str(cfg),
+                           "--out", str(out))
+    assert code == 1
+    assert _one_error_line(err) and "switch branch" in err
     assert not out.exists()
 
 

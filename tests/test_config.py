@@ -1,8 +1,10 @@
 import json
+import math
 import re
 
 import pytest
 
+from metapix.netcalc import RlcBranch
 from metapix.config import (
     RunConfig,
     TrainSettings,
@@ -51,6 +53,29 @@ def test_train_settings_validation():
         TrainSettings(batch_size=0)
     with pytest.raises(ValueError):
         TrainSettings(lr0=0.0)
+
+
+@pytest.mark.parametrize("branch", [
+    {"state1": {"c": 0.0}},
+    {"state1": {"c": -1e-13}},
+    {"state1": {"l": 0.0, "c": -1e-13}},
+    {"state0": {"r": -1.0}},
+    {"state1": {"l": -1e-12}},
+])
+def test_switch_branch_validation(branch):
+    with pytest.raises(ValueError, match="switch branch"):
+        config_from_dict({"switch": branch})
+
+
+def test_switch_branch_refuses_non_finite_values():
+    for kwargs in ({"r": math.nan, "l": 1e-10}, {"r": 1.0, "l": math.inf},
+                   {"r": 1.0, "l": 1e-10, "c": math.nan}, {"r": 1.0, "l": 1e-10, "c": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            RlcBranch(**kwargs)
+    # a lossless, inductance-free or capacitance-free branch stays allowed
+    assert RlcBranch(r=0.0, l=0.0, c=None).c is None
+    cfg = config_from_dict({"switch": {"state0": {"r": 0.0, "l": 0.0}}})
+    assert cfg.switch.state0 == RlcBranch(0.0, 0.0)
 
 
 def test_load_config_paths(tmp_path):

@@ -137,8 +137,6 @@ def test_split_sizes_and_order():
     assert len(train) == 1000 and len(val) == 100
 
     with pytest.raises(ValueError):
-        ds.split(recs, num=11, den=11)
-    with pytest.raises(ValueError):
         ds.split(recs[:1])
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from metapix import netcalc as nc
 from metapix.oracle import freq_grid, response_batch
-from metapix.pattern import expand_genome, genome_from_u64
+from metapix.pattern import expand_genome, unpack_genome
 
 F0 = 5.8e9
 
@@ -240,7 +240,7 @@ def test_coding_metrics_rejects_nonphysical():
 
 
 _GRID = freq_grid()
-_S22 = response_batch(expand_genome(genome_from_u64(0x00003FC000E00000)))[0]
+_S22 = response_batch(expand_genome(unpack_genome("00003FC000E00000")))[0]
 _GL = [nc.reflection_of_load(nc.switch_impedance(nc.PIN_SWITCH, s, _GRID)) for s in (0, 1)]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metapix import oracle as oc
-from metapix.pattern import GeometryMeta, expand_genome, genome_from_u64
+from metapix.pattern import GeometryMeta, expand_genome, unpack_genome
 from metapix.rng import CounterRng, stream_u64, u64_to_bits
 
 ETA = 377.0
@@ -95,7 +95,7 @@ def test_features_of_checkerboard():
 
 
 def test_features_frozen_example():
-    grid = expand_genome(genome_from_u64(0x15780B2E0C2EC716))
+    grid = expand_genome(unpack_genome("15780B2E0C2EC716"))
     np.testing.assert_allclose(
         oc.features_batch(grid)[0],
         [0.4375, 0.2109375, 0.43333333333333335, 0.43333333333333335, 0.625, 0.25],
@@ -131,8 +131,8 @@ def test_equal_features_give_bit_equal_responses():
     """The response depends on a grid only through its six features.  These
     two genomes differ in 30 bits yet collide on every feature, so their
     responses must agree to the last bit."""
-    ga = expand_genome(genome_from_u64(0xA3E4A1CE03A73526))
-    gb = expand_genome(genome_from_u64(0x8C1F28B6939E844D))
+    ga = expand_genome(unpack_genome("A3E4A1CE03A73526"))
+    gb = expand_genome(unpack_genome("8C1F28B6939E844D"))
     assert not np.array_equal(ga, gb)
     np.testing.assert_array_equal(oc.features_batch(ga), oc.features_batch(gb))
     ra = oc.response_batch(ga)[0]
@@ -163,7 +163,7 @@ def test_response_matches_hand_cascade_zeros():
 
 
 def test_response_matches_hand_cascade_everywhere():
-    grid = expand_genome(genome_from_u64(0x15780B2E0C2EC716))
+    grid = expand_genome(unpack_genome("15780B2E0C2EC716"))
     feat = tuple(oc.features_batch(grid)[0])
     resp = oc.response_batch(grid)[0]
     for k, f in enumerate(oc.freq_grid()):
@@ -171,14 +171,14 @@ def test_response_matches_hand_cascade_everywhere():
 
 
 def test_response_frozen_values():
-    resp = oc.response_batch(expand_genome(genome_from_u64(0x15780B2E0C2EC716)))[0]
+    resp = oc.response_batch(expand_genome(unpack_genome("15780B2E0C2EC716")))[0]
     np.testing.assert_allclose(resp[0], 0.16485526292445687 - 0.9765614082360845j, atol=1e-15)
     np.testing.assert_allclose(resp[30], 0.12002203652641277 - 0.3414082210307481j, atol=1e-15)
     np.testing.assert_allclose(resp[60], -0.7286049852301283 - 0.6848569038553993j, atol=1e-15)
 
 
 def test_scalar_equals_batch_element():
-    grid = expand_genome(genome_from_u64(0xABCDEF0123456789))
+    grid = expand_genome(unpack_genome("ABCDEF0123456789"))
     resp = oc.response_batch(grid)[0]
     for k in (0, 30, 60):
         assert oc.response_batch(grid, freqs=[oc.freq_grid()[k]])[0, 0] == resp[k]
@@ -207,7 +207,7 @@ def test_response_is_smooth_across_the_grid():
 
 
 def test_constants_change_the_response():
-    grid = expand_genome(genome_from_u64(0x15780B2E0C2EC716))
+    grid = expand_genome(unpack_genome("15780B2E0C2EC716"))
     base = oc.response_batch(grid)
     bumped = oc.response_batch(grid, consts=oc.OracleConstants(c_b=200e-15))
     assert np.abs(base - bumped).max() > 1e-3

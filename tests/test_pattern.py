@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from metapix import pattern as pt
+from metapix.rng import bits_to_u64, u64_to_bits
 
 
 def test_expand_single_bit_mirrors_four_ways():
@@ -42,16 +43,19 @@ def test_expand_is_always_mirror_symmetric():
 
 def test_pack_is_canonical_hex():
     word = 0x15780B2E0C2EC716
-    g = pt.genome_from_u64(word)
-    assert pt.pack_genome(g) == "15780B2E0C2EC716"
-    assert pt.genome_to_u64(g) == word
-    np.testing.assert_array_equal(pt.unpack_genome("15780b2e0c2ec716"), g)
+    assert pt.pack_genome(word) == "15780B2E0C2EC716"
+    assert pt.pack_genome(np.uint64(word)) == "15780B2E0C2EC716"
+    assert pt.pack_genome(0) == "0000000000000000"
+    g = pt.unpack_genome("15780b2e0c2ec716")
+    assert g.shape == (8, 8) and g.dtype == bool
+    np.testing.assert_array_equal(g, pt.unpack_genome("15780B2E0C2EC716"))
+    np.testing.assert_array_equal(g.reshape(-1), u64_to_bits(np.array([word], dtype=np.uint64))[0])
 
 
 @given(st.integers(0, (1 << 64) - 1))
 def test_hex_round_trip(word):
-    g = pt.genome_from_u64(word)
-    assert pt.genome_to_u64(pt.unpack_genome(pt.pack_genome(g))) == word
+    g = pt.unpack_genome(pt.pack_genome(word))
+    assert int(bits_to_u64(g.reshape(1, 64))[0]) == word
 
 
 def test_unpack_rejects_malformed():
@@ -60,25 +64,18 @@ def test_unpack_rejects_malformed():
         with pytest.raises(ValueError):
             pt.unpack_genome(bad)
     with pytest.raises(ValueError):
-        pt.genome_from_u64(1 << 64)
+        pt.pack_genome(1 << 64)
     with pytest.raises(ValueError):
-        pt.genome_from_u64(-1)
-
-
-def test_as_genome_shapes():
-    flat = np.arange(64) % 2
-    np.testing.assert_array_equal(pt.as_genome(flat), flat.reshape(8, 8).astype(bool))
-    with pytest.raises(ValueError):
-        pt.as_genome(np.zeros(63))
+        pt.pack_genome(-1)
 
 
 def test_row_major_bit_order():
     """Bit k of the packed word is genome cell (k // 8, k % 8), MSB first."""
-    g = np.zeros(64)
-    g[10] = 1  # row 1, col 2
-    word = pt.genome_to_u64(g)
+    g = np.zeros((1, 64), dtype=np.uint8)
+    g[0, 10] = 1  # row 1, col 2
+    word = int(bits_to_u64(g)[0])
     assert word == 1 << (63 - 10)
-    back = pt.genome_from_u64(word)
+    back = pt.unpack_genome(pt.pack_genome(word))
     assert back[1, 2] and back.sum() == 1
 
 

@@ -87,8 +87,8 @@ def test_grad_check_catches_a_corrupted_gradient():
 def test_training_memorizes_a_small_set():
     x, y = _toy_data(24)
     mlp = sg.init_mlp(1, hidden=(64, 64))
-    res = sg.train(mlp, x, y, x, y, seed=2, batch_size=8, max_epochs=200,
-                   patience=25, lr0=3e-3)
+    res = sg.train(mlp, x, y, x, y, sg.TrainSettings(seed=2, batch_size=8, max_epochs=200,
+                                                     patience=25, lr0=3e-3))
     assert res.best_val_mae < 0.03
     assert sg.mae(mlp, x, y) <= res.best_val_mae + 1e-12
 
@@ -98,7 +98,7 @@ def test_training_is_deterministic():
     runs = []
     for _ in range(2):
         mlp = sg.init_mlp(5, hidden=(16,))
-        res = sg.train(mlp, x, y, x, y, seed=9, batch_size=4, max_epochs=5)
+        res = sg.train(mlp, x, y, x, y, sg.TrainSettings(seed=9, batch_size=4, max_epochs=5))
         runs.append((mlp, res))
     (m1, r1), (m2, r2) = runs
     assert r1.history == r2.history
@@ -112,8 +112,9 @@ def test_training_history_and_checkpoint_are_frozen(tmp_path):
     of the best weights are covered too."""
     x, y = _toy_data(16)
     mlp = sg.init_mlp(5, hidden=(16, 8))
-    res = sg.train(mlp, x[:12], y[:12], x[12:], y[12:], seed=9, batch_size=4,
-                   max_epochs=7, lr0=0.3, patience=2, min_delta=0.02)
+    settings = sg.TrainSettings(seed=9, batch_size=4, max_epochs=7, lr0=0.3, patience=2,
+                                min_delta=0.02)
+    res = sg.train(mlp, x[:12], y[:12], x[12:], y[12:], settings)
     assert res.history == [
         (1, 1.0920825364595932, 0.36463030014574227, 0.3),
         (2, 0.5810365247498281, 0.21195894319434444, 0.3),
@@ -135,8 +136,9 @@ def test_plateau_drops_lr_twice_then_stops():
     event every `patience` epochs: two rate cuts, then a stop."""
     x, y = _toy_data(8)
     mlp = sg.init_mlp(1, hidden=(8,))
-    res = sg.train(mlp, x, y, x, y, seed=3, batch_size=8, lr0=1e-13,
-                   max_epochs=50, patience=2, min_delta=1e-4)
+    res = sg.train(mlp, x, y, x, y, sg.TrainSettings(seed=3, batch_size=8, lr0=1e-13,
+                                                     max_epochs=50, patience=2,
+                                                     min_delta=1e-4))
     assert res.stop_reason == "plateau"
     assert res.epochs_run == 7  # baseline epoch + 3 stretches of patience 2
     lrs = [row[3] for row in res.history]
@@ -146,8 +148,23 @@ def test_plateau_drops_lr_twice_then_stops():
 def test_training_restores_best_weights():
     x, y = _toy_data(16)
     mlp = sg.init_mlp(4, hidden=(16,))
-    res = sg.train(mlp, x, y, x, y, seed=6, batch_size=4, max_epochs=12)
+    res = sg.train(mlp, x, y, x, y, sg.TrainSettings(seed=6, batch_size=4, max_epochs=12))
     np.testing.assert_allclose(sg.mae(mlp, x, y), res.best_val_mae, rtol=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr0", float("nan")),
+    ("lr0", float("inf")),
+    ("min_delta", float("nan")),
+    ("min_delta", float("inf")),
+    ("min_delta", -1e-4),
+])
+def test_train_settings_refuse_values_that_corrupt_training(field, value):
+    """A NaN min_delta never records a best epoch, so training would restore
+    the initial weights; a negative one lets a worse epoch become the best;
+    a NaN rate turns every weight into NaN."""
+    with pytest.raises(ValueError, match=field):
+        sg.TrainSettings(**{field: value})
 
 
 def test_checkpoint_round_trip(tmp_path):
