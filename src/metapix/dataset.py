@@ -12,10 +12,11 @@ function of (n, seed, constants, geometry), whatever the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,21 +80,23 @@ def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
              chunk: int = 4096) -> np.ndarray:
     """n records for (seed, constants); bit-identical for any jobs/chunk.
 
-    At most one worker process per chunk is started.
+    The result array is allocated up front and each chunk is copied into its
+    slice as it arrives, so the records are held once plus one chunk in
+    flight.  At most one worker process per chunk is started.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    starts = list(range(0, n, chunk))
+    records = np.empty(n, dtype=RECORD_DTYPE)
+    starts = range(0, n, chunk)
     args = [(seed, s, min(chunk, n - s), consts, geom) for s in starts]
     workers = min(jobs, len(args))
-    if workers <= 1:
-        parts = [_make_chunk(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_make_chunk, *zip(*args)))
-    # concatenate promotes the big-endian genome field to native order;
-    # cast back so in-memory records match the file layout byte for byte
-    return np.concatenate(parts).astype(RECORD_DTYPE, copy=False)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        # both maps yield in submission order, so each part lands in its slice
+        parts = (pool.map if pool else map)(_make_chunk, *zip(*args))
+        for start, part in zip(starts, parts):
+            records[start:start + len(part)] = part
+    return records
 
 
 def _header_for(records: np.ndarray, seed: int, consts: OracleConstants,
@@ -112,28 +115,34 @@ def _header_for(records: np.ndarray, seed: int, consts: OracleConstants,
 def save(path: str, records: np.ndarray, seed: int,
          consts: OracleConstants = OracleConstants(),
          geom: GeometryMeta = GeometryMeta()) -> DatasetHeader:
-    """Write header + records atomically (tmp file, then rename)."""
+    """Write header + records atomically (tmp file, then rename).
+
+    The body is written straight from the records' own buffer, without a copy.
+    """
     records = np.ascontiguousarray(records, dtype=RECORD_DTYPE)
     header = _header_for(records, seed, consts, geom)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write((json.dumps(header.__dict__, sort_keys=True) + "\n").encode())
-        fh.write(records.tobytes())
+        fh.write(records.view(np.uint8))
     os.replace(tmp, path)
     return header
 
 
-def load(path: str, consts: OracleConstants = OracleConstants(),
-         geom: GeometryMeta = GeometryMeta(),
-         check_fingerprint: bool = True) -> tuple[DatasetHeader, np.ndarray]:
-    """Read a dataset; refuse one built under other model constants or frequencies."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        body = fh.read()
+# JSON types each header field may hold, by its annotation; bool is refused
+_HEADER_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _parse_header(path, line: bytes, consts: OracleConstants, geom: GeometryMeta,
+                  check_fingerprint: bool) -> DatasetHeader:
     try:
         header = DatasetHeader(**json.loads(line.decode()))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: not a dataset file ({exc})") from exc
+    for f in fields(header):
+        value = getattr(header, f.name)
+        if isinstance(value, bool) or not isinstance(value, _HEADER_TYPES[f.type]):
+            raise ValueError(f"{path}: dataset header field {f.name} is {value!r}, not {f.type}")
     if header.version != DATASET_VERSION:
         raise ValueError(f"{path}: dataset version {header.version}, expected {DATASET_VERSION}")
     grid = (header.freq_start, header.freq_step, header.n_freq)
@@ -147,13 +156,34 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
                 f"the active model constants {want}; regenerate or pass the "
                 f"constants it was built with"
             )
-    whole, tail = divmod(len(body), RECORD_DTYPE.itemsize)
-    if tail or whole != header.n:
+    return header
+
+
+def _check_body(path, n: int, size: int) -> None:
+    whole, tail = divmod(size, RECORD_DTYPE.itemsize)
+    if tail or whole != n:
         raise ValueError(
-            f"{path}: header says {header.n} records, file holds "
+            f"{path}: header says {n} records, file holds "
             f"{whole}{' and a partial record' if tail else ''}"
         )
-    return header, np.frombuffer(body, dtype=RECORD_DTYPE)
+
+
+def load(path: str, consts: OracleConstants = OracleConstants(),
+         geom: GeometryMeta = GeometryMeta(),
+         check_fingerprint: bool = True) -> tuple[DatasetHeader, np.ndarray]:
+    """Read a dataset; refuse one built under other model constants or frequencies.
+
+    The header (field types included) and the body size are checked before
+    anything is allocated; the body is then read straight into the returned
+    records, so they are held once.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        header = _parse_header(path, line, consts, geom, check_fingerprint)
+        _check_body(path, header.n, os.fstat(fh.fileno()).st_size - len(line))
+        records = np.empty(header.n, dtype=RECORD_DTYPE)
+        _check_body(path, header.n, fh.readinto(records.view(np.uint8)))
+    return header, records
 
 
 def split(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,22 +194,58 @@ def split(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return records[:k], records[k:]
 
 
+_BLOCK = 4096  # rows per summarize block
+
+
+def _column_sums(resp: np.ndarray, rows_into) -> np.ndarray:
+    """Axis-0 sums of the rows that rows_into(out, block) writes per block.
+
+    Each block is reduced with the running sums as its first row, so every
+    column adds its rows one after another, bit-equal to numpy's axis-0 sum
+    over the whole stack; one block-sized buffer is reused throughout.
+    """
+    buf = np.empty((_BLOCK + 1, resp.shape[1]))
+    acc = np.zeros(resp.shape[1])  # numpy's add.reduce starts from 0.0 too
+    for i in range(0, len(resp), _BLOCK):
+        block = resp[i:i + _BLOCK]
+        rows = buf[:len(block) + 1]
+        rows[0] = acc
+        rows_into(rows[1:], block)
+        acc = np.add.reduce(rows, axis=0)
+    return acc
+
+
 def summarize(records: np.ndarray) -> dict:
-    """Sanity statistics: per-frequency response moments, fill, magnitudes."""
-    resp = np.asarray(records["resp"])
-    s22 = deinterleave(resp)
-    mags = np.abs(s22)
-    words = np.asarray(records["genome"], dtype=np.uint64)
-    fill = u64_to_bits(words).mean(axis=1)  # the quadrant's fill is the grid's
+    """Sanity statistics: per-frequency response moments, fill, magnitudes.
+
+    Works on fixed blocks of rows, so beyond the records it holds one block of
+    temporaries plus one float per record; the figures are bit-equal to numpy's
+    whole-array mean, std, abs and histogram.
+    """
+    n = len(records)
+    if n == 0:
+        raise ValueError("cannot summarize an empty dataset")
+    resp = records["resp"]
+    fill = np.empty(n)
+    mag_min, mag_max = np.inf, -np.inf
+    for i in range(0, n, _BLOCK):
+        mags = np.abs(deinterleave(resp[i:i + _BLOCK]))
+        mag_min, mag_max = min(mag_min, mags.min()), max(mag_max, mags.max())
+        words = np.asarray(records["genome"][i:i + _BLOCK], dtype=np.uint64)
+        fill[i:i + _BLOCK] = u64_to_bits(words).mean(axis=1)  # the quadrant's fill is the grid's
+    # np.std takes the mean as np.mean does, then sums the squared deviations
+    mean = _column_sums(resp, np.copyto) / n
+    std = np.sqrt(_column_sums(
+        resp, lambda out, block: np.square(np.subtract(block, mean, out=out), out=out)) / n)
     hist, edges = np.histogram(fill, bins=16, range=(0.0, 1.0))
     return {
-        "n": int(len(records)),
-        "re_mean": resp[:, 0::2].mean(axis=0).tolist(),
-        "re_std": resp[:, 0::2].std(axis=0).tolist(),
-        "im_mean": resp[:, 1::2].mean(axis=0).tolist(),
-        "im_std": resp[:, 1::2].std(axis=0).tolist(),
-        "mag_min": float(mags.min()),
-        "mag_max": float(mags.max()),
+        "n": n,
+        "re_mean": mean[0::2].tolist(),
+        "re_std": std[0::2].tolist(),
+        "im_mean": mean[1::2].tolist(),
+        "im_std": std[1::2].tolist(),
+        "mag_min": float(mag_min),
+        "mag_max": float(mag_max),
         "fill_mean": float(fill.mean()),
         "fill_hist": hist.tolist(),
         "fill_edges": edges.tolist(),

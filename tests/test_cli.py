@@ -118,6 +118,20 @@ def test_stats_refuses_another_frequency_grid(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("n", 16.0), ("seed", "x"), ("n", "16")])
+def test_stats_refuses_header_field_of_wrong_type(tmp_path, capsys, field, value):
+    run(capsys, "gen", "--n", "16", "--seed", "3", "--outdir", str(tmp_path))
+    data = tmp_path / "dataset.bin"
+    head, body = data.read_bytes().split(b"\n", 1)
+    header = json.loads(head) | {field: value}
+    data.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    out = tmp_path / "stats.json"
+    code, _, err = run(capsys, "stats", "--data", str(data), "--out", str(out))
+    assert code == 1
+    assert _one_error_line(err) and f"{data}: dataset header field {field}" in err
+    assert not out.exists() and not (tmp_path / "stats.json.manifest.json").exists()
+
+
 def test_train_missing_dataset_names_file(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--outdir", str(tmp_path))
     assert code == 1

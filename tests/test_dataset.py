@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +105,20 @@ def test_load_rejects_truncation(tmp_path):
         ds.load(path)
 
 
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = str(tmp_path / "set.bin")
+    recs = ds.generate(16, seed=2)
+    ds.save(path, recs, seed=2)
+    with open(path, "ab") as fh:
+        fh.write(recs[:1].tobytes())
+    with pytest.raises(ValueError, match="header says 16 records, file holds 17$"):
+        ds.load(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0\0\0")
+    with pytest.raises(ValueError, match="file holds 17 and a partial record"):
+        ds.load(path)
+
+
 def _edit_header(path, **fields):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
@@ -125,6 +141,42 @@ def test_load_rejects_another_frequency_grid(tmp_path, fields):
     for check in (True, False):
         with pytest.raises(ValueError, match=f"{path}: frequency grid"):
             ds.load(path, check_fingerprint=check)
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 16.0}, {"n": "16"}, {"n": None}, {"seed": "x"}, {"version": True},
+    {"n_freq": 61.0}, {"fingerprint": 5}, {"freq_start": "3e9"}, {"freq_step": False},
+])
+def test_load_rejects_header_field_of_wrong_type(tmp_path, fields):
+    path = str(tmp_path / "set.bin")
+    ds.save(path, ds.generate(16, seed=2), seed=2)
+    _edit_header(path, **fields)
+    (name, value), = fields.items()
+    want = re.escape(f"{path}: dataset header field {name} is {value!r}")
+    with pytest.raises(ValueError, match=f"^{want}"):
+        ds.load(path)
+
+
+def test_load_accepts_integer_frequencies(tmp_path):
+    """A JSON writer may print a whole-number float without its point."""
+    path = str(tmp_path / "set.bin")
+    ds.save(path, ds.generate(4, seed=2), seed=2)
+    _edit_header(path, freq_start=int(ds.FREQ_START), freq_step=int(ds.FREQ_STEP))
+    assert len(ds.load(path)[1]) == 4
+
+
+def test_load_refuses_a_huge_count_before_allocating(tmp_path):
+    path = str(tmp_path / "set.bin")
+    ds.save(path, ds.generate(16, seed=2), seed=2)
+    _edit_header(path, n=10**15)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"header says {10**15} records, file holds 16$"):
+            ds.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_split_sizes_and_order():
@@ -161,3 +213,78 @@ def test_summary_statistics():
     grid_re = ds.deinterleave(recs["resp"]).real
     np.testing.assert_allclose(s["re_mean"], grid_re.mean(axis=0))
     assert len(freq_grid()) * 2 == recs["resp"].shape[1]
+
+
+def _reference_summary(records):
+    """The whole-array formulas: numpy's mean, std, abs and histogram over all rows."""
+    resp = np.asarray(records["resp"])
+    mags = np.abs(resp[:, 0::2] + 1j * resp[:, 1::2])
+    fill = u64_to_bits(np.asarray(records["genome"], dtype=np.uint64)).mean(axis=1)
+    hist, edges = np.histogram(fill, bins=16, range=(0.0, 1.0))
+    return {
+        "n": int(len(records)),
+        "re_mean": resp[:, 0::2].mean(axis=0).tolist(),
+        "re_std": resp[:, 0::2].std(axis=0).tolist(),
+        "im_mean": resp[:, 1::2].mean(axis=0).tolist(),
+        "im_std": resp[:, 1::2].std(axis=0).tolist(),
+        "mag_min": float(mags.min()),
+        "mag_max": float(mags.max()),
+        "fill_mean": float(fill.mean()),
+        "fill_hist": hist.tolist(),
+        "fill_edges": edges.tolist(),
+    }
+
+
+@pytest.fixture(scope="module")
+def summary_records():
+    """Oracle records, and records whose responses span twelve decades, so
+    that any change in the order of the column sums shows in the last bits."""
+    oracle = ds.generate(10000, seed=7)
+    rng = np.random.default_rng(3)
+    wide = np.empty(10000, dtype=ds.RECORD_DTYPE)
+    wide["genome"] = rng.integers(0, 2**64, size=10000, dtype=np.uint64)
+    wide["resp"] = rng.normal(size=(10000, ds.RESP_WIDTH)) * 10.0 ** rng.uniform(-6, 6, (10000, 1))
+    return {"oracle": oracle, "wide": wide}
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 10000])
+@pytest.mark.parametrize("source", ["oracle", "wide"])
+def test_summarize_is_bit_equal_to_whole_array_formulas(monkeypatch, summary_records,
+                                                        source, n, block):
+    if block is not None:
+        monkeypatch.setattr(ds, "_BLOCK", block)
+    recs = summary_records[source][:n]
+    assert json.dumps(ds.summarize(recs)) == json.dumps(_reference_summary(recs))
+
+
+def test_summarize_refuses_no_records():
+    with pytest.raises(ValueError, match="empty"):
+        ds.summarize(ds.generate(1, seed=1)[:0])
+
+
+def _peak_bytes(fn, *args):
+    """Peak bytes fn allocates, numpy data buffers included, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_each_stage_holds_the_records_once(tmp_path):
+    n = 20000
+    path = str(tmp_path / "set.bin")
+    one_chunk, _ = _peak_bytes(ds.generate, 4096, 11)
+    peak, recs = _peak_bytes(ds.generate, n, 11)
+    size = recs.nbytes
+    assert peak <= size + 1.1 * one_chunk, f"generate {peak / size:.2f}x the records"
+    peak, _ = _peak_bytes(ds.save, path, recs, 11)
+    assert peak <= 0.05 * size, f"save {peak / size:.2f}x the records"
+    peak, (_, got) = _peak_bytes(ds.load, path)
+    assert peak <= 1.05 * size, f"load {peak / size:.2f}x the records"
+    assert got.tobytes() == recs.tobytes()
+    peak, _ = _peak_bytes(ds.summarize, got)
+    assert peak <= 0.6 * size, f"summarize {peak / size:.2f}x the records"
