@@ -4,14 +4,16 @@ Stages are exposed as subcommands sharing one JSON config file (flags beat
 config fields, config fields beat built-in defaults).  Every file artifact
 gets a JSON manifest sidecar recording the tool version, the exact
 parameters, and SHA-256 hashes of all inputs and of the artifact itself, so
-a run can be reproduced from the manifest alone.  Artifacts are never
-silently replaced; pass --force to overwrite.  All frequencies are plain Hz
-(scientific notation is fine).
+a run can be reproduced from the manifest alone.  A command checks all its
+outputs before any work and refuses existing ones unless --force is given.
+It publishes all its outputs or none: on error nothing is left behind.
+All frequencies are plain Hz (scientific notation is fine).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -104,42 +106,70 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _check_fresh(path: Path, force: bool) -> None:
-    """Refuse to replace an artifact or its manifest sidecar unless forced."""
-    for p in (path, path.with_name(path.name + ".manifest.json")):
-        if p.exists() and not force:
-            raise CliError(f"refusing to overwrite existing artifact: {p} (use --force)")
+def _tmp(path: Path) -> Path:
+    return path.with_name(f"{path.name}.tmp.{os.getpid()}")
 
 
-def _write_text(path: Path, text: str, force: bool) -> None:
-    _check_fresh(path, force)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+@contextlib.contextmanager
+def _outputs(command: str, force: bool, paths: list[Path],
+             inputs: dict[str, Path] | None = None):
+    """Publish a command's declared output files together or not at all.
+
+    Entering refuses an existing artifact or sidecar unless `force`, and any
+    output that a rename could not put in place, then hashes each input once.
+    The block writes each artifact to the `<name>.tmp.<pid>` path that the
+    yielded `stage` returns.  A clean exit writes the manifests and renames
+    every file into place; an exception removes the staged files and the
+    directories made for them.
+    """
+    if len({p.resolve() for p in paths}) < len(paths):
+        raise CliError(f"two outputs of {command} name the same file")
+    for path in paths:
+        for p in (path, path.with_name(path.name + ".manifest.json")):
+            if p.exists() and not force:
+                raise CliError(f"refusing to overwrite existing artifact: {p} (use --force)")
+            if p.is_dir():
+                raise CliError(f"output is a directory: {p}")
+        base = next((d for d in path.parents if d.exists()), path.parent)
+        if not base.is_dir():
+            raise CliError(f"not a directory: {base}")
+    hashes = {name: _sha256(p) for name, p in (inputs or {}).items()} if paths else {}
+    manifests: dict[Path, dict] = {}
+    staged: list[Path] = []  # final paths whose tmp files are on disk
+    made: list[Path] = []
+
+    def stage(path: Path, params: dict, names: tuple[str, ...] = ()) -> Path:
+        """Tmp path for `path`; its manifest hashes the inputs in `names` (default all)."""
+        made.extend(d for d in reversed(path.parents) if not d.exists())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        staged.append(path)
+        manifests[path] = {"artifact": path.name, "command": command, "params": params,
+                           "inputs": {n: hashes[n] for n in names or hashes},
+                           "version": __version__}
+        return _tmp(path)
+
+    try:
+        yield stage
+        for path, manifest in manifests.items():
+            manifest["sha256"] = _sha256(_tmp(path))
+            side = path.with_name(path.name + ".manifest.json")
+            staged.append(side)
+            _tmp(side).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for path in list(staged):
+            os.replace(_tmp(path), path)
+            staged.remove(path)
+        made.clear()
+    finally:
+        for path in staged:  # left only on failure
+            _tmp(path).unlink(missing_ok=True)
+        for d in reversed(made):
+            with contextlib.suppress(OSError):
+                d.rmdir()
 
 
-def _write_manifest(artifact: Path, command: str, params: dict,
-                    inputs: dict[str, Path]) -> None:
-    """Write the sidecar; callers check it with _check_fresh before any write."""
-    manifest = {
-        "artifact": artifact.name,
-        "sha256": _sha256(artifact),
-        "command": command,
-        "params": params,
-        "inputs": {name: _sha256(p) for name, p in inputs.items()},
-        "version": __version__,
-    }
-    side = artifact.with_name(artifact.name + ".manifest.json")
-    tmp = side.with_name(side.name + f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, side)
-
-
-def _outdir(args, cfg: RunConfig) -> Path:
-    out = Path(args.outdir if args.outdir else cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_path(flag: str | None, args, cfg: RunConfig, name: str) -> Path:
+    """The path a flag names, else `name` in --outdir (default from config)."""
+    return Path(flag) if flag else Path(args.outdir or cfg.outdir) / name
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +178,22 @@ def _outdir(args, cfg: RunConfig) -> Path:
 
 
 def cmd_target(args, cfg: RunConfig) -> int:
-    if args.freq is not None:
-        lo = hi = args.freq
-    else:
-        lo, hi = args.band
-    try:
-        spec = inverse.build_target(lo, hi, switch=cfg.switch, anchors=tuple(args.anchor))
-    except (NoSolutionError, SingularityError, NoContrastError, ValueError) as exc:
-        raise CliError(str(exc))
-    for k in range(len(spec.freqs)):
-        if spec.weight[k] == 0.0:
-            continue
-        kind = "band" if lo <= spec.freqs[k] <= hi else "anchor"
-        print(f"{spec.freqs[k]:.4e} Hz  re {spec.re[k]:+.6f}  im {spec.im[k]:+.6f}  [{kind}]")
-    if args.out:
-        out = Path(args.out)
-        _write_text(out, json.dumps(spec.to_json(), indent=2) + "\n", args.force)
-        _write_manifest(out, "target",
-                        {"band": [lo, hi], "anchors": [list(a) for a in args.anchor]},
-                        {})
+    lo, hi = args.band or (args.freq, args.freq)
+    out = Path(args.out) if args.out else None
+    with _outputs("target", args.force, [out] if out else []) as stage:
+        try:
+            spec = inverse.build_target(lo, hi, switch=cfg.switch, anchors=tuple(args.anchor))
+        except (NoSolutionError, SingularityError, NoContrastError, ValueError) as exc:
+            raise CliError(str(exc))
+        for k in range(len(spec.freqs)):
+            if spec.weight[k] == 0.0:
+                continue
+            kind = "band" if lo <= spec.freqs[k] <= hi else "anchor"
+            print(f"{spec.freqs[k]:.4e} Hz  re {spec.re[k]:+.6f}  im {spec.im[k]:+.6f}  [{kind}]")
+        if out:
+            stage(out, {"band": [lo, hi], "anchors": [list(a) for a in args.anchor]}
+                  ).write_text(json.dumps(spec.to_json(), indent=2) + "\n")
+    if out:
         print(f"wrote {out}")
     return 0
 
@@ -177,32 +204,28 @@ def cmd_gen(args, cfg: RunConfig) -> int:
     n = args.n if args.n is not None else cfg.dataset_n
     if n < 1:
         raise CliError(f"--n must be at least 1, got {n}")
-    out = Path(args.out) if args.out else _outdir(args, cfg) / "dataset.bin"
-    _check_fresh(out, args.force)
+    out = _out_path(args.out, args, cfg, "dataset.bin")
     seed = args.seed if args.seed is not None else cfg.dataset_seed
-    records = dataset.generate(n, seed, cfg.constants, cfg.geometry, jobs=args.jobs)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dataset.save(out, records, seed, cfg.constants, cfg.geometry)
-    _write_manifest(out, "gen",
-                    {"n": n, "seed": seed,
-                     "fingerprint": oracle.fingerprint(cfg.constants, cfg.geometry),
-                     "dataset_version": dataset.DATASET_VERSION},
-                    {})
+    with _outputs("gen", args.force, [out]) as stage:
+        records = dataset.generate(n, seed, cfg.constants, cfg.geometry, jobs=args.jobs)
+        params = {"n": n, "seed": seed,
+                  "fingerprint": oracle.fingerprint(cfg.constants, cfg.geometry),
+                  "dataset_version": dataset.DATASET_VERSION}
+        dataset.save(stage(out, params), records, seed, cfg.constants, cfg.geometry)
     print(f"wrote {out} ({n} records, seed {seed})")
     return 0
 
 
 def cmd_stats(args, cfg: RunConfig) -> int:
     path = _require(Path(args.data), "dataset artifact")
-    header, records = dataset.load(path, cfg.constants, cfg.geometry,
-                                   check_fingerprint=not args.no_fingerprint_check)
-    stats = dataset.summarize(records)
-    text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        out = Path(args.out)
-        _write_text(out, text, args.force)
-        _write_manifest(out, "stats", {"n": header.n, "seed": header.seed},
-                        {"dataset": path})
+    out = Path(args.out) if args.out else None
+    with _outputs("stats", args.force, [out] if out else [], {"dataset": path}) as stage:
+        header, records = dataset.load(path, cfg.constants, cfg.geometry,
+                                       check_fingerprint=not args.no_fingerprint_check)
+        text = json.dumps(dataset.summarize(records), indent=2, sort_keys=True) + "\n"
+        if out:
+            stage(out, {"n": header.n, "seed": header.seed}).write_text(text)
+    if out:
         print(f"wrote {out}")
     else:
         print(text, end="")
@@ -213,31 +236,25 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ts = cfg.train
     if args.epochs is not None:
         ts = dataclasses.replace(ts, max_epochs=args.epochs)
-    data_path = Path(args.data) if args.data else _outdir(args, cfg) / "dataset.bin"
-    _require(data_path, "dataset artifact (run `gen` first)")
-    ckpt = Path(args.out) if args.out else _outdir(args, cfg) / "surrogate.ckpt"
-    hist_path = Path(args.history) if args.history else _outdir(args, cfg) / "train_history.csv"
-    _check_fresh(ckpt, args.force)
-    _check_fresh(hist_path, args.force)
-
-    _, records = dataset.load(data_path, cfg.constants, cfg.geometry)
-    train_recs, val_recs = dataset.split(records)
-    xt, yt = surrogate.records_to_xy(train_recs)
-    xv, yv = surrogate.records_to_xy(val_recs)
-
-    mlp = surrogate.init_mlp(ts.seed, ts.hidden)
-    log = (lambda msg: print(msg)) if args.verbose else None
-    result = surrogate.train(mlp, xt, yt, xv, yv, ts, log=log)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    surrogate.save_checkpoint(ckpt, mlp, meta={
-        "best_val_mae": result.best_val_mae, "best_epoch": result.best_epoch,
-        "epochs_run": result.epochs_run, "stop_reason": result.stop_reason,
-        "seed": ts.seed,
-    })
-    surrogate.save_history(hist_path, result.history)
+    data_path = _require(_out_path(args.data, args, cfg, "dataset.bin"),
+                         "dataset artifact (run `gen` first)")
+    ckpt = _out_path(args.out, args, cfg, "surrogate.ckpt")
+    hist_path = _out_path(args.history, args, cfg, "train_history.csv")
     params = dataclasses.asdict(ts)
-    _write_manifest(ckpt, "train", params, {"dataset": data_path})
-    _write_manifest(hist_path, "train", params, {"dataset": data_path})
+    with _outputs("train", args.force, [ckpt, hist_path], {"dataset": data_path}) as stage:
+        _, records = dataset.load(data_path, cfg.constants, cfg.geometry)
+        train_recs, val_recs = dataset.split(records)
+        xt, yt = surrogate.records_to_xy(train_recs)
+        xv, yv = surrogate.records_to_xy(val_recs)
+        mlp = surrogate.init_mlp(ts.seed, ts.hidden)
+        log = (lambda msg: print(msg)) if args.verbose else None
+        result = surrogate.train(mlp, xt, yt, xv, yv, ts, log=log)
+        surrogate.save_checkpoint(stage(ckpt, params), mlp, meta={
+            "best_val_mae": result.best_val_mae, "best_epoch": result.best_epoch,
+            "epochs_run": result.epochs_run, "stop_reason": result.stop_reason,
+            "seed": ts.seed,
+        })
+        surrogate.save_history(stage(hist_path, params), result.history)
     print(f"best val MAE {result.best_val_mae:.6f} at epoch {result.best_epoch} "
           f"({result.epochs_run} epochs, {result.stop_reason})")
     print(f"wrote {ckpt}")
@@ -261,16 +278,15 @@ def _load_target(path: Path) -> TargetSpec:
 
 
 def cmd_design(args, cfg: RunConfig) -> int:
-    target = _load_target(Path(args.target))
-    out = Path(args.out) if args.out else _outdir(args, cfg) / "design.json"
-    _check_fresh(out, args.force)
-
-    inputs: dict[str, Path] = {"target": Path(args.target)}
+    target_path = Path(args.target)
+    target = _load_target(target_path)
+    out = _out_path(args.out, args, cfg, "design.json")
+    inputs = {"target": target_path}
     if args.evaluator == "oracle":
         evaluator = inverse.oracle_evaluator(target, cfg.constants, cfg.geometry)
     else:
-        ckpt = Path(args.ckpt) if args.ckpt else _outdir(args, cfg) / "surrogate.ckpt"
-        _require(ckpt, "surrogate checkpoint (run `train` or pass --evaluator oracle)")
+        ckpt = _require(_out_path(args.ckpt, args, cfg, "surrogate.ckpt"),
+                        "surrogate checkpoint (run `train` or pass --evaluator oracle)")
         mlp, _ = surrogate.load_checkpoint(ckpt)
         if (mlp.sizes[0], mlp.sizes[-1]) != (pattern.GENOME_BITS, dataset.RESP_WIDTH):
             raise CliError(f"checkpoint {ckpt} maps {mlp.sizes[0]} to {mlp.sizes[-1]} values; "
@@ -278,33 +294,28 @@ def cmd_design(args, cfg: RunConfig) -> int:
         evaluator = inverse.surrogate_evaluator(mlp, target)
         inputs["checkpoint"] = ckpt
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.population is not None:
-        overrides["population"] = args.population
-    if args.generations is not None:
-        overrides["generations"] = args.generations
-    ga = dataclasses.replace(cfg.ga, **overrides) if overrides else cfg.ga
-    result = inverse.ga_run(ga, evaluator)
-
-    if args.evaluator == "oracle":
-        predicted = oracle.response_batch(expand_genome(result.best_bits[None, :]),
-                                          cfg.constants, cfg.geometry)[0]
-    else:
-        predicted = surrogate.predict_s22(mlp, np.array([result.best_word], dtype=np.uint64))[0]
-    doc = {
-        "genome": pack_genome(result.best_word),
-        "fitness": result.best_fitness,
-        "evaluator": args.evaluator,
-        "ga": dataclasses.asdict(ga),
-        "predicted_re": [float(v) for v in predicted.real],
-        "predicted_im": [float(v) for v in predicted.imag],
-        "history_best": [float(v) for v in result.history_best],
-        "history_median": [float(v) for v in result.history_median],
-    }
-    _write_text(out, json.dumps(doc, indent=2) + "\n", args.force)
-    _write_manifest(out, "design", doc["ga"] | {"evaluator": args.evaluator}, inputs)
+    overrides = {"seed": args.seed, "population": args.population,
+                 "generations": args.generations}
+    ga = dataclasses.replace(cfg.ga, **{k: v for k, v in overrides.items() if v is not None})
+    with _outputs("design", args.force, [out], inputs) as stage:
+        result = inverse.ga_run(ga, evaluator)
+        if args.evaluator == "oracle":
+            predicted = oracle.response_batch(expand_genome(result.best_bits[None, :]),
+                                              cfg.constants, cfg.geometry)[0]
+        else:
+            predicted = surrogate.predict_s22(mlp, np.array([result.best_word], dtype=np.uint64))[0]
+        doc = {
+            "genome": pack_genome(result.best_word),
+            "fitness": result.best_fitness,
+            "evaluator": args.evaluator,
+            "ga": dataclasses.asdict(ga),
+            "predicted_re": [float(v) for v in predicted.real],
+            "predicted_im": [float(v) for v in predicted.imag],
+            "history_best": [float(v) for v in result.history_best],
+            "history_median": [float(v) for v in result.history_median],
+        }
+        stage(out, doc["ga"] | {"evaluator": args.evaluator}).write_text(
+            json.dumps(doc, indent=2) + "\n")
     print(f"best genome {doc['genome']}  fitness {result.best_fitness:.4f}")
     print(f"wrote {out}")
     return 0
@@ -353,21 +364,19 @@ def cmd_validate(args, cfg: RunConfig) -> int:
         hist_m = _design_floats(doc, "history_median")
     except ValueError as exc:
         raise CliError(f"bad design file {design_path}: {exc}")
-    target = _load_target(Path(args.target))
-    out_csv = Path(args.out) if args.out else _outdir(args, cfg) / "validation.csv"
-    pbm = Path(args.pbm) if args.pbm else _outdir(args, cfg) / "genome.pbm"
-    for path in (out_csv, pbm):
-        _check_fresh(path, args.force)
-
-    report = inverse.validate_design(
-        genome.reshape(-1), cfg.switch, cfg.constants, cfg.geometry,
-        predicted=predicted, history_best=hist_b, history_median=hist_m,
-    )
-    _write_text(out_csv, inverse.report_csv(report, target), args.force)
-    _write_manifest(out_csv, "validate", {"genome": doc["genome"]},
-                    {"design": design_path, "target": Path(args.target)})
-    _write_text(pbm, render_pbm(expand_genome(genome)), args.force)
-    _write_manifest(pbm, "validate", {"genome": doc["genome"]}, {"design": design_path})
+    target_path = Path(args.target)
+    target = _load_target(target_path)
+    out_csv = _out_path(args.out, args, cfg, "validation.csv")
+    pbm = _out_path(args.pbm, args, cfg, "genome.pbm")
+    params = {"genome": doc["genome"]}
+    with _outputs("validate", args.force, [out_csv, pbm],
+                 {"design": design_path, "target": target_path}) as stage:
+        report = inverse.validate_design(
+            genome.reshape(-1), cfg.switch, cfg.constants, cfg.geometry,
+            predicted=predicted, history_best=hist_b, history_median=hist_m,
+        )
+        stage(out_csv, params).write_text(inverse.report_csv(report, target))
+        stage(pbm, params, ("design",)).write_text(render_pbm(expand_genome(genome)))
     print(inverse.report_summary(report))
     print(f"wrote {out_csv}")
     return 0
@@ -385,79 +394,71 @@ def cmd_array(args, cfg: RunConfig) -> int:
     acfg = cfg.array
     steer = args.steer
     f = args.freq if args.freq is not None else cfg.geometry.f0
-    outdir = _outdir(args, cfg)
     names = ["pattern_phi0.csv", "pattern_phi90.csv", "codes.pbm"]
     if args.sweep:
         names.append("sweep.csv")
     if args.hemisphere:
         names.append("hemisphere.pgm")
-    for name in names:
-        _check_fresh(outdir / name, args.force)
-
+    outdir = Path(args.outdir or cfg.outdir)
+    inputs = {"design": Path(args.design)} if args.design else {}
     if args.design:
-        design_path = Path(args.design)
-        _, genome = _load_design(design_path)
+        _, genome = _load_design(inputs["design"])
         try:
             k = inverse._grid_index(f)
         except ValueError as exc:
             raise CliError(f"--freq with --design: {exc}")
-        report = inverse.validate_design(genome, cfg.switch, cfg.constants, cfg.geometry)
-        gamma0, gamma1 = complex(report.gamma1_state0[k]), complex(report.gamma1_state1[k])
-        inputs = {"design": design_path}
-    else:
-        gamma0, gamma1 = 1.0 + 0.0j, -1.0 + 0.0j
-        inputs = {}
 
-    codes = arraysim.quantize_1bit(arraysim.ideal_phase(acfg, steer, f, args.ref_phase))
-    params = {"steer": [steer.theta_deg, steer.phi_deg], "freq": f,
-              "ref_phase": args.ref_phase, "step": args.step,
-              "gamma0": [gamma0.real, gamma0.imag], "gamma1": [gamma1.real, gamma1.imag]}
-
-    for phi in (0.0, 90.0):
-        p = arraysim.far_field(acfg, codes, gamma0, gamma1, f, cut, phi)
-        lines = ["theta_deg,power_db"]
-        lines += [f"{cut[i]:.2f},{p[i]:.6f}" for i in range(len(cut))]
-        path = outdir / f"pattern_phi{int(phi)}.csv"
-        _write_text(path, "\n".join(lines) + "\n", args.force)
-        _write_manifest(path, "array", params | {"cut_phi": phi}, inputs)
-        peak = cut[int(np.argmax(p))]
-        print(f"phi={int(phi)} cut: peak at {peak:.2f} deg -> {path}")
-
-    codes_path = outdir / "codes.pbm"
-    _write_text(codes_path, render_pbm(codes), args.force)
-    _write_manifest(codes_path, "array", params, inputs)
-
-    if args.sweep:
-        sweep = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
-                                              report.gamma1_state1, steer,
-                                              f0=cfg.geometry.f0, ref_phase=args.ref_phase)
-        lines = ["freq_hz,power_db"]
-        lines += [f"{sweep.freqs[i]:.6e},{sweep.power_db[i]:.6f}" for i in range(len(sweep.freqs))]
-        path = outdir / "sweep.csv"
-        _write_text(path, "\n".join(lines) + "\n", args.force)
-        _write_manifest(path, "array", params, inputs)
-        if sweep.band is None:
-            print(f"no 3-dB band around {cfg.geometry.f0:.3e} Hz -> {path}")
+    with _outputs("array", args.force, [outdir / name for name in names], inputs) as stage:
+        if args.design:
+            report = inverse.validate_design(genome, cfg.switch, cfg.constants, cfg.geometry)
+            gamma0, gamma1 = complex(report.gamma1_state0[k]), complex(report.gamma1_state1[k])
         else:
-            print(f"3-dB band {sweep.band[0]:.3e}..{sweep.band[1]:.3e} Hz "
-                  f"({sweep.bandwidth_pct:.1f}%) -> {path}")
+            gamma0, gamma1 = 1.0 + 0.0j, -1.0 + 0.0j
+        codes = arraysim.quantize_1bit(arraysim.ideal_phase(acfg, steer, f, args.ref_phase))
+        params = {"steer": [steer.theta_deg, steer.phi_deg], "freq": f,
+                  "ref_phase": args.ref_phase, "step": args.step,
+                  "gamma0": [gamma0.real, gamma0.imag], "gamma1": [gamma1.real, gamma1.imag]}
 
-    if args.hemisphere:
-        thetas = np.arange(0.0, 90.0 + 1e-9, 1.0)
-        phis = np.arange(0.0, 360.0, 1.0)
-        gam = arraysim.gammas_from_codes(codes, gamma0, gamma1)
-        rows = np.empty((len(phis), len(thetas)))
-        for i, phi in enumerate(phis):
-            e = arraysim.far_field_gammas(acfg, gam, f, thetas, float(phi))
-            rows[i] = np.abs(e) ** 2
-        peak = rows.max()
-        if peak > 0.0:
-            rows /= peak
-        db = 10.0 * np.log10(np.maximum(rows, 1e-10))
-        path = outdir / "hemisphere.pgm"
-        _write_text(path, arraysim.render_pgm(db), args.force)
-        _write_manifest(path, "array", params, inputs)
-        print(f"wrote {path}")
+        for phi in (0.0, 90.0):
+            p = arraysim.far_field(acfg, codes, gamma0, gamma1, f, cut, phi)
+            lines = ["theta_deg,power_db"]
+            lines += [f"{cut[i]:.2f},{p[i]:.6f}" for i in range(len(cut))]
+            path = outdir / f"pattern_phi{int(phi)}.csv"
+            stage(path, params | {"cut_phi": phi}).write_text("\n".join(lines) + "\n")
+            peak = cut[int(np.argmax(p))]
+            print(f"phi={int(phi)} cut: peak at {peak:.2f} deg -> {path}")
+
+        stage(outdir / "codes.pbm", params).write_text(render_pbm(codes))
+
+        if args.sweep:
+            sweep = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
+                                                  report.gamma1_state1, steer,
+                                                  f0=cfg.geometry.f0, ref_phase=args.ref_phase)
+            lines = ["freq_hz,power_db"]
+            lines += [f"{sweep.freqs[i]:.6e},{sweep.power_db[i]:.6f}" for i in range(len(sweep.freqs))]
+            path = outdir / "sweep.csv"
+            stage(path, params).write_text("\n".join(lines) + "\n")
+            if sweep.band is None:
+                print(f"no 3-dB band around {cfg.geometry.f0:.3e} Hz -> {path}")
+            else:
+                print(f"3-dB band {sweep.band[0]:.3e}..{sweep.band[1]:.3e} Hz "
+                      f"({sweep.bandwidth_pct:.1f}%) -> {path}")
+
+        if args.hemisphere:
+            thetas = np.arange(0.0, 90.0 + 1e-9, 1.0)
+            phis = np.arange(0.0, 360.0, 1.0)
+            gam = arraysim.gammas_from_codes(codes, gamma0, gamma1)
+            rows = np.empty((len(phis), len(thetas)))
+            for i, phi in enumerate(phis):
+                e = arraysim.far_field_gammas(acfg, gam, f, thetas, float(phi))
+                rows[i] = np.abs(e) ** 2
+            peak = rows.max()
+            if peak > 0.0:
+                rows /= peak
+            db = 10.0 * np.log10(np.maximum(rows, 1e-10))
+            path = outdir / "hemisphere.pgm"
+            stage(path, params).write_text(arraysim.render_pgm(db))
+            print(f"wrote {path}")
     return 0
 
 
@@ -561,10 +562,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -115,17 +115,15 @@ def _header_for(records: np.ndarray, seed: int, consts: OracleConstants,
 def save(path: str, records: np.ndarray, seed: int,
          consts: OracleConstants = OracleConstants(),
          geom: GeometryMeta = GeometryMeta()) -> DatasetHeader:
-    """Write header + records atomically (tmp file, then rename).
+    """Write header + records to `path`; the caller makes the write atomic.
 
     The body is written straight from the records' own buffer, without a copy.
     """
     records = np.ascontiguousarray(records, dtype=RECORD_DTYPE)
     header = _header_for(records, seed, consts, geom)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write((json.dumps(header.__dict__, sort_keys=True) + "\n").encode())
         fh.write(records.view(np.uint8))
-    os.replace(tmp, path)
     return header
 
 

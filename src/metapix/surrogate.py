@@ -13,7 +13,6 @@ picks) comes from CounterRng so runs are exactly repeatable.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,11 +277,9 @@ def save_checkpoint(path: str, mlp: Mlp, meta: dict | None = None) -> None:
         "sizes": list(mlp.sizes),
         "meta": meta or {},
     }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         fh.write(mlp.params.astype("<f8", copy=False).tobytes())
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> tuple[Mlp, dict]:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from metapix import arraysim
+from metapix import arraysim, surrogate
 from metapix.cli import main
 from metapix.surrogate import init_mlp, save_checkpoint
 
@@ -460,3 +460,104 @@ def test_non_finite_flag_values_are_refused(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train"], "missing dataset artifact"),
+    (["design", "--target", "t.json"], "missing surrogate checkpoint"),
+    (["array", "--design", "bad.json"], "bad design file bad.json"),
+], ids=["train-without-dataset", "design-without-checkpoint", "array-design-without-genome"])
+def test_input_error_creates_no_outdir(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "target", "--freq", "5.8e9", "--out", "t.json")
+    (tmp_path / "bad.json").write_text("{}")
+    code, _, err = run(capsys, *argv, "--outdir", "o")
+    assert code == 1
+    assert _one_error_line(err) and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["target", "--freq", "5.8e9", "--out", "dd", "--force"], "output is a directory: dd"),
+    (["train", "--data", "data.bin", "--out", "ck2", "--history", "dd", "--force"],
+     "output is a directory: dd"),
+    (["array", "--outdir", "afile"], "not a directory: afile"),
+    (["train", "--data", "data.bin", "--out", "same", "--history", "same"], "the same file"),
+], ids=["target-out-is-a-directory", "train-history-is-a-directory",
+        "array-outdir-is-a-file", "train-outputs-share-a-path"])
+def test_bad_output_path_is_one_error_line_and_adds_no_file(tmp_path, capsys, monkeypatch,
+                                                             argv, message):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "--n", "44", "--seed", "3", "--out", "data.bin")
+    (tmp_path / "dd").mkdir()
+    (tmp_path / "afile").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert _one_error_line(err) and message in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_write_error_after_staging_publishes_nothing(tmp_path, capsys, monkeypatch):
+    def save_history(path, history):
+        open(path, "w").close()
+        raise PermissionError(13, "Permission denied", str(path))
+
+    run(capsys, "gen", "--n", "44", "--seed", "3", "--out", str(tmp_path / "data.bin"))
+    monkeypatch.setattr(surrogate, "save_history", save_history)
+    code, _, err = run(capsys, "train", "--data", str(tmp_path / "data.bin"), "--epochs", "1",
+                       "--outdir", str(tmp_path / "new" / "deep"))
+    assert code == 1
+    assert _one_error_line(err) and "Permission denied" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "data.bin.manifest.json"]
+
+
+# sha256 of all 26 files (13 artifacts, 13 manifests) the chain below writes;
+# a moved byte in any artifact or manifest fails here
+GOLDEN_CHAIN = {
+    "codes.pbm": "e0acc4c6ddf402eabc1833c0f55fcf645eab8984a8df5acb83377bd0b44f6855",
+    "codes.pbm.manifest.json": "1c80f89705a9373c7acf7f0b00b0f12bed97b887f95be6464ce98345a69a7f7c",
+    "dataset.bin": "da5121ccb7e4c8fc16af21f8377169194c93256f0d862f0617027842a157e779",
+    "dataset.bin.manifest.json": "53b41f7738a0153bac845f63334d9db88e712832b73a5daa7151084daf45a55c",
+    "design.json": "534cba47525c0259bcd004f2156cebfec51076b93f1f0628ebdc1bdb543b4ecf",
+    "design.json.manifest.json": "cd914f7e45335e48c97d61fbbd388a5da421b2cc28da88f7a36ae94d6102b4dd",
+    "genome.pbm": "bd0302f46a2a11de21e7a7f8f7ca243c6269579ae12051e4043fd1bdf7b786df",
+    "genome.pbm.manifest.json": "0874b6ae453af9f2b6668a65edf65481ada145d10024432181c2bcaf7e6efd56",
+    "hemisphere.pgm": "41b4296b569e93423c0b52a85b124a1c4885c35a2c0874f3319c6891d498b287",
+    "hemisphere.pgm.manifest.json": "6b7cdfbb9040f2a10722fdf6d0df711fe46ec12001d0fefce4292b115f95dbea",
+    "pattern_phi0.csv": "238be3389c79eb33b9edf6a226ac6a520864fe7561d31351f8e45dd4c3f45ac1",
+    "pattern_phi0.csv.manifest.json": "16fda531c6647646a42611036f332e8a3312dc594c292a6a4c2d31a4b3c4602b",
+    "pattern_phi90.csv": "238be3389c79eb33b9edf6a226ac6a520864fe7561d31351f8e45dd4c3f45ac1",
+    "pattern_phi90.csv.manifest.json": "ce44206ddfdb63fe119a619a9b5ebe3c3df605163a86b585498ed30728fad69d",
+    "stats.json": "3c3bd39d648217670352205a75edb153a4eda2c15ff8ff5cdcfe295e45c04945",
+    "stats.json.manifest.json": "c19f651a9d1b52981c8f5dad6f307c7c575709dd591267980b88349816ffd5cb",
+    "surrogate.ckpt": "8d5526f741c7fe48ae2e3a34b8e5a362599b81db4aa1a5a1a9fe4adf4044e300",
+    "surrogate.ckpt.manifest.json": "5ab44bbb4061a9848b65ea8fb85ccfca2da37255186a18ffe173e65d7d91e9db",
+    "sweep.csv": "06d7837d5a5d933b0024f48729475556f5949878f996d3a0e3a36a40b288a9cc",
+    "sweep.csv.manifest.json": "6f4850303a96543f384e36d5a8234483fd2c5afd7085a9e2b71d1ada87b6be34",
+    "target.json": "a2afedd559bb0915984ea641bbf0c61bc476ac5c19d3cf347b053fc8bea7cd97",
+    "target.json.manifest.json": "683d97c864a5c4c9f74d3c220f3c310db2d0caef0724531d0b89350247804179",
+    "train_history.csv": "3f6835ff6fab8956068008e67cca3bb70b52fe67c961e22244d4d7cde1236cc0",
+    "train_history.csv.manifest.json": "74b11a23aac2230b43d964bfec4eb7b046ed4699f9d9a6475d0868f036472266",
+    "validation.csv": "9128d929d777a86a08084d247fb90eb657ef452d9e5ad41a837574c05eb45f94",
+    "validation.csv.manifest.json": "96ff3d77999d7957f1a24552eabc3efe4e9af7f4c8e6cb9b60d543f7d4f6b261",
+}
+
+
+def test_cli_chain_writes_golden_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["target", "--band", "5.3e9:6.3e9", "--out", "target.json"],
+        ["gen", "--n", "300", "--seed", "3", "--outdir", "."],
+        ["train", "--epochs", "1", "--outdir", "."],
+        ["design", "--target", "target.json", "--evaluator", "oracle",
+         "--population", "40", "--generations", "5", "--outdir", "."],
+        ["validate", "--design", "design.json", "--target", "target.json", "--outdir", "."],
+        ["stats", "--data", "dataset.bin", "--out", "stats.json"],
+        ["array", "--design", "design.json", "--sweep", "--hemisphere", "--step", "1",
+         "--outdir", "."],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert not list(tmp_path.glob("*.tmp.*"))
+    assert {p.name: sha(p) for p in tmp_path.iterdir()} == GOLDEN_CHAIN
