@@ -7,6 +7,8 @@ parameters, and SHA-256 hashes of all inputs and of the artifact itself, so
 a run can be reproduced from the manifest alone.  A command checks all its
 outputs before any work and refuses existing ones unless --force is given.
 It publishes all its outputs or none: on error nothing is left behind.
+Config, target and design files are read under the one type rule in
+`jsontypes`, so a wrong value ends in one error line naming file and field.
 All frequencies are plain Hz (scientific notation is fine).
 """
 
@@ -27,6 +29,7 @@ import numpy as np
 from . import __version__, arraysim, dataset, inverse, oracle, pattern, surrogate
 from .config import RunConfig, config_to_dict, load_config
 from .inverse import NoSolutionError, TargetSpec
+from .jsontypes import read_object
 from .netcalc import NoContrastError, SingularityError
 from .pattern import expand_genome, pack_genome, render_pbm, unpack_genome
 
@@ -264,16 +267,12 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def _load_target(path: Path) -> TargetSpec:
     _require(path, "target artifact (run `target --out` first)")
     try:
-        doc = json.loads(path.read_text())
-        if not isinstance(doc, dict):
-            raise ValueError("not a JSON object")
-        spec = TargetSpec.from_json(doc)
-        if len(spec.freqs) != oracle.N_FREQ:
-            raise ValueError(f"{len(spec.freqs)} rows, the grid has {oracle.N_FREQ}")
-        if not np.all(np.abs(spec.freqs - oracle.freq_grid()) <= 1.0):
-            raise ValueError(f"freqs are off the {oracle.N_FREQ}-point evaluation grid")
+        spec = TargetSpec.from_json(json.loads(path.read_text()))
+        grid = oracle.freq_grid()
+        if len(spec.freqs) != len(grid) or not np.all(np.abs(spec.freqs - grid) <= 1.0):
+            raise ValueError(f"freqs are not the {len(grid)}-point evaluation grid")
         return spec
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad target file {path}: {exc}")
 
 
@@ -321,49 +320,26 @@ def cmd_design(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_design(path: Path) -> tuple[dict, np.ndarray]:
-    """Design document and its (8, 8) genome; CliError on bad JSON or genome."""
+def _load_design(path: Path, hints: dict) -> tuple[dict, np.ndarray]:
+    """The fields in `hints`, type-checked, and the genome; other keys are ignored."""
     _require(path, "design artifact (run `design` first)")
     try:
         doc = json.loads(path.read_text())
+        doc = {k: v for k, v in doc.items() if k in hints} if type(doc) is dict else doc
+        fields = read_object(hints, doc, "")
+        return fields, unpack_genome(fields["genome"])
     except ValueError as exc:
         raise CliError(f"bad design file {path}: {exc}")
-    genome = doc.get("genome") if isinstance(doc, dict) else None
-    if not isinstance(genome, str):
-        raise CliError(f"bad design file {path}: no genome hex string")
-    try:
-        return doc, unpack_genome(genome)
-    except ValueError as exc:
-        raise CliError(f"bad design file {path}: {exc}")
-
-
-def _design_floats(doc: dict, name: str, n: int | None = None) -> np.ndarray:
-    """Design field `name` as a 1-D float array (of length n if given)."""
-    if name not in doc:
-        raise ValueError(f"no {name}")
-    try:
-        values = np.array(doc[name], dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{name}: {exc}")
-    if values.ndim != 1:
-        raise ValueError(f"{name} must be a list of numbers")
-    if n is not None and len(values) != n:
-        raise ValueError(f"{name} needs {n} values, got {len(values)}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} holds a non-finite value")
-    return values
 
 
 def cmd_validate(args, cfg: RunConfig) -> int:
     design_path = Path(args.design)
-    doc, genome = _load_design(design_path)
-    try:
-        predicted = (_design_floats(doc, "predicted_re", oracle.N_FREQ)
-                     + 1j * _design_floats(doc, "predicted_im", oracle.N_FREQ))
-        hist_b = _design_floats(doc, "history_best")
-        hist_m = _design_floats(doc, "history_median")
-    except ValueError as exc:
-        raise CliError(f"bad design file {design_path}: {exc}")
+    doc, genome = _load_design(design_path, {"genome": str} | dict.fromkeys(
+        ("predicted_re", "predicted_im", "history_best", "history_median"), tuple[float, ...]))
+    for name in ("predicted_re", "predicted_im"):
+        if len(doc[name]) != oracle.N_FREQ:
+            raise CliError(f"bad design file {design_path}: {name} needs {oracle.N_FREQ} values")
+    predicted = np.array(doc["predicted_re"]) + 1j * np.array(doc["predicted_im"])
     target_path = Path(args.target)
     target = _load_target(target_path)
     out_csv = _out_path(args.out, args, cfg, "validation.csv")
@@ -373,7 +349,8 @@ def cmd_validate(args, cfg: RunConfig) -> int:
                  {"design": design_path, "target": target_path}) as stage:
         report = inverse.validate_design(
             genome.reshape(-1), cfg.switch, cfg.constants, cfg.geometry,
-            predicted=predicted, history_best=hist_b, history_median=hist_m,
+            predicted=predicted, history_best=doc["history_best"],
+            history_median=doc["history_median"],
         )
         stage(out_csv, params).write_text(inverse.report_csv(report, target))
         stage(pbm, params, ("design",)).write_text(render_pbm(expand_genome(genome)))
@@ -402,7 +379,7 @@ def cmd_array(args, cfg: RunConfig) -> int:
     outdir = Path(args.outdir or cfg.outdir)
     inputs = {"design": Path(args.design)} if args.design else {}
     if args.design:
-        _, genome = _load_design(inputs["design"])
+        _, genome = _load_design(inputs["design"], {"genome": str})
         try:
             k = inverse._grid_index(f)
         except ValueError as exc:

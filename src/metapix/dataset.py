@@ -16,10 +16,11 @@ import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .jsontypes import read
 from .oracle import (
     FREQ_START,
     FREQ_STEP,
@@ -127,30 +128,23 @@ def save(path: str, records: np.ndarray, seed: int,
     return header
 
 
-# JSON types each header field may hold, by its annotation; bool is refused
-_HEADER_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
-def _parse_header(path, line: bytes, consts: OracleConstants, geom: GeometryMeta,
+def _parse_header(line: bytes, consts: OracleConstants, geom: GeometryMeta,
                   check_fingerprint: bool) -> DatasetHeader:
     try:
-        header = DatasetHeader(**json.loads(line.decode()))
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: not a dataset file ({exc})") from exc
-    for f in fields(header):
-        value = getattr(header, f.name)
-        if isinstance(value, bool) or not isinstance(value, _HEADER_TYPES[f.type]):
-            raise ValueError(f"{path}: dataset header field {f.name} is {value!r}, not {f.type}")
+        doc = json.loads(line.decode())
+    except ValueError as exc:
+        raise ValueError(f"not a dataset file ({exc})") from exc
+    header = read(DatasetHeader, doc, "dataset header field")
     if header.version != DATASET_VERSION:
-        raise ValueError(f"{path}: dataset version {header.version}, expected {DATASET_VERSION}")
+        raise ValueError(f"dataset version {header.version}, expected {DATASET_VERSION}")
     grid = (header.freq_start, header.freq_step, header.n_freq)
     if grid != (FREQ_START, FREQ_STEP, N_FREQ):
-        raise ValueError(f"{path}: frequency grid {grid} is not {(FREQ_START, FREQ_STEP, N_FREQ)}")
+        raise ValueError(f"frequency grid {grid} is not {(FREQ_START, FREQ_STEP, N_FREQ)}")
     if check_fingerprint:
         want = fingerprint(consts, geom)
         if header.fingerprint != want:
             raise ValueError(
-                f"{path}: dataset fingerprint {header.fingerprint} does not match "
+                f"dataset fingerprint {header.fingerprint} does not match "
                 f"the active model constants {want}; regenerate or pass the "
                 f"constants it was built with"
             )
@@ -177,7 +171,10 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
     """
     with open(path, "rb") as fh:
         line = fh.readline()
-        header = _parse_header(path, line, consts, geom, check_fingerprint)
+        try:
+            header = _parse_header(line, consts, geom, check_fingerprint)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         _check_body(path, header.n, os.fstat(fh.fileno()).st_size - len(line))
         records = np.empty(header.n, dtype=RECORD_DTYPE)
         _check_body(path, header.n, fh.readinto(records.view(np.uint8)))

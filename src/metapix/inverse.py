@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import netcalc as nc
+from .jsontypes import read_object
 from .netcalc import PIN_SWITCH, SwitchModel
 from .oracle import (
     FREQ_START,
@@ -65,6 +66,9 @@ class TargetSpec:
             raise ValueError("weights must be nonnegative")
         if not (self.weight > 0).any():
             raise ValueError("target needs at least one nonzero weight")
+        with np.errstate(over="ignore"):  # the sum fitness divides by
+            if not np.isfinite(self.weight.sum()):
+                raise ValueError("target weight sum must be finite")
         live = self.weight > 0
         if np.abs(self.re[live]).max() > 1.0 or np.abs(self.im[live]).max() > 1.0:
             raise ValueError("required values must lie in [-1, 1]")
@@ -78,13 +82,10 @@ class TargetSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "TargetSpec":
-        return cls(
-            np.asarray(obj["freqs"], dtype=float),
-            np.asarray(obj["re"], dtype=float),
-            np.asarray(obj["im"], dtype=float),
-            np.asarray(obj["weight"], dtype=float),
-        )
+    def from_json(cls, obj) -> "TargetSpec":
+        """Exactly the four fields, each a list of finite numbers."""
+        fields = dict.fromkeys(("freqs", "re", "im", "weight"), tuple[float, ...])
+        return cls(**read_object(fields, obj, "target"))
 
 
 def _grid_index(f: float) -> int:

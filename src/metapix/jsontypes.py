@@ -1,0 +1,64 @@
+"""The one type rule for every JSON document the pipeline reads: an int is
+accepted where a float is due; bools, strings, NaN, infinities and ints beyond
+the float range are not.  Errors read "<label> <path> expects <type>, got <json>".
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import json
+import sys
+import typing
+
+
+def _where(label: str, path: str) -> str:
+    return " ".join(filter(None, (label, path))) or "document"
+
+
+def read(hint, value, label: str, path: str = "", defaults=None):
+    """`value` as type `hint`: a dataclass, tuple, union or plain type.  A
+    dataclass takes an object; `defaults`, an instance, fills missing keys."""
+    args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return hint(**read_object(typing.get_type_hints(hint), value, label, path,
+                                  defaults and vars(defaults)))
+    if typing.get_origin(hint) is tuple:
+        if type(value) is list:
+            types = (args[0],) * len(value) if args[-1] is Ellipsis else args
+            if len(types) == len(value):
+                return tuple(read(t, v, label, f"{path}[{i}]")
+                             for i, (t, v) in enumerate(zip(types, value)))
+    elif args:  # a union such as float | None
+        for option in args:
+            with contextlib.suppress(ValueError):
+                return read(option, value, label, path)
+    elif hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is hint:
+        return value
+    name = hint.__name__ if isinstance(hint, type) else hint
+    raise ValueError(f"{_where(label, path)} expects {name}, got {json.dumps(value)}")
+
+
+def read_object(hints: dict, value, label: str, path: str = "",
+                defaults: dict | None = None) -> dict:
+    """An object as a dict of the fields in `hints`.  An unknown key is
+    refused; a missing one comes from `defaults`, or is refused without them."""
+    if type(value) is not dict:
+        raise ValueError(f"{_where(label, path)} expects an object, got {json.dumps(value)}")
+    unknown = next((k for k in value if k not in hints), None)
+    if unknown is not None:  # escaped, so that the message stays one line
+        unknown = unknown.encode("unicode_escape").decode()
+        raise ValueError(f"unknown {_where(label, f'{path}.{unknown}' if path else unknown)}")
+    out = {}
+    for key, hint in hints.items():
+        sub = f"{path}.{key}" if path else key
+        if key in value:
+            out[key] = read(hint, value[key], label, sub, defaults and defaults[key])
+        elif defaults is None:
+            raise ValueError(f"{_where(label, sub)} is missing")
+        else:
+            out[key] = defaults[key]
+    return out

@@ -111,14 +111,6 @@ def reflection_of_load(zl):
     return (zl - FREE_SPACE_ETA) / den
 
 
-def load_of_reflection(gamma: complex) -> complex:
-    """Inverse map zl = eta * (1 + Gamma) / (1 - Gamma)."""
-    den = 1.0 - gamma
-    if den == 0:
-        raise SingularityError("gamma = 1 has no finite load impedance")
-    return FREE_SPACE_ETA * (1.0 + gamma) / den
-
-
 # ---------------------------------------------------------------------------
 # two-port response
 # ---------------------------------------------------------------------------

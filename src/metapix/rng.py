@@ -29,15 +29,6 @@ def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def splitmix64_word(seed: int, k: np.ndarray) -> np.ndarray:
-    """k-th output of the splitmix64 stream seeded with `seed` (vectorized)."""
-    z = np.array(k, dtype=np.uint64)
-    z += np.uint64(1)
-    z *= np.uint64(_SM_GAMMA)
-    z += np.uint64(seed & _MASK)
-    return _mix64(z, np.empty_like(z))
-
-
 def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     """`count` draws at counters start..start+count-1, one u64 each.
 
@@ -71,38 +62,6 @@ def bits_to_u64(bits: np.ndarray) -> np.ndarray:
     """(n, 64) 0/1 -> (n,) uint64, inverse of u64_to_bits."""
     packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1)
     return packed.view(">u8").reshape(-1).astype(np.uint64)
-
-
-class Xoshiro256StarStar:
-    """Reference scalar xoshiro256** (exact-integer arithmetic).
-
-    Used by tests to cross-check the vectorized counter path; the vectorized
-    path must equal the first next() of an instance seeded the same way.
-    """
-
-    def __init__(self, seed: int, first_word: int = 0):
-        m = (1 << 64) - 1
-        self.s = []
-        state = seed & m
-        for k in range(first_word, first_word + 4):
-            z = (state + (k + 1) * _SM_GAMMA) & m
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
-            self.s.append(z ^ (z >> 31))
-
-    def next_u64(self) -> int:
-        m = (1 << 64) - 1
-        s = self.s
-        x = (s[1] * 5) & m
-        result = (((x << 7) | (x >> 57)) & m) * 9 & m
-        t = (s[1] << 17) & m
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = ((s[3] << 45) | (s[3] >> 19)) & m
-        return result
 
 
 class CounterRng:

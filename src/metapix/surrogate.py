@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import RESP_WIDTH
+from .jsontypes import read_object
 from .oracle import N_FREQ
 from .rng import CounterRng, u64_to_bits
 
@@ -30,6 +31,8 @@ MAE_BATCH = 8192  # rows per forward pass in mae
 GRAD_CHECK_EPS = 1e-5  # central-difference half step of grad_check
 
 CHECKPOINT_FORMAT = "mlp-f64"
+CHECKPOINT_VERSION = 1
+_CHECKPOINT_FIELDS = {"format": str, "version": int, "sizes": tuple[int, ...], "meta": dict}
 
 
 class Mlp:
@@ -55,9 +58,6 @@ class Mlp:
         """Per-layer weight and bias views of a vector laid out like `params`."""
         return ([flat[a:b].reshape(fi, fo) for a, b, _, fi, fo in self._blocks],
                 [flat[b:c] for _, b, c, _, _ in self._blocks])
-
-    def n_params(self) -> int:
-        return self.params.size
 
     def forward(self, x: np.ndarray) -> list[np.ndarray]:
         """All layer activations, input first, linear output last."""
@@ -269,11 +269,11 @@ def save_history(path: str, history) -> None:
 
 
 def save_checkpoint(path: str, mlp: Mlp, meta: dict | None = None) -> None:
-    """One JSON line (format, sizes, meta), then `mlp.params` as raw little
-    endian float64: per layer the weight block followed by the bias block."""
+    """One JSON line (format, version, sizes, meta), then `mlp.params` as raw
+    little endian float64: per layer the weight block followed by the bias block."""
     header = {
         "format": CHECKPOINT_FORMAT,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "sizes": list(mlp.sizes),
         "meta": meta or {},
     }
@@ -295,11 +295,15 @@ def load_checkpoint(path: str) -> tuple[Mlp, dict]:
         raise ValueError(f"{path}: not a checkpoint file")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unknown checkpoint format {header.get('format')!r}")
-    sizes = header.get("sizes")
-    if not (isinstance(sizes, list) and len(sizes) >= 2
-            and all(type(s) is int and s > 0 for s in sizes)):
-        raise ValueError(f"{path}: checkpoint sizes must be a list of at least two "
-                         f"positive ints, got {sizes!r}")
+    try:
+        header = read_object(_CHECKPOINT_FIELDS, header, "checkpoint header field")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {header['version']} is not {CHECKPOINT_VERSION}")
+    sizes = header["sizes"]
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"{path}: checkpoint sizes must be two or more positive ints: {sizes}")
     need = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
     if len(body) < need:
         raise ValueError(f"{path}: checkpoint truncated")
@@ -308,7 +312,7 @@ def load_checkpoint(path: str) -> tuple[Mlp, dict]:
     params = np.frombuffer(body, "<f8").astype(np.float64)
     if not np.isfinite(params).all():
         raise ValueError(f"{path}: non-finite weights in checkpoint")
-    return Mlp(sizes, params), header.get("meta", {})
+    return Mlp(sizes, params), header["meta"]
 
 
 # ---------------------------------------------------------------------------

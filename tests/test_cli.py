@@ -301,7 +301,8 @@ def test_design_non_finite_target_is_one_error_line(tmp_path, capsys, field, k, 
                        "--population", "8", "--generations", "1", "--out", str(out))
     assert code == 1
     assert _one_error_line(err)
-    assert f"bad target file {target}: target {field} must be finite" in err
+    assert (f"bad target file {target}: target {field}[{k}] expects float, "
+            f"got {json.dumps(value)}") in err
     assert not out.exists()
 
 
@@ -326,6 +327,82 @@ def test_validate_bad_design_fields_are_one_error_line(tmp_path, capsys, field, 
     assert _one_error_line(err)
     assert f"bad design file {design}: {field}" in err
     assert not (tmp_path / "validation.csv").exists()
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda t: t | {"re": [str(v) for v in t["re"]], "weight": [w > 0 for w in t["weight"]]},
+     "target re[0] expects float, got \"0.0\""),
+    (lambda t: t | {"weight": [w > 0 for w in t["weight"]]}, "target weight[0] expects float"),
+    (lambda t: t | {"re": [[v] for v in t["re"]]}, "target re[0] expects float, got [0.0]"),
+    (lambda t: t | {"weight": [1e308 * w for w in t["weight"]]},
+     "target weight sum must be finite"),
+], ids=["strings-and-bools", "bool-weights", "nested-re", "weight-sum-overflows"])
+@pytest.mark.parametrize("command", ["design", "validate"])
+def test_mistyped_target_is_one_error_line_and_writes_nothing(tmp_path, capsys, command,
+                                                              edit, where):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--band", "5.3e9:6.3e9", "--out", str(target))
+    target.write_text(json.dumps(edit(json.loads(target.read_text()))))
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps(_design_doc()))
+    before = sorted(tmp_path.iterdir())
+    argv = {"design": ["design", "--evaluator", "oracle", "--population", "8",
+                       "--generations", "1"],
+            "validate": ["validate", "--design", str(design)]}[command]
+    code, _, err = run(capsys, *argv, "--target", str(target), "--outdir", str(tmp_path))
+    assert code == 1
+    assert _one_error_line(err) and f"bad target file {target}: {where}" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("predicted_re", [str(v) for v in [0.0] * 61], "predicted_re[0] expects float"),
+    ("history_best", [True, False], "history_best[0] expects float, got true"),
+    ("history_median", [float("nan")], "history_median[0] expects float, got NaN"),
+    ("predicted_im", None, "predicted_im is missing"),
+])
+def test_validate_refuses_mistyped_design_values(tmp_path, capsys, field, value, where):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    doc = _design_doc() | {field: value}
+    if value is None:
+        del doc[field]
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps(doc))
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "validate", "--design", str(design), "--target", str(target),
+                         "--outdir", str(tmp_path))
+    assert code == 1 and "final fitness" not in out
+    assert _one_error_line(err) and f"bad design file {design}: {where}" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_array_design_reads_only_the_genome(tmp_path, capsys):
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps({"genome": "00003FC000E00000", "predicted_re": "unread"}))
+    code, _, _ = run(capsys, "array", "--design", str(design), "--outdir", str(tmp_path / "o"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("edit, where", [
+    ({"version": 99}, "checkpoint version 99 is not 1"),
+    ({"meta": [1, 2]}, "checkpoint header field meta expects dict, got [1, 2]"),
+    ({"version": 99, "meta": [1, 2]}, "checkpoint header field meta"),
+    ({"version": "1"}, "checkpoint header field version expects int"),
+])
+def test_design_refuses_checkpoint_of_another_version(tmp_path, capsys, edit, where):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, init_mlp(1, (4,)))
+    header, body = ckpt.read_bytes().split(b"\n", 1)
+    ckpt.write_bytes(json.dumps(json.loads(header) | edit).encode() + b"\n" + body)
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run(capsys, "design", "--target", str(target), "--ckpt", str(ckpt),
+                       "--population", "8", "--generations", "1", "--outdir", str(tmp_path))
+    assert code == 1
+    assert _one_error_line(err) and f"{ckpt}: {where}" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_array_sweep_without_design_writes_nothing(tmp_path, capsys):

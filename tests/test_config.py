@@ -10,9 +10,12 @@ from metapix.config import (
     TrainSettings,
     config_from_dict,
     config_to_dict,
-    dump_default_config,
     load_config,
 )
+
+
+def dump_default_config() -> str:
+    return json.dumps(config_to_dict(RunConfig()), indent=2) + "\n"
 
 
 def test_default_round_trip():

@@ -152,8 +152,10 @@ def test_load_rejects_header_field_of_wrong_type(tmp_path, fields):
     ds.save(path, ds.generate(16, seed=2), seed=2)
     _edit_header(path, **fields)
     (name, value), = fields.items()
-    want = re.escape(f"{path}: dataset header field {name} is {value!r}")
-    with pytest.raises(ValueError, match=f"^{want}"):
+    kind = ds.DatasetHeader.__annotations__[name]
+    want = re.escape(f"{path}: dataset header field {name} expects {kind}, "
+                     f"got {json.dumps(value)}")
+    with pytest.raises(ValueError, match=f"^{want}$"):
         ds.load(path)
 
 

@@ -2,14 +2,47 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from metapix.rng import (
-    CounterRng,
-    Xoshiro256StarStar,
-    bits_to_u64,
-    splitmix64_word,
-    stream_u64,
-    u64_to_bits,
-)
+from metapix.rng import _SM_GAMMA, CounterRng, _mix64, bits_to_u64, stream_u64, u64_to_bits
+
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment, written out for an independent reference
+
+
+class Xoshiro256StarStar:
+    """Reference scalar xoshiro256** in exact-integer arithmetic, seeded from
+    splitmix64 words first_word..first_word+3 of `seed`; the vectorized
+    counter path must equal the first next_u64() of an instance seeded so."""
+
+    def __init__(self, seed: int, first_word: int = 0):
+        self.s = []
+        for k in range(first_word, first_word + 4):
+            z = (seed + (k + 1) * _GAMMA) & _M64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+            self.s.append(z ^ (z >> 31))
+
+    def next_u64(self) -> int:
+        s = self.s
+        x = (s[1] * 5) & _M64
+        result = (((x << 7) | (x >> 57)) & _M64) * 9 & _M64
+        t = (s[1] << 17) & _M64
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = ((s[3] << 45) | (s[3] >> 19)) & _M64
+        return result
+
+
+def splitmix64_word(seed: int, k: np.ndarray) -> np.ndarray:
+    """k-th output of the splitmix64 stream seeded with `seed`, through the
+    vectorized finalizer that stream_u64 uses."""
+    z = np.array(k, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(_SM_GAMMA)
+    z += np.uint64(seed & _M64)
+    return _mix64(z, np.empty_like(z))
 
 
 def test_stream_matches_scalar_reference():
@@ -44,6 +77,10 @@ def test_splitmix_word_is_positional():
     a = splitmix64_word(7, np.arange(10))
     b = splitmix64_word(7, np.arange(5, 10))
     np.testing.assert_array_equal(a[5:], b)
+    # the vectorized finalizer gives the reference's state words
+    for seed in (7, (1 << 64) - 1):
+        words = splitmix64_word(seed, np.arange(8, 12))
+        assert [int(w) for w in words] == Xoshiro256StarStar(seed, first_word=8).s
 
 
 def test_bits_msb_first():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ def _toy_data(n=24, seed=13):
 def test_default_network_shape():
     mlp = sg.init_mlp(0)
     assert mlp.sizes == (64, 256, 256, 256, 122)
-    assert mlp.n_params() == 179_578
+    assert mlp.params.size == 179_578
+    assert sum((a + 1) * b for a, b in zip(mlp.sizes, mlp.sizes[1:])) == 179_578
 
 
 def test_init_is_seeded():
@@ -228,6 +230,26 @@ def test_checkpoint_rejects_damage(tmp_path):
             fh.write(header + b"\n" + params.tobytes())
         with pytest.raises(ValueError, match="non-finite"):
             sg.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"version": 99}, "checkpoint version 99 is not 1"),
+    ({"version": 99, "meta": [1, 2]}, "checkpoint header field meta expects dict, got [1, 2]"),
+    ({"version": True}, "checkpoint header field version expects int, got true"),
+    ({"meta": None}, "checkpoint header field meta is missing"),
+    ({"extra": 1}, "unknown checkpoint header field extra"),
+])
+def test_checkpoint_refuses_other_versions_and_malformed_meta(tmp_path, edit, message):
+    path = str(tmp_path / "net.ckpt")
+    sg.save_checkpoint(path, sg.init_mlp(11, hidden=(8,), n_in=4, n_out=2))
+    header, body = open(path, "rb").read().split(b"\n", 1)
+    doc = json.loads(header) | edit
+    if edit.get("meta", {}) is None:
+        del doc["meta"]
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(doc).encode() + b"\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        sg.load_checkpoint(path)
 
 
 def test_history_csv(tmp_path):
