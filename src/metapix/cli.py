@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, arraysim, dataset, inverse, oracle, pattern, surrogate
 from .config import RunConfig, config_to_dict, load_config
 from .inverse import NoSolutionError, TargetSpec
-from .jsontypes import read_object
+from .jsontypes import loads, read_object
 from .netcalc import NoContrastError, SingularityError
 from .pattern import expand_genome, pack_genome, render_pbm, unpack_genome
 
@@ -267,7 +267,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def _load_target(path: Path) -> TargetSpec:
     _require(path, "target artifact (run `target --out` first)")
     try:
-        spec = TargetSpec.from_json(json.loads(path.read_text()))
+        spec = TargetSpec.from_json(loads(path.read_text()))
         grid = oracle.freq_grid()
         if len(spec.freqs) != len(grid) or not np.all(np.abs(spec.freqs - grid) <= 1.0):
             raise ValueError(f"freqs are not the {len(grid)}-point evaluation grid")
@@ -324,7 +324,7 @@ def _load_design(path: Path, hints: dict) -> tuple[dict, np.ndarray]:
     """The fields in `hints`, type-checked, and the genome; other keys are ignored."""
     _require(path, "design artifact (run `design` first)")
     try:
-        doc = json.loads(path.read_text())
+        doc = loads(path.read_text())
         doc = {k: v for k, v in doc.items() if k in hints} if type(doc) is dict else doc
         fields = read_object(hints, doc, "")
         return fields, unpack_genome(fields["genome"])

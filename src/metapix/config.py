@@ -10,13 +10,12 @@ importable from here), GAConfig in inverse, ArrayConfig in arraysim.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .arraysim import ArrayConfig
 from .inverse import GAConfig
-from .jsontypes import read
+from .jsontypes import loads, read
 from .netcalc import PIN_SWITCH, SwitchModel
 from .oracle import OracleConstants
 from .pattern import GeometryMeta
@@ -59,7 +58,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
+        data = loads(p.read_text())
     except ValueError as exc:  # bad UTF-8 as well as bad JSON
         raise ValueError(f"config file {p} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsontypes import read
+from .jsontypes import loads, read
 from .oracle import (
     FREQ_START,
     FREQ_STEP,
     N_FREQ,
+    ROW_BLOCK,
     GeometryMeta,
     OracleConstants,
     fingerprint,
@@ -51,10 +52,14 @@ class DatasetHeader:
     n_freq: int
 
 
-def interleave(s22: np.ndarray) -> np.ndarray:
-    """(n, 61) complex -> (n, 122) float64, Re/Im alternating per frequency."""
+def interleave(s22: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(n, 61) complex -> (n, 122) float64, Re/Im alternating per frequency.
+
+    Written into `out` when given, such as the "resp" field of records.
+    """
     s22 = np.asarray(s22)
-    out = np.empty((s22.shape[0], 2 * s22.shape[1]))
+    if out is None:
+        out = np.empty((s22.shape[0], 2 * s22.shape[1]))
     out[:, 0::2] = s22.real
     out[:, 1::2] = s22.imag
     return out
@@ -72,7 +77,7 @@ def _make_chunk(seed: int, start: int, count: int,
     s22 = response_batch(expand_genome(u64_to_bits(words)), consts, geom)
     out = np.empty(count, dtype=RECORD_DTYPE)
     out["genome"] = words
-    out["resp"] = interleave(s22)
+    interleave(s22, out["resp"])
     return out
 
 
@@ -131,7 +136,7 @@ def save(path: str, records: np.ndarray, seed: int,
 def _parse_header(line: bytes, consts: OracleConstants, geom: GeometryMeta,
                   check_fingerprint: bool) -> DatasetHeader:
     try:
-        doc = json.loads(line.decode())
+        doc = loads(line.decode())
     except ValueError as exc:
         raise ValueError(f"not a dataset file ({exc})") from exc
     header = read(DatasetHeader, doc, "dataset header field")
@@ -167,7 +172,8 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
 
     The header (field types included) and the body size are checked before
     anything is allocated; the body is then read straight into the returned
-    records, so they are held once.
+    records, so they are held once.  A record whose response is not finite is
+    refused; the check runs over ROW_BLOCK records at a time.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -178,6 +184,12 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
         _check_body(path, header.n, os.fstat(fh.fileno()).st_size - len(line))
         records = np.empty(header.n, dtype=RECORD_DTYPE)
         _check_body(path, header.n, fh.readinto(records.view(np.uint8)))
+    resp = records["resp"]
+    for i in range(0, len(resp), ROW_BLOCK):
+        finite = np.isfinite(resp[i:i + ROW_BLOCK]).all(axis=1)
+        if not finite.all():
+            bad = i + int(np.argmin(finite))
+            raise ValueError(f"{path}: record {bad} holds a non-finite response")
     return header, records
 
 
@@ -189,9 +201,6 @@ def split(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return records[:k], records[k:]
 
 
-_BLOCK = 4096  # rows per summarize block
-
-
 def _column_sums(resp: np.ndarray, rows_into) -> np.ndarray:
     """Axis-0 sums of the rows that rows_into(out, block) writes per block.
 
@@ -199,10 +208,10 @@ def _column_sums(resp: np.ndarray, rows_into) -> np.ndarray:
     column adds its rows one after another, bit-equal to numpy's axis-0 sum
     over the whole stack; one block-sized buffer is reused throughout.
     """
-    buf = np.empty((_BLOCK + 1, resp.shape[1]))
+    buf = np.empty((ROW_BLOCK + 1, resp.shape[1]))
     acc = np.zeros(resp.shape[1])  # numpy's add.reduce starts from 0.0 too
-    for i in range(0, len(resp), _BLOCK):
-        block = resp[i:i + _BLOCK]
+    for i in range(0, len(resp), ROW_BLOCK):
+        block = resp[i:i + ROW_BLOCK]
         rows = buf[:len(block) + 1]
         rows[0] = acc
         rows_into(rows[1:], block)
@@ -213,9 +222,9 @@ def _column_sums(resp: np.ndarray, rows_into) -> np.ndarray:
 def summarize(records: np.ndarray) -> dict:
     """Sanity statistics: per-frequency response moments, fill, magnitudes.
 
-    Works on fixed blocks of rows, so beyond the records it holds one block of
-    temporaries plus one float per record; the figures are bit-equal to numpy's
-    whole-array mean, std, abs and histogram.
+    Works on blocks of ROW_BLOCK rows, so beyond the records it holds one
+    block of temporaries plus one float per record; the figures are bit-equal
+    to numpy's whole-array mean, std, abs and histogram.
     """
     n = len(records)
     if n == 0:
@@ -223,11 +232,12 @@ def summarize(records: np.ndarray) -> dict:
     resp = records["resp"]
     fill = np.empty(n)
     mag_min, mag_max = np.inf, -np.inf
-    for i in range(0, n, _BLOCK):
-        mags = np.abs(deinterleave(resp[i:i + _BLOCK]))
+    for i in range(0, n, ROW_BLOCK):
+        mags = np.abs(deinterleave(resp[i:i + ROW_BLOCK]))
         mag_min, mag_max = min(mag_min, mags.min()), max(mag_max, mags.max())
-        words = np.asarray(records["genome"][i:i + _BLOCK], dtype=np.uint64)
-        fill[i:i + _BLOCK] = u64_to_bits(words).mean(axis=1)  # the quadrant's fill is the grid's
+        words = np.asarray(records["genome"][i:i + ROW_BLOCK], dtype=np.uint64)
+        # the quadrant's fill is the grid's
+        fill[i:i + ROW_BLOCK] = u64_to_bits(words).mean(axis=1)
     # np.std takes the mean as np.mean does, then sums the squared deviations
     mean = _column_sums(resp, np.copyto) / n
     std = np.sqrt(_column_sums(

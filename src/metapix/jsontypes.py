@@ -16,6 +16,14 @@ def _where(label: str, path: str) -> str:
     return " ".join(filter(None, (label, path))) or "document"
 
 
+def loads(text: str):
+    """json.loads; a document nested past the recursion limit is a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
 def read(hint, value, label: str, path: str = "", defaults=None):
     """`value` as type `hint`: a dataclass, tuple, union or plain type.  A
     dataclass takes an object; `defaults`, an instance, fills missing keys."""

@@ -44,6 +44,12 @@ FEATURE_NAMES = ("rho", "v_conn", "e_h", "e_v", "rho_center", "q_cb")
 # Entries nearer a branch series resonance than this are re-evaluated 1 Hz up.
 _POLE_EPS = 1e-15
 
+# Rows per block for the per-row arrays of the oracle and dataset paths.  The
+# s22 kernel's temporaries for one block (about twenty 512 x 61 complex arrays
+# of 0.5 MB) are reused from the heap block after block; whole-chunk ones were
+# handed back to the OS and page-faulted in again on every call.
+ROW_BLOCK = 512
+
 
 def freq_grid() -> np.ndarray:
     """The fixed 61-point evaluation grid, 2.8 to 8.8 GHz inclusive."""
@@ -202,11 +208,19 @@ def response_batch(grids, consts: OracleConstants = OracleConstants(),
     """(n, 16, 16) or (16, 16) mirrored grids -> (n, m) complex s22.
 
     The m frequencies (Hz) default to the 61-point grid of freq_grid().  The
-    kernel is elementwise per row, so every output row has the same bits as a
-    one-grid call; callers that meet repeated genomes deduplicate them first
-    (the oracle GA scores each feature_codes value once).
+    output is allocated once and the kernel fills it ROW_BLOCK rows at a time,
+    so its temporaries stay a block's size whatever n is.  The kernel is
+    elementwise per row, so every output row has the same bits as a one-grid
+    call; callers that meet repeated genomes deduplicate them first (the
+    oracle GA scores each feature_codes value once).
     """
     f = freq_grid() if freqs is None else np.atleast_1d(np.asarray(freqs, dtype=float))
+    if f.ndim != 1:
+        raise ValueError(f"expected a 1-D array of frequencies, got shape {f.shape}")
     if np.any(f <= 0):
         raise ValueError("frequencies must be positive")
-    return _s22_kernel(features_batch(grids), f, consts, geom)
+    feats = features_batch(grids)
+    out = np.empty((len(feats), len(f)), dtype=complex)
+    for i in range(0, len(feats), ROW_BLOCK):
+        out[i:i + ROW_BLOCK] = _s22_kernel(feats[i:i + ROW_BLOCK], f, consts, geom)
+    return out

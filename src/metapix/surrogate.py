@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import RESP_WIDTH
-from .jsontypes import read_object
+from .jsontypes import loads, read_object
 from .oracle import N_FREQ
 from .rng import CounterRng, u64_to_bits
 
@@ -288,7 +288,7 @@ def load_checkpoint(path: str) -> tuple[Mlp, dict]:
         line = fh.readline()
         body = fh.read()
     try:
-        header = json.loads(line.decode())
+        header = loads(line.decode())
     except ValueError as exc:
         raise ValueError(f"{path}: not a checkpoint file") from exc
     if not isinstance(header, dict):

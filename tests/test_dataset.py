@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from metapix import dataset as ds
-from metapix.oracle import OracleConstants, features_batch, freq_grid, response_batch
-from metapix.pattern import expand_genome
+from metapix.oracle import (
+    ROW_BLOCK,
+    OracleConstants,
+    features_batch,
+    freq_grid,
+    response_batch,
+)
+from metapix.pattern import GeometryMeta, expand_genome
 from metapix.rng import stream_u64, u64_to_bits
 
 
@@ -27,6 +33,18 @@ def test_records_hold_the_oracle_response():
     np.testing.assert_array_equal(recs["genome"], words)
     expect = response_batch(expand_genome(u64_to_bits(words)))
     np.testing.assert_array_equal(ds.deinterleave(recs["resp"]), expect)
+
+
+def test_chunk_records_are_the_interleaved_oracle_response():
+    """A chunk of more than two blocks, written straight into its records,
+    equals the records built from interleave(response_batch(...)), byte for byte."""
+    count = 2 * ROW_BLOCK + 37
+    got = ds._make_chunk(5, 100, count, OracleConstants(), GeometryMeta())
+    words = stream_u64(5, 100, count)
+    expect = np.empty(count, dtype=ds.RECORD_DTYPE)
+    expect["genome"] = words
+    expect["resp"] = ds.interleave(response_batch(expand_genome(u64_to_bits(words))))
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_generation_is_chunk_and_worker_invariant():
@@ -159,6 +177,20 @@ def test_load_rejects_header_field_of_wrong_type(tmp_path, fields):
         ds.load(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [[0], [ROW_BLOCK - 1, ROW_BLOCK + 2], [ROW_BLOCK + 2]])
+def test_load_refuses_non_finite_responses(tmp_path, value, bad):
+    """The first bad record is named, also when it lies past the first block."""
+    path = str(tmp_path / "set.bin")
+    recs = ds.generate(ROW_BLOCK + 3, seed=2)
+    for i in bad:
+        recs["resp"][i, 7] = value
+    ds.save(path, recs, seed=2)
+    want = re.escape(f"{path}: record {bad[0]} holds a non-finite response")
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        ds.load(path)
+
+
 def test_load_accepts_integer_frequencies(tmp_path):
     """A JSON writer may print a whole-number float without its point."""
     path = str(tmp_path / "set.bin")
@@ -250,12 +282,12 @@ def summary_records():
 
 
 @pytest.mark.parametrize("block", [None, 1, 7])
-@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 10000])
+@pytest.mark.parametrize("n", [1, 2, 512, 513, 4095, 4096, 4097, 10000])
 @pytest.mark.parametrize("source", ["oracle", "wide"])
 def test_summarize_is_bit_equal_to_whole_array_formulas(monkeypatch, summary_records,
                                                         source, n, block):
     if block is not None:
-        monkeypatch.setattr(ds, "_BLOCK", block)
+        monkeypatch.setattr(ds, "ROW_BLOCK", block)
     recs = summary_records[source][:n]
     assert json.dumps(ds.summarize(recs)) == json.dumps(_reference_summary(recs))
 

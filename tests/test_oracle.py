@@ -192,6 +192,18 @@ def test_batch_is_chunk_invariant():
     np.testing.assert_array_equal(whole.view(np.float64), parts.view(np.float64))
 
 
+def test_blocks_equal_one_row_calls():
+    """A batch of more than two ROW_BLOCKs, the last one partial, equals
+    one-grid calls byte for byte."""
+    n = 2 * oc.ROW_BLOCK + 37
+    assert n > oc.ROW_BLOCK
+    grids = _grids(4321, n)
+    whole = oc.response_batch(grids)
+    assert whole.shape == (n, oc.N_FREQ)
+    for k, grid in enumerate(grids):
+        assert whole[k].tobytes() == oc.response_batch(grid)[0].tobytes()
+
+
 def test_response_is_strictly_passive():
     """1/eta shunt conductance keeps |s22| strictly below 1 for every grid."""
     grids = _grids(1234, 1000)
@@ -224,6 +236,11 @@ def test_constants_validation_and_fingerprint():
 def test_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
         oc.response_batch(np.zeros((16, 16), bool), freqs=[0.0])
+
+
+def test_rejects_frequencies_that_are_not_1d():
+    with pytest.raises(ValueError, match="1-D"):
+        oc.response_batch(np.zeros((16, 16), bool), freqs=[[oc.FREQ_START]])
 
 
 def test_pole_nudge_is_deterministic():

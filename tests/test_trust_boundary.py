@@ -1,9 +1,10 @@
 """Fuzzing at the trust boundary.
 
-Damaged dataset and checkpoint files, and target, design and config JSON
-with a value of the wrong type, a NaN, a bool, a string, a nested list, a
-missing or extra key or a wrong length, each end in exit status 1, exactly
-one `error:` line and no new file.
+Damaged dataset and checkpoint files (a non-finite response or weight
+among them), target, design and config JSON with a value of the wrong type,
+a NaN, a bool, a string, a nested list, a missing or extra key or a wrong
+length, and JSON of any kind nested past the recursion limit, each end in
+exit status 1, exactly one `error:` line and no new file.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from metapix.cli import main
 from metapix.config import RunConfig, config_to_dict
+from metapix.dataset import RECORD_DTYPE, RESP_WIDTH
 from metapix.surrogate import init_mlp, save_checkpoint
 
 FUZZ = settings(max_examples=40, deadline=None)
@@ -60,6 +62,11 @@ def fails_cleanly(work: Path, *argv) -> None:
     assert sorted(work.rglob("*")) == before
 
 
+def non_finite(blob: bytes, end: int) -> bytes:
+    """Every exponent bit of the little-endian float64 ending at `end` set: an inf or a NaN."""
+    return blob[:end - 2] + bytes([blob[end - 2] | 0xF0, blob[end - 1] | 0x7F]) + blob[end:]
+
+
 def damaged(blob: bytes, draw, extra_damage=None) -> bytes:
     """`blob` cut short, or with the top bit of one byte of its header line
     flipped (so the header is no longer UTF-8), or hit by `extra_damage`."""
@@ -76,9 +83,18 @@ def damaged(blob: bytes, draw, extra_damage=None) -> bytes:
 @given(data=st.data())
 def test_damaged_dataset_is_refused(inputs, data):
     files, fresh = inputs
+    blob = files["dataset.bin"].read_bytes()
+    body = blob.index(b"\n") + 1
+
+    def non_finite_response(b: bytes) -> bytes:
+        # record layout: an 8-byte genome word, then the 122 response floats
+        record = data.draw(st.integers(0, (len(b) - body) // RECORD_DTYPE.itemsize - 1))
+        value = data.draw(st.integers(1, RESP_WIDTH))
+        return non_finite(b, body + record * RECORD_DTYPE.itemsize + 8 + 8 * value)
+
     work = fresh()
     bad = work / "dataset.bin"
-    bad.write_bytes(damaged(files["dataset.bin"].read_bytes(), data.draw))
+    bad.write_bytes(damaged(blob, data.draw, non_finite_response))
     fails_cleanly(work, "stats", "--data", bad, "--out", work / "stats.json")
 
 
@@ -90,9 +106,7 @@ def test_damaged_checkpoint_is_refused(inputs, data):
     body = blob.index(b"\n") + 1
 
     def non_finite_weight(b: bytes) -> bytes:
-        # every exponent bit of one little-endian float64 set: an inf or a NaN
-        end = body + 8 * data.draw(st.integers(1, (len(b) - body) // 8))
-        return b[:end - 2] + bytes([b[end - 2] | 0xF0, b[end - 1] | 0x7F]) + b[end:]
+        return non_finite(b, body + 8 * data.draw(st.integers(1, (len(b) - body) // 8)))
 
     work = fresh()
     bad = work / "net.ckpt"
@@ -228,3 +242,25 @@ def test_mistyped_config_is_refused(inputs, data):
     bad.write_text(json.dumps(doc))
     fails_cleanly(work, "target", "--freq", "5.8e9", "--config", bad,
                   "--out", work / "target.json")
+
+
+@pytest.mark.parametrize("kind", ["config", "target", "design", "dataset", "checkpoint"])
+def test_json_nested_past_the_recursion_limit_is_refused(inputs, kind):
+    files, fresh = inputs
+    work = fresh()
+    deep = "[" * 100000
+    bad = work / kind
+    if kind in ("dataset", "checkpoint"):  # a header line that nests too deep
+        blob = files["dataset.bin" if kind == "dataset" else "net.ckpt"].read_bytes()
+        bad.write_bytes(deep.encode() + blob[blob.index(b"\n"):])
+    else:
+        bad.write_text(deep)
+    target = files["target.json"]
+    argv = {
+        "config": ["target", "--freq", "5.8e9", "--config", bad, "--out", work / "t.json"],
+        "target": ["design", "--evaluator", "oracle", "--target", bad, "--outdir", work / "out"],
+        "design": ["validate", "--design", bad, "--target", target, "--outdir", work / "out"],
+        "dataset": ["stats", "--data", bad, "--out", work / "stats.json"],
+        "checkpoint": ["design", "--target", target, "--ckpt", bad, "--outdir", work / "out"],
+    }[kind]
+    fails_cleanly(work, *argv)
