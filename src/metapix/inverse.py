@@ -22,9 +22,9 @@ from .oracle import (
     FREQ_STEP,
     GeometryMeta,
     OracleConstants,
-    feature_codes,
     freq_grid,
     response_batch,
+    word_codes,
 )
 from .pattern import expand_genome, pack_genome
 from .rng import CounterRng, bits_to_u64, u64_to_bits
@@ -163,16 +163,17 @@ def fitness_of(s22: np.ndarray, target: TargetSpec) -> np.ndarray:
 def _cached_scorer(key_of, score):
     """Scorer from (k, 64) genome bits to (k,) fitness that scores each key once.
 
-    key_of maps bits to the (k,) integer keys fitness depends on alone, and
-    score(rows, keys) scores one row per new key.  The scorer keeps a sorted
-    array of the keys seen, in their own dtype, and their float64 fitness.
+    The scorer packs the bits to genome words once; key_of maps the words to
+    the (k,) integer keys fitness depends on alone, and score(words, keys)
+    scores one word per new key.  The scorer keeps a sorted array of the keys
+    seen, in their own dtype, and their float64 fitness.
     """
     keys = values = None
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
         nonlocal keys, values
-        bits = np.asarray(bits, dtype=np.uint8)
-        batch, first, inverse = np.unique(key_of(bits), return_index=True, return_inverse=True)
+        words = bits_to_u64(bits)
+        batch, first, inverse = np.unique(key_of(words), return_index=True, return_inverse=True)
         if keys is None:
             keys, values = batch[:0], np.empty(0)
         pos = np.searchsorted(keys, batch)
@@ -184,7 +185,7 @@ def _cached_scorer(key_of, score):
         fit[seen] = values[pos[seen]]
         miss = ~seen
         if miss.any():
-            fit[miss] = score(bits[first[miss]], batch[miss])
+            fit[miss] = score(words[first[miss]], batch[miss])
             keys = np.insert(keys, pos[miss], batch[miss])
             values = np.insert(values, pos[miss], fit[miss])
         return fit[inverse]
@@ -201,10 +202,11 @@ def oracle_evaluator(target: TargetSpec, consts: OracleConstants = OracleConstan
     fitness_of are exact row by row, so every value has the bits of a
     one-genome fitness_of(response_batch(...)) call.
     """
-    def score(rows, codes):
-        return fitness_of(response_batch(expand_genome(rows), consts, geom), target)
+    def score(words, codes):
+        grids = expand_genome(u64_to_bits(words))
+        return fitness_of(response_batch(grids, consts, geom), target)
 
-    return _cached_scorer(feature_codes, score)
+    return _cached_scorer(word_codes, score)
 
 
 def surrogate_evaluator(mlp, target: TargetSpec):
@@ -217,10 +219,10 @@ def surrogate_evaluator(mlp, target: TargetSpec):
     """
     from .surrogate import predict_s22
 
-    def score(rows, words):
+    def score(words, keys):
         return fitness_of(predict_s22(mlp, words), target)
 
-    return _cached_scorer(bits_to_u64, score)
+    return _cached_scorer(lambda words: words, score)
 
 
 # ---------------------------------------------------------------------------
@@ -261,48 +263,58 @@ class GaResult:
 def ga_run(cfg: GAConfig, evaluator, seed_genomes=None) -> GaResult:
     """Tournament GA with elitism over 64-bit genomes, exactly reproducible.
 
+    The population is an (n,) array of uint64 genome words.  Crossover takes
+    each bit from the first parent where a packed mask of Bernoulli draws is
+    set, mutation XORs a second packed mask; both masks hold the same draws,
+    bit for bit, as comparing CounterRng.random with the probabilities.
     evaluator maps (k, 64) genome bits to (k,) fitness, as the scorers from
     oracle_evaluator and surrogate_evaluator do; it is called once on the
-    initial population and once per generation.  history_* hold one entry
-    for the initial population and one per generation; elitism makes
-    history_best nondecreasing.
+    initial population and once per generation.  seed_genomes, (k, 64) bits
+    of 0 and 1 with k <= population, replace the first k random genomes.
+    history_* hold one entry for the initial population and one per
+    generation; elitism makes history_best nondecreasing.
     """
     rng = CounterRng(cfg.seed)
-    pop = u64_to_bits(rng.u64(cfg.population))
+    pop = rng.u64(cfg.population)
     if seed_genomes is not None:
-        planted = np.atleast_2d(np.asarray(seed_genomes, dtype=np.uint8))
-        if planted.shape[0] > cfg.population or planted.shape[1] != 64:
+        planted = np.atleast_2d(np.asarray(seed_genomes))
+        if planted.ndim != 2 or planted.shape[0] > cfg.population or planted.shape[1] != 64:
             raise ValueError("seed genomes must be (k <= population, 64) bits")
-        pop[: planted.shape[0]] = planted
+        if not np.isin(planted, (0, 1)).all():
+            raise ValueError("seed genomes must hold only the bits 0 and 1")
+        pop[: len(planted)] = bits_to_u64(planted)
 
-    fit = evaluator(pop)
+    fit = evaluator(u64_to_bits(pop))
     hist_best = [float(fit.max())]
     hist_median = [float(np.median(fit))]
 
     n_children = cfg.population - cfg.elitism
+
+    def mask(p: float) -> np.ndarray:
+        return bits_to_u64(rng.below(n_children * 64, p).reshape(n_children, 64))
+
     for _ in range(cfg.generations):
         order = np.argsort(-fit, kind="stable")
-        elites = pop[order[: cfg.elitism]].copy()
+        elites = pop[order[: cfg.elitism]]
 
         draws = rng.integers(n_children * 2 * cfg.tournament, cfg.population)
         contest = draws.reshape(n_children, 2, cfg.tournament)
         winners = contest[
             np.arange(n_children)[:, None], [0, 1], np.argmax(fit[contest], axis=2)
         ]
-        take_a = rng.random(n_children * 64).reshape(n_children, 64) < cfg.crossover_p
-        children = np.where(take_a, pop[winners[:, 0]], pop[winners[:, 1]])
-        flips = rng.random(n_children * 64).reshape(n_children, 64) < cfg.mutation_p
-        children = children ^ flips.astype(np.uint8)
+        take_a = mask(cfg.crossover_p)
+        children = (pop[winners[:, 0]] & take_a) | (pop[winners[:, 1]] & ~take_a)
+        children ^= mask(cfg.mutation_p)
 
         pop = np.concatenate([elites, children])
-        fit = evaluator(pop)
+        fit = evaluator(u64_to_bits(pop))
         hist_best.append(float(fit.max()))
         hist_median.append(float(np.median(fit)))
 
     k = int(np.argmax(fit))
     return GaResult(
-        best_word=int(bits_to_u64(pop[k : k + 1])[0]),
-        best_bits=pop[k].copy(),
+        best_word=int(pop[k]),
+        best_bits=u64_to_bits(pop[k : k + 1])[0],
         best_fitness=float(fit[k]),
         history_best=np.array(hist_best),
         history_median=np.array(hist_median),

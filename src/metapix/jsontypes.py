@@ -1,15 +1,41 @@
 """The one type rule for every JSON document the pipeline reads: an int is
 accepted where a float is due; bools, strings, NaN, infinities and ints beyond
-the float range are not.  Errors read "<label> <path> expects <type>, got <json>".
+the float range are not.  Errors read "<label> <path> expects <type>, got <json>",
+the refused value's JSON cut after SHOWN_CHARS characters.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import sys
 import typing
+
+
+# Characters of a refused value that an error message shows before "...".
+SHOWN_CHARS = 60
+
+
+def _clip(value, room: int):
+    """value with strings cut to room + 1 characters, lists and objects to
+    room items and nesting to room levels.  The JSON text of the copy agrees
+    with that of value on its first room characters and is longer than room
+    exactly when that of value is, however large or deep value is."""
+    if type(value) is str:
+        return value[:room + 1]
+    if type(value) is list:
+        return [_clip(v, room - 1) for v in value[:max(room, 0)]]
+    if type(value) is dict:
+        items = itertools.islice(value.items(), max(room, 0))
+        return {k[:room + 1]: _clip(v, room - 1) for k, v in items}
+    return value
+
+
+def _shown(value) -> str:
+    text = json.dumps(_clip(value, SHOWN_CHARS))
+    return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
 
 
 def _where(label: str, path: str) -> str:
@@ -47,7 +73,7 @@ def read(hint, value, label: str, path: str = "", defaults=None):
     elif type(value) is hint:
         return value
     name = hint.__name__ if isinstance(hint, type) else hint
-    raise ValueError(f"{_where(label, path)} expects {name}, got {json.dumps(value)}")
+    raise ValueError(f"{_where(label, path)} expects {name}, got {_shown(value)}")
 
 
 def read_object(hints: dict, value, label: str, path: str = "",
@@ -55,7 +81,7 @@ def read_object(hints: dict, value, label: str, path: str = "",
     """An object as a dict of the fields in `hints`.  An unknown key is
     refused; a missing one comes from `defaults`, or is refused without them."""
     if type(value) is not dict:
-        raise ValueError(f"{_where(label, path)} expects an object, got {json.dumps(value)}")
+        raise ValueError(f"{_where(label, path)} expects an object, got {_shown(value)}")
     unknown = next((k for k in value if k not in hints), None)
     if unknown is not None:  # escaped, so that the message stays one line
         unknown = unknown.encode("unicode_escape").decode()

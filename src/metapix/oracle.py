@@ -34,6 +34,7 @@ import numpy as np
 
 from .netcalc import C0, FREE_SPACE_ETA
 from .pattern import GENOME_BITS, GENOME_SIDE, GRID_SIDE, GeometryMeta, is_mirror_symmetric
+from .rng import bits_to_u64
 
 FREQ_START = 2.8e9  # Hz
 FREQ_STEP = 0.1e9  # Hz
@@ -92,18 +93,40 @@ def fingerprint(consts: OracleConstants, geom: GeometryMeta) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _quadrant_counts(q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(k, 8, 8) bool quadrants -> the five (k,) int64 counts of feature_codes."""
-    run = np.zeros((len(q), GENOME_SIDE), dtype=np.int64)
-    best = np.zeros_like(run)
-    for r in range(GENOME_SIDE):
-        run = (run + 1) * q[:, r, :]
-        best = np.maximum(best, run)
-    n = q.sum(axis=(1, 2))
-    s = np.maximum(best, 2 * run).sum(axis=1)
-    h = (q[:, :, 1:] != q[:, :, :-1]).sum(axis=(1, 2))
-    v = (q[:, 1:, :] != q[:, :-1, :]).sum(axis=(1, 2))
-    c = q[:, 4:, 4:].sum(axis=(1, 2))
+# Genome words hold quadrant row r in byte 7 - r and column c in bit 7 - c of
+# that byte (pattern.pack_genome's order), so a right shift by 1 brings a
+# cell's right-hand neighbour onto it and a right shift by 8 the cell below.
+_HAS_RIGHT = 0x7F7F7F7F7F7F7F7F  # cells in columns 0-6
+_HAS_BELOW = 0x00FFFFFFFFFFFFFF  # cells in rows 0-6
+_CORNER = 0x0F0F0F0F  # rows 4-7, columns 4-7
+_ROW_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)[:, None]
+
+
+def _count(x: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(x).astype(np.int64)
+
+
+def _quadrant_counts(w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(k,) uint64 genome words -> the five (k,) int64 counts of feature_codes."""
+    # starts[j]: cells that start a vertical run of j + 1 or more metal cells
+    starts = w << _ROW_SHIFTS
+    for j in range(1, GENOME_SIDE):
+        starts[j] &= starts[j - 1]
+    # longer[j]: the columns holding such a run, as the OR of the eight rows
+    longer = starts | starts >> 32
+    longer |= longer >> 16
+    longer |= longer >> 8
+    longer &= 0xFF
+    # ending[j]: the columns whose run ending at row 7 has j + 1 cells or more
+    ending = (starts >> _ROW_SHIFTS) & 0xFF
+    # max(longest, 2 x ending) of a column is the number of i >= 1 with
+    # longest >= i or ending >= ceil(i / 2); longest is at most 8
+    s = (_count(longer | ending[[0, 0, 1, 1, 2, 2, 3, 3]]).sum(axis=0)
+         + 2 * _count(ending[4:]).sum(axis=0))
+    n = _count(w)
+    h = _count((w ^ w >> 1) & _HAS_RIGHT)
+    v = _count((w ^ w >> 8) & _HAS_BELOW)
+    c = _count(w & _CORNER)
     return n, s, h, v, c
 
 
@@ -124,7 +147,8 @@ def features_batch(grids) -> np.ndarray:
         raise ValueError(f"expected (n, {GRID_SIDE}, {GRID_SIDE}) grids, got {g.shape}")
     if not is_mirror_symmetric(g):
         raise ValueError("grids must have the four-fold mirror symmetry of expand_genome")
-    n, s, h, v, c = _quadrant_counts(g[:, :GENOME_SIDE, :GENOME_SIDE])
+    quadrant = g[:, :GENOME_SIDE, :GENOME_SIDE].reshape(-1, GENOME_BITS)
+    n, s, h, v, c = _quadrant_counts(bits_to_u64(quadrant))
     rho = 4 * n / GRID_SIDE**2
     v_conn = 2 * s / GRID_SIDE / GRID_SIDE
     e_h = 4 * h / (GRID_SIDE * (GRID_SIDE - 1))
@@ -135,8 +159,8 @@ def features_batch(grids) -> np.ndarray:
     return np.stack([rho, v_conn, e_h, e_v, center, q_cb], axis=1)
 
 
-def feature_codes(bits) -> np.ndarray:
-    """(k, 64) quadrant bits -> (k,) int64 codes n | s<<7 | h<<16 | v<<24 | c<<32.
+def word_codes(words) -> np.ndarray:
+    """(k,) uint64 genome words -> (k,) int64 codes n | s<<7 | h<<16 | v<<24 | c<<32.
 
     The five integers are counted on the 8x8 quadrant: n its fill, h and v its
     horizontally and vertically dissimilar neighbor pairs (the mirror seams add
@@ -145,11 +169,16 @@ def feature_codes(bits) -> np.ndarray:
     row 7, which the horizontal seam doubles).  features_batch converts these
     same integers to its six floats, so equal codes give byte-equal rows.
     """
+    n, s, h, v, c = _quadrant_counts(np.asarray(words, dtype=np.uint64))
+    return n | s << 7 | h << 16 | v << 24 | c << 32
+
+
+def feature_codes(bits) -> np.ndarray:
+    """(k, 64) quadrant bits -> the (k,) int64 word_codes of their words."""
     q = np.asarray(bits).astype(bool)
     if q.ndim != 2 or q.shape[1] != GENOME_BITS:
         raise ValueError(f"expected (k, {GENOME_BITS}) genome bits, got {q.shape}")
-    n, s, h, v, c = _quadrant_counts(q.reshape(-1, GENOME_SIDE, GENOME_SIDE))
-    return n | s << 7 | h << 16 | v << 24 | c << 32
+    return word_codes(bits_to_u64(q))
 
 
 # ---------------------------------------------------------------------------

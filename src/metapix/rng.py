@@ -8,6 +8,8 @@ or parallel generation produces bit-identical results to serial generation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -83,6 +85,20 @@ class CounterRng:
         out = words.astype(np.float64)
         out *= 2.0**-53
         return out
+
+    def below(self, n: int, p: float) -> np.ndarray:
+        """random(n) < p, bit for bit, by comparing the words as integers.
+
+        random's value is (word >> 11) * 2**-53, so it is below p exactly when
+        the word is below ceil(p * 2**53) << 11.
+        """
+        words = self.u64(n)
+        if not p > 0:
+            return np.zeros(n, dtype=bool)
+        bound = math.ceil(p * 2.0**53)
+        if bound >= 1 << 53:
+            return np.ones(n, dtype=bool)
+        return words < np.uint64(bound << 11)
 
     def uniform(self, n: int, low: float, high: float) -> np.ndarray:
         return low + (high - low) * self.random(n)

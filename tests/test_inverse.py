@@ -248,6 +248,27 @@ def test_ga_rejects_oversized_seed_population():
                   seed_genomes=np.zeros((5, 64), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("value", [2, 3, 255, -1, 0.5])
+def test_ga_refuses_planted_values_other_than_bits(value):
+    """A planted 2 would survive every mutation (2 ^ 1 == 3 still reads as
+    metal), so any value other than 0 or 1 is refused."""
+    target = iv.build_target(5.8e9, 5.8e9)
+    planted = np.zeros((2, 64), dtype=np.int64 if value != 0.5 else float)
+    planted[1, 17] = value
+    with pytest.raises(ValueError, match="only the bits 0 and 1"):
+        iv.ga_run(_tiny_cfg(), iv.oracle_evaluator(target), seed_genomes=planted)
+
+
+def test_ga_takes_planted_bits_of_any_dtype():
+    target = iv.build_target(5.8e9, 5.8e9)
+    bits = u64_to_bits(stream_u64(5, 0, 2))
+    runs = [iv.ga_run(_tiny_cfg(generations=2), iv.oracle_evaluator(target), seed_genomes=b)
+            for b in (bits, bits.astype(bool), bits.astype(float), bits.tolist())]
+    for res in runs[1:]:
+        assert (res.best_word, res.best_fitness) == (runs[0].best_word, runs[0].best_fitness)
+        assert res.history_median.tobytes() == runs[0].history_median.tobytes()
+
+
 def test_oracle_evaluator_cache_is_exact():
     """Repeats, new genomes and an equal-code pair all get one-row fitness bits."""
     target = iv.build_target(5.3e9, 6.3e9)

@@ -52,11 +52,32 @@ def _grid_features(grids):
     return np.stack([rho, v_conn, e_h, e_v, center, q_cb], axis=1)
 
 
+def _scan_counts(bits):
+    """The five quadrant counts of feature_codes by an integer scan of the
+    (k, 64) bits as 8x8 quadrants, kept independent of the word popcounts."""
+    q = np.asarray(bits).astype(bool).reshape(-1, 8, 8)
+    run = np.zeros((len(q), 8), dtype=np.int64)
+    best = np.zeros_like(run)
+    for r in range(8):
+        run = (run + 1) * q[:, r, :]
+        best = np.maximum(best, run)
+    n = q.sum(axis=(1, 2))
+    s = np.maximum(best, 2 * run).sum(axis=1)
+    h = (q[:, :, 1:] != q[:, :, :-1]).sum(axis=(1, 2))
+    v = (q[:, 1:, :] != q[:, :-1, :]).sum(axis=(1, 2))
+    c = q[:, 4:, 4:].sum(axis=(1, 2))
+    return n, s, h, v, c
+
+
 # edge words: empty, full, single corner bits, stripes, diagonals, the netcalc
 # test genome, and two genomes that share every feature
 _EDGE_WORDS = np.array([0, 2**64 - 1, 1 << 63, 1, 0xFF00FF00FF00FF00, 0x00FF00FF00FF00FF,
                         0x8040201008040201, 0x0102040810204080, 0x00003FC000E00000,
                         0x033011D280E05D12, 0x2278711904689003], dtype=np.uint64)
+# checkerboards, and every single column and single row of the quadrant
+_LINE_WORDS = np.array([0xAAAAAAAAAAAAAAAA, 0x5555555555555555]
+                       + [0x8080808080808080 >> c for c in range(8)]
+                       + [0xFF << 8 * r for r in range(8)], dtype=np.uint64)
 
 
 def _grids(seed, n):
@@ -111,6 +132,25 @@ def test_features_match_the_grid_scan():
     grids = expand_genome(u64_to_bits(words))
     got = oc.features_batch(grids).view(np.uint64)
     np.testing.assert_array_equal(got, _grid_features(grids).view(np.uint64))
+
+
+def test_popcounts_equal_the_quadrant_scan():
+    """The five counts taken with popcounts on genome words equal an integer
+    scan of the 8x8 quadrant, on random words and on edge words."""
+    words = np.concatenate([CounterRng(5).u64(200_000), _EDGE_WORDS, _LINE_WORDS])
+    got = oc._quadrant_counts(words)
+    want = _scan_counts(u64_to_bits(words))
+    for name, a, b in zip("nshvc", got, want):
+        assert a.dtype == np.int64, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    # a full column: n = 8, and s = max(longest run 8, 2 x 8 ending at row 7)
+    cols = oc.word_codes(_LINE_WORDS[2:10])
+    assert (cols & 0x7F).tolist() == [8] * 8 and (cols >> 7 & 0x1FF).tolist() == [16] * 8
+
+
+def test_word_codes_equal_feature_codes():
+    words = np.concatenate([CounterRng(6).u64(1000), _EDGE_WORDS, _LINE_WORDS])
+    np.testing.assert_array_equal(oc.word_codes(words), oc.feature_codes(u64_to_bits(words)))
 
 
 def test_features_batch_matches_scalar():

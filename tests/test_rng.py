@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +117,44 @@ def test_random_unit_interval():
     assert r.min() >= 0.0
     assert r.max() < 1.0
     assert abs(r.mean() - 0.5) < 0.02
+
+
+BELOW_P = [1.0, 0.5, 1 / 64, 0.3, 2.0**-53, 1e-300, float(np.nextafter(1.0, 0.0))]
+
+
+@pytest.mark.parametrize("p", BELOW_P + [0.0, -0.5, 1.5, math.nan])
+def test_below_is_random_below_p(p):
+    """below(n, p) gives random(n) < p bit for bit from the same counter and
+    leaves the counter where random leaves it."""
+    a, b = CounterRng(9, 1234), CounterRng(9, 1234)
+    got = a.below(50_000, p)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, b.random(50_000) < p)
+    assert a.counter == b.counter == 1234 + 50_000
+    np.testing.assert_array_equal(a.u64(3), b.u64(3))
+
+
+class _FixedWords(CounterRng):
+    """CounterRng whose every draw returns the same given words."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = np.array(words, dtype=np.uint64)
+
+    def u64(self, n):
+        self.counter += n
+        return self.words.copy()
+
+
+@pytest.mark.parametrize("p", BELOW_P)
+def test_below_at_its_threshold_word(p):
+    """Words at and next to the integer threshold, and the extreme words,
+    compare as random's floats do."""
+    t = min(math.ceil(p * 2.0**53), 2**53) << 11
+    near = [w for w in (t - 2049, t - 2048, t - 1, t, t + 1, t + 2048) if 0 <= w < 2**64]
+    fixed = _FixedWords(near + [0, 1, 2047, 2048, 2**64 - 2048, 2**64 - 1])
+    np.testing.assert_array_equal(fixed.below(len(fixed.words), p),
+                                  fixed.random(len(fixed.words)) < p)
 
 
 def test_uniform_bounds():

@@ -50,8 +50,9 @@ def inputs(tmp_path_factory):
     return {p.name: p for p in d.iterdir()}, lambda: Path(tempfile.mkdtemp(dir=cases))
 
 
-def fails_cleanly(work: Path, *argv) -> None:
-    """`main(argv)` exits 1 with one `error:` line and leaves `work` as it was."""
+def fails_cleanly(work: Path, *argv) -> str:
+    """`main(argv)` exits 1 with one `error:` line, which it returns, and
+    leaves `work` as it was."""
     before = sorted(work.rglob("*"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -60,6 +61,7 @@ def fails_cleanly(work: Path, *argv) -> None:
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
     assert sorted(work.rglob("*")) == before
+    return lines[0]
 
 
 def non_finite(blob: bytes, end: int) -> bytes:
@@ -264,3 +266,21 @@ def test_json_nested_past_the_recursion_limit_is_refused(inputs, kind):
         "checkpoint": ["design", "--target", target, "--ckpt", bad, "--outdir", work / "out"],
     }[kind]
     fails_cleanly(work, *argv)
+
+
+@pytest.mark.parametrize("doc", ['"' + "x" * 1_000_000 + '"', "[" * 500 + "]" * 500,
+                                 "[" + ", ".join(["0.5"] * 100_000) + "]"])
+@pytest.mark.parametrize("kind", ["config", "target"])
+def test_a_huge_or_deep_refused_value_gives_a_short_error_line(inputs, kind, doc):
+    """The error shows the refused value's JSON cut after 60 characters."""
+    files, fresh = inputs
+    work = fresh()
+    bad = work / f"{kind}.json"
+    bad.write_text(doc)
+    if kind == "config":
+        argv = ["config", "--config", bad]
+    else:
+        argv = ["design", "--evaluator", "oracle", "--target", bad, "--outdir", work / "out"]
+    line = fails_cleanly(work, *argv)
+    assert "expects an object, got " + doc[:60] + "..." in line
+    assert len(line) < 120 + len(str(bad))
