@@ -7,13 +7,18 @@ interleaved per frequency, little-endian float64.
 
 Record i of a run is always genome stream_u64(seed, i); together with the
 chunk-invariant response evaluation this makes the file contents a pure
-function of (n, seed, constants, geometry), whatever the worker count.
+function of (n, seed, constants, geometry), whatever the worker count.  The
+interleaved "resp" field has exactly the layout of 61 little-endian complex128
+values, so the oracle writes a record's response straight into it through a
+complex view, and readers take it back the same way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import mmap
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,11 +30,11 @@ from .oracle import (
     FREQ_START,
     FREQ_STEP,
     N_FREQ,
-    ROW_BLOCK,
     GeometryMeta,
     OracleConstants,
+    features_batch,
+    features_response_batch,
     fingerprint,
-    response_batch,
 )
 from .pattern import expand_genome
 from .rng import stream_u64, u64_to_bits
@@ -39,6 +44,15 @@ RESP_WIDTH = 2 * N_FREQ
 SPLIT_NUM, SPLIT_DEN = 10, 11  # split trains on 10 of every 11 records
 
 RECORD_DTYPE = np.dtype([("genome", ">u8"), ("resp", "<f8", (RESP_WIDTH,))])
+
+# Records per block when load and summarize walk a record array, so their
+# temporaries stay one block's size.
+ROW_BLOCK = 512
+
+# The records generate is filling, set only while it runs.  Pool workers are
+# forked after it is set and so inherit it, which is how they reach the shared
+# mapping without anything being pickled.
+_records: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -52,33 +66,15 @@ class DatasetHeader:
     n_freq: int
 
 
-def interleave(s22: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(n, 61) complex -> (n, 122) float64, Re/Im alternating per frequency.
-
-    Written into `out` when given, such as the "resp" field of records.
-    """
-    s22 = np.asarray(s22)
-    if out is None:
-        out = np.empty((s22.shape[0], 2 * s22.shape[1]))
-    out[:, 0::2] = s22.real
-    out[:, 1::2] = s22.imag
-    return out
-
-
-def deinterleave(resp: np.ndarray) -> np.ndarray:
-    """(n, 122) float64 -> (n, 61) complex, inverse of interleave."""
-    resp = np.asarray(resp)
-    return resp[..., 0::2] + 1j * resp[..., 1::2]
-
-
-def _make_chunk(seed: int, start: int, count: int,
-                consts: OracleConstants, geom: GeometryMeta) -> np.ndarray:
+def _fill(seed: int, start: int, count: int, consts: OracleConstants,
+          geom: GeometryMeta) -> int:
+    """Compute _records[start:start + count] in place; returns count."""
+    part = _records[start:start + count]
     words = stream_u64(seed, start, count)
-    s22 = response_batch(expand_genome(u64_to_bits(words)), consts, geom)
-    out = np.empty(count, dtype=RECORD_DTYPE)
-    out["genome"] = words
-    interleave(s22, out["resp"])
-    return out
+    part["genome"] = words
+    features_response_batch(features_batch(expand_genome(u64_to_bits(words))), consts, geom,
+                            out=part["resp"].view(np.complex128))
+    return count
 
 
 def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
@@ -86,22 +82,33 @@ def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
              chunk: int = 4096) -> np.ndarray:
     """n records for (seed, constants); bit-identical for any jobs/chunk.
 
-    The result array is allocated up front and each chunk is copied into its
-    slice as it arrives, so the records are held once plus one chunk in
-    flight.  At most one worker process per chunk is started.
+    Every chunk is computed straight into its slice of the returned array, so
+    the records are held once for any jobs.  With one worker the array is
+    plain memory.  With more, it lies in one anonymous shared mapping that
+    forked worker processes (at most one per chunk) write directly; only
+    record counts come back through the pool.  Platforms without the fork
+    start method get a ValueError for jobs > 1.
     """
+    global _records
     if n <= 0:
         raise ValueError("n must be positive")
-    records = np.empty(n, dtype=RECORD_DTYPE)
-    starts = range(0, n, chunk)
-    args = [(seed, s, min(chunk, n - s), consts, geom) for s in starts]
+    args = [(seed, s, min(chunk, n - s), consts, geom) for s in range(0, n, chunk)]
     workers = min(jobs, len(args))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        # both maps yield in submission order, so each part lands in its slice
-        parts = (pool.map if pool else map)(_make_chunk, *zip(*args))
-        for start, part in zip(starts, parts):
-            records[start:start + len(part)] = part
+    if workers > 1:
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError as exc:
+            raise ValueError(f"--jobs above 1 needs the fork start method ({exc})") from exc
+        records = np.frombuffer(mmap.mmap(-1, n * RECORD_DTYPE.itemsize), RECORD_DTYPE)
+    else:
+        records = np.empty(n, dtype=RECORD_DTYPE)
+    _records = records
+    try:
+        with (ProcessPoolExecutor(max_workers=workers, mp_context=context) if workers > 1
+              else contextlib.nullcontext()) as pool:
+            list((pool.map if pool else map)(_fill, *zip(*args)))
+    finally:
+        _records = None
     return records
 
 
@@ -230,14 +237,14 @@ def summarize(records: np.ndarray) -> dict:
     if n == 0:
         raise ValueError("cannot summarize an empty dataset")
     resp = records["resp"]
-    fill = np.empty(n)
     mag_min, mag_max = np.inf, -np.inf
+    s22 = resp.view(np.complex128)
     for i in range(0, n, ROW_BLOCK):
-        mags = np.abs(deinterleave(resp[i:i + ROW_BLOCK]))
+        mags = np.abs(s22[i:i + ROW_BLOCK])
         mag_min, mag_max = min(mag_min, mags.min()), max(mag_max, mags.max())
-        words = np.asarray(records["genome"][i:i + ROW_BLOCK], dtype=np.uint64)
-        # the quadrant's fill is the grid's
-        fill[i:i + ROW_BLOCK] = u64_to_bits(words).mean(axis=1)
+    # the quadrant's fill is the grid's; a popcount over 64 is exactly the
+    # mean of the genome's 64 bits
+    fill = np.bitwise_count(records["genome"]) / 64
     # np.std takes the mean as np.mean does, then sums the squared deviations
     mean = _column_sums(resp, np.copyto) / n
     std = np.sqrt(_column_sums(

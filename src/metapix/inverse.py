@@ -22,6 +22,8 @@ from .oracle import (
     FREQ_STEP,
     GeometryMeta,
     OracleConstants,
+    code_features,
+    features_response_batch,
     freq_grid,
     response_batch,
     word_codes,
@@ -198,13 +200,13 @@ def oracle_evaluator(target: TargetSpec, consts: OracleConstants = OracleConstan
     """Scorer mapping (k, 64) genome bits to (k,) oracle fitness against target.
 
     Fitness depends on a genome only through its feature code, so the scorer
-    runs the oracle once per code for its whole life.  The kernel and
+    runs the oracle once per code for its whole life, on the feature row the
+    code fixes (code_features), without mirroring the genome.  The kernel and
     fitness_of are exact row by row, so every value has the bits of a
     one-genome fitness_of(response_batch(...)) call.
     """
     def score(words, codes):
-        grids = expand_genome(u64_to_bits(words))
-        return fitness_of(response_batch(grids, consts, geom), target)
+        return fitness_of(features_response_batch(code_features(codes), consts, geom), target)
 
     return _cached_scorer(word_codes, score)
 

@@ -45,11 +45,14 @@ FEATURE_NAMES = ("rho", "v_conn", "e_h", "e_v", "rho_center", "q_cb")
 # Entries nearer a branch series resonance than this are re-evaluated 1 Hz up.
 _POLE_EPS = 1e-15
 
-# Rows per block for the per-row arrays of the oracle and dataset paths.  The
-# s22 kernel's temporaries for one block (about twenty 512 x 61 complex arrays
-# of 0.5 MB) are reused from the heap block after block; whole-chunk ones were
-# handed back to the OS and page-faulted in again on every call.
-ROW_BLOCK = 512
+# Rows per s22 kernel call.  The kernel computes in a scratch array reused
+# from block to block; what it still allocates per block (the pole check's
+# magnitudes and masks, none larger than one (rows, 61) complex array) then
+# stays under glibc's 128 KiB mmap threshold, as (128, 61) complex is 124,928
+# bytes.  A larger allocation is a fresh mmap, page-faulted in and unmapped
+# again on free: with every temporary allocated per block, 512-row blocks ran
+# at half the speed per row of 256-row ones in a fresh process.
+KERNEL_BLOCK = 128
 
 
 def freq_grid() -> np.ndarray:
@@ -148,7 +151,11 @@ def features_batch(grids) -> np.ndarray:
     if not is_mirror_symmetric(g):
         raise ValueError("grids must have the four-fold mirror symmetry of expand_genome")
     quadrant = g[:, :GENOME_SIDE, :GENOME_SIDE].reshape(-1, GENOME_BITS)
-    n, s, h, v, c = _quadrant_counts(bits_to_u64(quadrant))
+    return _count_features(*_quadrant_counts(bits_to_u64(quadrant)))
+
+
+def _count_features(n, s, h, v, c) -> np.ndarray:
+    """The five (k,) int64 quadrant counts -> (k, 6) feature rows."""
     rho = 4 * n / GRID_SIDE**2
     v_conn = 2 * s / GRID_SIDE / GRID_SIDE
     e_h = 4 * h / (GRID_SIDE * (GRID_SIDE - 1))
@@ -173,6 +180,17 @@ def word_codes(words) -> np.ndarray:
     return n | s << 7 | h << 16 | v << 24 | c << 32
 
 
+def code_features(codes) -> np.ndarray:
+    """(k,) int64 word_codes -> the (k, 6) rows features_batch gives their genomes.
+
+    The rows are computed from the same five integers by the same arithmetic,
+    so they are byte-equal to features_batch(expand_genome(...)).
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    return _count_features(codes & 0x7F, codes >> 7 & 0x1FF, codes >> 16 & 0xFF,
+                           codes >> 24 & 0xFF, codes >> 32)
+
+
 def feature_codes(bits) -> np.ndarray:
     """(k, 64) quadrant bits -> the (k,) int64 word_codes of their words."""
     q = np.asarray(bits).astype(bool)
@@ -187,8 +205,20 @@ def feature_codes(bits) -> np.ndarray:
 
 
 def _s22_kernel(feats: np.ndarray, freqs: np.ndarray, consts: OracleConstants,
-                geom: GeometryMeta) -> np.ndarray:
-    """(n, 6) features x (n, m) or (m,) freqs -> (n, m) s22, no pole guard."""
+                geom: GeometryMeta, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """(n, 6) features x (n, m) or (m,) freqs -> (n, m) s22, written into out.
+
+    The (n, m) complex arrays are computed in place in out and in the four
+    (n, m) slices of scratch, a (4, >= n, m) complex array the caller reuses
+    from block to block; both are allocated here when not given.
+    """
+    n = len(feats)
+    if out is None:
+        out = np.empty(np.broadcast_shapes((n, 1), np.shape(freqs)), dtype=complex)
+    if scratch is None:
+        scratch = np.empty((4,) + out.shape, dtype=complex)
+    z_series, zb1, zb2, tmp = scratch[:, :n]
     rho = feats[:, 0:1]
     v_conn = feats[:, 1:2]
     e_h = feats[:, 2:3]
@@ -197,18 +227,19 @@ def _s22_kernel(feats: np.ndarray, freqs: np.ndarray, consts: OracleConstants,
     q_cb = feats[:, 5:6]
 
     w = 2.0 * math.pi * freqs
+    jw = 1j * w
     eta = FREE_SPACE_ETA
 
     c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center)
-    z_series = 1j * w * consts.l_lead + 1.0 / (1j * w * c_gap)
+    _series_lc(jw, consts.l_lead, c_gap, z_series, tmp)
 
     l1 = consts.l_a + consts.l_b * (1.0 - v_conn)
     c1 = consts.c_a + consts.c_b * rho + consts.c_c * e_h
-    zb1 = 1j * w * l1 + 1.0 / (1j * w * c1)
+    _series_lc(jw, l1, c1, zb1, tmp)
 
     l2 = consts.l2_0 * (1.0 + q_cb)
     c2 = consts.c2_0 * (1.0 + e_v)
-    zb2 = 1j * w * l2 + 1.0 / (1j * w * c2)
+    _series_lc(jw, l2, c2, zb2, tmp)
 
     eta_s = eta / math.sqrt(geom.eps_r)
     beta_h = w * math.sqrt(geom.eps_r) * geom.substrate_h / C0
@@ -220,15 +251,50 @@ def _s22_kernel(feats: np.ndarray, freqs: np.ndarray, consts: OracleConstants,
         f_adj = np.broadcast_to(freqs, singular.shape) + 1.0
         nudged = _s22_kernel(feats, np.where(singular, f_adj, freqs), consts, geom)
         with np.errstate(divide="ignore", invalid="ignore"):
-            plain = _finish(z_series, zb1, zb2, z_stub, eta)
-        return np.where(singular, nudged, plain)
-    return _finish(z_series, zb1, zb2, z_stub, eta)
+            _finish(z_series, zb1, zb2, z_stub, eta, out)
+        np.copyto(out, nudged, where=singular)
+        return out
+    return _finish(z_series, zb1, zb2, z_stub, eta, out)
 
 
-def _finish(z_series, zb1, zb2, z_stub, eta):
-    y = 1.0 / zb1 + 1.0 / zb2 + 1.0 / z_stub + 1.0 / eta
-    z_in = z_series + 1.0 / y
-    return (z_in - eta) / (z_in + eta)
+def _series_lc(jw, l, c, z, tmp) -> None:
+    """z = jw*l + 1/(jw*c), the impedance of a series LC branch."""
+    np.divide(1.0, np.multiply(jw, c, out=tmp), out=tmp)
+    np.add(np.multiply(jw, l, out=z), tmp, out=z)
+
+
+def _finish(z_series, zb1, zb2, z_stub, eta, out):
+    """out = (z_in - eta)/(z_in + eta), z_in = z_series + 1/y, with
+    y = 1/zb1 + 1/zb2 + 1/z_stub + 1/eta summed left to right.
+
+    The steps run in place in z_series, zb1 and zb2, which they overwrite, so
+    out, which may be a strided view, is written once.
+    """
+    y = np.divide(1.0, zb1, out=zb1)
+    y += np.divide(1.0, zb2, out=zb2)
+    y += 1.0 / z_stub
+    y += 1.0 / eta
+    z_in = np.add(z_series, np.divide(1.0, y, out=y), out=z_series)
+    den = np.add(z_in, eta, out=zb2)
+    return np.divide(np.subtract(z_in, eta, out=z_in), den, out=out)
+
+
+def features_response_batch(feats, consts: OracleConstants = OracleConstants(),
+                            geom: GeometryMeta = GeometryMeta(),
+                            freqs: np.ndarray | None = None,
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """(n, 6) feature rows -> (n, m) complex s22, written into `out` when given.
+
+    The m frequencies (Hz) default to the 61-point grid of freq_grid().  `out`
+    may be any (n, m) complex128 array, a strided view such as the "resp"
+    field of dataset records viewed as complex included; it is returned.  The
+    kernel fills the output KERNEL_BLOCK rows at a time, so its temporaries
+    stay a block's size whatever n is.  The kernel is elementwise per row, so
+    every output row has the same bits as a one-row call; callers that meet
+    repeated genomes deduplicate them first (the oracle GA scores each
+    word_codes value once).
+    """
+    return _response(feats, consts, geom, freqs, out)
 
 
 def response_batch(grids, consts: OracleConstants = OracleConstants(),
@@ -236,20 +302,28 @@ def response_batch(grids, consts: OracleConstants = OracleConstants(),
                    freqs: np.ndarray | None = None) -> np.ndarray:
     """(n, 16, 16) or (16, 16) mirrored grids -> (n, m) complex s22.
 
-    The m frequencies (Hz) default to the 61-point grid of freq_grid().  The
-    output is allocated once and the kernel fills it ROW_BLOCK rows at a time,
-    so its temporaries stay a block's size whatever n is.  The kernel is
-    elementwise per row, so every output row has the same bits as a one-grid
-    call; callers that meet repeated genomes deduplicate them first (the
-    oracle GA scores each feature_codes value once).
+    features_response_batch of the grids' features_batch rows.
     """
+    # through _response, so that a traced run (perfbench/spans.py) counts
+    # one oracle response per call rather than two nested ones
+    return _response(features_batch(grids), consts, geom, freqs, None)
+
+
+def _response(feats, consts, geom, freqs, out) -> np.ndarray:
     f = freq_grid() if freqs is None else np.atleast_1d(np.asarray(freqs, dtype=float))
     if f.ndim != 1:
         raise ValueError(f"expected a 1-D array of frequencies, got shape {f.shape}")
     if np.any(f <= 0):
         raise ValueError("frequencies must be positive")
-    feats = features_batch(grids)
-    out = np.empty((len(feats), len(f)), dtype=complex)
-    for i in range(0, len(feats), ROW_BLOCK):
-        out[i:i + ROW_BLOCK] = _s22_kernel(feats[i:i + ROW_BLOCK], f, consts, geom)
+    feats = np.asarray(feats, dtype=float)
+    if feats.ndim != 2 or feats.shape[1] != len(FEATURE_NAMES):
+        raise ValueError(f"expected (n, {len(FEATURE_NAMES)}) feature rows, got {feats.shape}")
+    if out is None:
+        out = np.empty((len(feats), len(f)), dtype=complex)
+    elif out.shape != (len(feats), len(f)) or out.dtype != np.complex128:
+        raise ValueError(f"out must be a ({len(feats)}, {len(f)}) complex128 array, "
+                         f"got {out.shape} {out.dtype}")
+    scratch = np.empty((4, min(KERNEL_BLOCK, len(feats)), len(f)), dtype=complex)
+    for i in range(0, len(feats), KERNEL_BLOCK):
+        _s22_kernel(feats[i:i + KERNEL_BLOCK], f, consts, geom, out[i:i + KERNEL_BLOCK], scratch)
     return out

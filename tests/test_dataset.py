@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 import tracemalloc
 
@@ -6,25 +7,44 @@ import numpy as np
 import pytest
 
 from metapix import dataset as ds
+from metapix.dataset import ROW_BLOCK
 from metapix.oracle import (
-    ROW_BLOCK,
+    KERNEL_BLOCK,
     OracleConstants,
     features_batch,
     freq_grid,
     response_batch,
 )
-from metapix.pattern import GeometryMeta, expand_genome
+from metapix.pattern import expand_genome
 from metapix.rng import stream_u64, u64_to_bits
 
 
+def interleave(s22: np.ndarray) -> np.ndarray:
+    """(n, 61) complex -> (n, 122) float64, Re/Im alternating per frequency."""
+    out = np.empty((s22.shape[0], 2 * s22.shape[1]))
+    out[:, 0::2] = s22.real
+    out[:, 1::2] = s22.imag
+    return out
+
+
+def deinterleave(resp: np.ndarray) -> np.ndarray:
+    """(n, 122) float64 -> (n, 61) complex, inverse of interleave."""
+    return resp[..., 0::2] + 1j * resp[..., 1::2]
+
+
 def test_interleave_round_trip():
+    """The records' Re/Im layout is complex128's, so their complex view is
+    the deinterleaved response."""
     rng = np.random.default_rng(0)
     s22 = rng.normal(size=(5, 61)) + 1j * rng.normal(size=(5, 61))
-    flat = ds.interleave(s22)
+    flat = interleave(s22)
     assert flat.shape == (5, 122)
     np.testing.assert_array_equal(flat[:, 0::2], s22.real)
     np.testing.assert_array_equal(flat[:, 1::2], s22.imag)
-    np.testing.assert_array_equal(ds.deinterleave(flat), s22)
+    np.testing.assert_array_equal(deinterleave(flat), s22)
+    recs = np.empty(5, dtype=ds.RECORD_DTYPE)
+    recs["resp"] = flat
+    assert recs["resp"].view(np.complex128).tobytes() == s22.tobytes()
 
 
 def test_records_hold_the_oracle_response():
@@ -32,19 +52,54 @@ def test_records_hold_the_oracle_response():
     words = stream_u64(5, 0, 8)
     np.testing.assert_array_equal(recs["genome"], words)
     expect = response_batch(expand_genome(u64_to_bits(words)))
-    np.testing.assert_array_equal(ds.deinterleave(recs["resp"]), expect)
+    np.testing.assert_array_equal(deinterleave(recs["resp"]), expect)
 
 
-def test_chunk_records_are_the_interleaved_oracle_response():
-    """A chunk of more than two blocks, written straight into its records,
-    equals the records built from interleave(response_batch(...)), byte for byte."""
-    count = 2 * ROW_BLOCK + 37
-    got = ds._make_chunk(5, 100, count, OracleConstants(), GeometryMeta())
-    words = stream_u64(5, 100, count)
-    expect = np.empty(count, dtype=ds.RECORD_DTYPE)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_filled_records_are_the_interleaved_oracle_response(jobs):
+    """Chunks of more than two kernel blocks, written straight into the
+    records by this process or by pool workers, equal the records built from
+    interleave(response_batch(...)), byte for byte."""
+    count = 2 * KERNEL_BLOCK + 37
+    got = ds.generate(3 * count, 5, jobs=jobs, chunk=count)
+    words = stream_u64(5, 0, 3 * count)
+    expect = np.empty(3 * count, dtype=ds.RECORD_DTYPE)
     expect["genome"] = words
-    expect["resp"] = ds.interleave(response_batch(expand_genome(u64_to_bits(words))))
+    expect["resp"] = interleave(response_batch(expand_genome(u64_to_bits(words))))
     assert got.tobytes() == expect.tobytes()
+
+
+def test_generate_drops_its_shared_records_and_workers(monkeypatch):
+    """The module-level handle is cleared and no pool process outlives
+    generate, both after a normal return and after a chunk raises."""
+    ds.generate(300, seed=9, jobs=2, chunk=100)
+    assert ds._records is None
+    assert multiprocessing.active_children() == []
+
+    real = ds.features_response_batch
+
+    def fail_short_chunk(feats, consts, geom, out):
+        if len(feats) < 100:
+            raise RuntimeError("chunk failed")
+        return real(feats, consts, geom, out=out)
+
+    monkeypatch.setattr(ds, "features_response_batch", fail_short_chunk)
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            ds.generate(250, seed=9, jobs=jobs, chunk=100)
+        assert ds._records is None
+        assert multiprocessing.active_children() == []
+
+
+def test_generate_refuses_jobs_without_fork(monkeypatch):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(ds.multiprocessing, "get_context", no_fork)
+    with pytest.raises(ValueError, match="fork start method"):
+        ds.generate(300, seed=9, jobs=2, chunk=100)
+    assert ds._records is None
+    assert ds.generate(300, seed=9, jobs=2, chunk=300).tobytes() == ds.generate(300, 9).tobytes()
 
 
 def test_generation_is_chunk_and_worker_invariant():
@@ -63,7 +118,7 @@ def test_generation_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, chunk
     class FakePool:
         """Runs the chunks in this process and records the requested pool size."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             started.append(max_workers)
 
         def __enter__(self):
@@ -244,7 +299,7 @@ def test_summary_statistics():
     rho = features_batch(expand_genome(u64_to_bits(recs["genome"])))[:, 0]
     assert s["fill_mean"] == float(rho.mean())
     assert s["fill_hist"] == np.histogram(rho, bins=16, range=(0.0, 1.0))[0].tolist()
-    grid_re = ds.deinterleave(recs["resp"]).real
+    grid_re = deinterleave(recs["resp"]).real
     np.testing.assert_allclose(s["re_mean"], grid_re.mean(axis=0))
     assert len(freq_grid()) * 2 == recs["resp"].shape[1]
 

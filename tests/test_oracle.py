@@ -233,15 +233,59 @@ def test_batch_is_chunk_invariant():
 
 
 def test_blocks_equal_one_row_calls():
-    """A batch of more than two ROW_BLOCKs, the last one partial, equals
+    """A batch of more than two KERNEL_BLOCKs, the last one partial, equals
     one-grid calls byte for byte."""
-    n = 2 * oc.ROW_BLOCK + 37
-    assert n > oc.ROW_BLOCK
+    n = 2 * oc.KERNEL_BLOCK + 37
+    assert n > oc.KERNEL_BLOCK
     grids = _grids(4321, n)
     whole = oc.response_batch(grids)
     assert whole.shape == (n, oc.N_FREQ)
     for k, grid in enumerate(grids):
         assert whole[k].tobytes() == oc.response_batch(grid)[0].tobytes()
+
+
+def test_kernel_block_temporaries_stay_under_the_mmap_threshold():
+    """glibc serves an allocation of 128 KiB or more from a fresh mmap that
+    is page-faulted in and unmapped again on free.  The kernel's per-block
+    temporaries, none larger than one (KERNEL_BLOCK, 61) complex array, stay
+    under that size and are reused from the heap; an mmap per temporary made
+    a fresh process evaluate the kernel about half as fast per row."""
+    assert oc.KERNEL_BLOCK * oc.N_FREQ * np.dtype(np.complex128).itemsize < 128 * 1024
+
+
+def test_features_response_fills_a_strided_view_of_records():
+    """out= writes a strided complex view of record responses bit-equal to
+    out=None, across kernel blocks and at a branch resonance, and returns it."""
+    consts = oc.OracleConstants()
+    f_res = 1.0 / (2 * math.pi * math.sqrt((consts.l_a + consts.l_b) * consts.c_a))
+    n = 2 * oc.KERNEL_BLOCK + 37
+    feats = oc.features_batch(_grids(99, n))
+    feats[5] = feats[n - 1] = 0.0  # all-zero grids resonate at f_res
+    records = np.zeros(n, dtype=[("genome", ">u8"), ("resp", "<f8", (2 * oc.N_FREQ,))])
+    for freqs in (None, np.append(oc.freq_grid()[:-1], f_res)):
+        out = records["resp"].view(np.complex128)
+        assert not out.flags.c_contiguous
+        got = oc.features_response_batch(feats, consts, freqs=freqs, out=out)
+        assert got is out
+        expect = oc.features_response_batch(feats, consts, freqs=freqs)
+        assert np.isfinite(expect).all()
+        assert out.tobytes() == expect.tobytes()
+        assert (records["genome"] == 0).all()
+
+
+@pytest.mark.parametrize("out", [np.empty((3, oc.N_FREQ), complex),
+                                 np.empty((2, oc.N_FREQ - 1), complex),
+                                 np.empty((2, oc.N_FREQ), np.complex64),
+                                 np.empty((2, 2 * oc.N_FREQ)),
+                                 np.empty((2, oc.N_FREQ), ">c16")])
+def test_features_response_refuses_a_wrong_out(out):
+    with pytest.raises(ValueError, match="out must be"):
+        oc.features_response_batch(np.zeros((2, 6)), out=out)
+
+
+def test_features_response_refuses_wrong_feature_rows():
+    with pytest.raises(ValueError, match="feature rows"):
+        oc.features_response_batch(np.zeros((2, 5)))
 
 
 def test_response_is_strictly_passive():
@@ -331,6 +375,7 @@ def test_feature_code_determines_the_feature_row():
     assert codes.dtype == np.int64 and codes.shape == (len(bits),)
     assert codes[-2] == codes[-1]  # the equal-feature pair
     rows = oc.features_batch(expand_genome(bits)).view(np.uint64)
+    assert oc.code_features(codes).tobytes() == rows.tobytes()
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     np.testing.assert_array_equal(rows, rows[first][inverse])
     assert len(np.unique(rows, axis=0)) == len(first)
