@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +97,12 @@ def _parse_steer(text: str) -> arraysim.SteerTarget:
 
 
 def _sha256(path: Path) -> str:
+    # 64 KiB reads stay under glibc's 128 KiB mmap threshold and hash as fast
+    # as 1 MiB ones; on the input hash thread, 1 MiB reads grew the heap of
+    # the thread's own malloc arena by about 2 MB
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -119,11 +123,14 @@ def _outputs(command: str, force: bool, paths: list[Path],
     """Publish a command's declared output files together or not at all.
 
     Entering refuses an existing artifact or sidecar unless `force`, and any
-    output that a rename could not put in place, then hashes each input once.
-    The block writes each artifact to the `<name>.tmp.<pid>` path that the
-    yielded `stage` returns.  A clean exit writes the manifests and renames
-    every file into place; an exception removes the staged files and the
-    directories made for them.
+    output that a rename could not put in place, then starts hashing each
+    input once on a worker thread, beside the block's work.  The block writes
+    each artifact to the `<name>.tmp.<pid>` path that the yielded `stage`
+    returns.  A clean exit takes the input hashes from the thread (raising
+    its error, if any) before the first manifest is written, then writes the
+    manifests and renames every file into place; an exception removes the
+    staged files and the directories made for them.  Either exit joins the
+    thread.
     """
     if len({p.resolve() for p in paths}) < len(paths):
         raise CliError(f"two outputs of {command} name the same file")
@@ -136,8 +143,8 @@ def _outputs(command: str, force: bool, paths: list[Path],
         base = next((d for d in path.parents if d.exists()), path.parent)
         if not base.is_dir():
             raise CliError(f"not a directory: {base}")
-    hashes = {name: _sha256(p) for name, p in (inputs or {}).items()} if paths else {}
-    manifests: dict[Path, dict] = {}
+    inputs = inputs if paths and inputs else {}
+    manifests: dict[Path, tuple[dict, tuple[str, ...]]] = {}
     staged: list[Path] = []  # final paths whose tmp files are on disk
     made: list[Path] = []
 
@@ -146,14 +153,19 @@ def _outputs(command: str, force: bool, paths: list[Path],
         made.extend(d for d in reversed(path.parents) if not d.exists())
         path.parent.mkdir(parents=True, exist_ok=True)
         staged.append(path)
-        manifests[path] = {"artifact": path.name, "command": command, "params": params,
-                           "inputs": {n: hashes[n] for n in names or hashes},
-                           "version": __version__}
+        manifests[path] = ({"artifact": path.name, "command": command, "params": params,
+                            "version": __version__}, names or tuple(inputs))
         return _tmp(path)
 
+    # the thread starts on the first submit, so a command without inputs,
+    # such as `gen`, which forks its workers, runs no thread
+    pool = ThreadPoolExecutor(max_workers=1)
+    hashing = pool.submit(lambda: {n: _sha256(p) for n, p in inputs.items()}) if inputs else None
     try:
         yield stage
-        for path, manifest in manifests.items():
+        hashes = hashing.result() if hashing else {}
+        for path, (manifest, names) in manifests.items():
+            manifest["inputs"] = {n: hashes[n] for n in names}
             manifest["sha256"] = _sha256(_tmp(path))
             side = path.with_name(path.name + ".manifest.json")
             staged.append(side)
@@ -163,6 +175,7 @@ def _outputs(command: str, force: bool, paths: list[Path],
             staged.remove(path)
         made.clear()
     finally:
+        pool.shutdown()
         for path in staged:  # left only on failure
             _tmp(path).unlink(missing_ok=True)
         for d in reversed(made):

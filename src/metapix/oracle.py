@@ -45,14 +45,15 @@ FEATURE_NAMES = ("rho", "v_conn", "e_h", "e_v", "rho_center", "q_cb")
 # Entries nearer a branch series resonance than this are re-evaluated 1 Hz up.
 _POLE_EPS = 1e-15
 
-# Rows per s22 kernel call.  The kernel computes in a scratch array reused
-# from block to block; what it still allocates per block (the pole check's
-# magnitudes and masks, none larger than one (rows, 61) complex array) then
-# stays under glibc's 128 KiB mmap threshold, as (128, 61) complex is 124,928
-# bytes.  A larger allocation is a fresh mmap, page-faulted in and unmapped
-# again on free: with every temporary allocated per block, 512-row blocks ran
-# at half the speed per row of 256-row ones in a fresh process.
-KERNEL_BLOCK = 128
+# Rows per s22 kernel call.  The kernel computes its (rows, 61) arrays in
+# scratch reused from block to block (_kernel_scratch); what it still allocates
+# per block off the nudge path (bool masks, numpy's 64 KiB iterator buffers)
+# stays under glibc's 128 KiB mmap threshold, as does a (256, 61) float64
+# array at 124,928 bytes.  A larger allocation is a fresh mmap, page-faulted in
+# and unmapped again on free: with every temporary allocated per block,
+# 512-row blocks ran at half the speed per row of 256-row ones in a fresh
+# process.
+KERNEL_BLOCK = 256
 
 
 def freq_grid() -> np.ndarray:
@@ -204,21 +205,37 @@ def feature_codes(bits) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_scratch(rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The s22 kernel's scratch for blocks of up to `rows` rows x m frequencies:
+    four (rows, m) float64 slabs and two (rows, m) complex128 ones."""
+    return np.empty((4, rows, m)), np.empty((2, rows, m), dtype=complex)
+
+
 def _s22_kernel(feats: np.ndarray, freqs: np.ndarray, consts: OracleConstants,
                 geom: GeometryMeta, out: np.ndarray | None = None,
-                scratch: np.ndarray | None = None) -> np.ndarray:
+                scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """(n, 6) features x (n, m) or (m,) freqs -> (n, m) s22, written into out.
 
-    The (n, m) complex arrays are computed in place in out and in the four
-    (n, m) slices of scratch, a (4, >= n, m) complex array the caller reuses
-    from block to block; both are allocated here when not given.
+    Every element but the 1/eta shunt is lossless, so the series arm, both
+    branches and the stub are each one real reactance X and their shunt sum
+    is the conductance 1/eta plus the susceptance -1/X1 - 1/X2 - 1/X_stub.
+    Only 1/y and the reflection are complex.  numpy's complex products with a
+    zero real part are exact and its division of 1 by (0, b) returns
+    (+-0, -(1/b)), so the reactances and the susceptance are the IEEE
+    operations the complex cascade of the module docstring performs on its
+    (0, X) impedances, and the spectra have that cascade's bits (the oracle
+    tests keep it as the reference).  The (n, m) arrays are
+    computed in place in out and in the slabs of scratch (_kernel_scratch of
+    >= n rows), which the caller reuses from block to block and which are
+    allocated here when not given.
     """
     n = len(feats)
     if out is None:
         out = np.empty(np.broadcast_shapes((n, 1), np.shape(freqs)), dtype=complex)
     if scratch is None:
-        scratch = np.empty((4,) + out.shape, dtype=complex)
-    z_series, zb1, zb2, tmp = scratch[:, :n]
+        scratch = _kernel_scratch(*out.shape)
+    x_series, x1, x2, tmp = scratch[0][:, :n]
+    y, den = scratch[1][:, :n]
     rho = feats[:, 0:1]
     v_conn = feats[:, 1:2]
     e_h = feats[:, 2:3]
@@ -227,55 +244,61 @@ def _s22_kernel(feats: np.ndarray, freqs: np.ndarray, consts: OracleConstants,
     q_cb = feats[:, 5:6]
 
     w = 2.0 * math.pi * freqs
-    jw = 1j * w
     eta = FREE_SPACE_ETA
 
     c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center)
-    _series_lc(jw, consts.l_lead, c_gap, z_series, tmp)
+    _series_lc(w, consts.l_lead, c_gap, x_series, tmp)
 
     l1 = consts.l_a + consts.l_b * (1.0 - v_conn)
     c1 = consts.c_a + consts.c_b * rho + consts.c_c * e_h
-    _series_lc(jw, l1, c1, zb1, tmp)
+    _series_lc(w, l1, c1, x1, tmp)
 
     l2 = consts.l2_0 * (1.0 + q_cb)
     c2 = consts.c2_0 * (1.0 + e_v)
-    _series_lc(jw, l2, c2, zb2, tmp)
+    _series_lc(w, l2, c2, x2, tmp)
 
     eta_s = eta / math.sqrt(geom.eps_r)
     beta_h = w * math.sqrt(geom.eps_r) * geom.substrate_h / C0
-    z_stub = 1j * eta_s * np.tan(beta_h)  # frequency only: (m,) or (n, m)
+    x_stub = eta_s * np.tan(beta_h)  # frequency only: (m,) or (n, m)
 
-    singular = (np.abs(zb1) < _POLE_EPS) | (np.abs(zb2) < _POLE_EPS) | (np.abs(z_stub) < _POLE_EPS)
+    # |X| into tmp keeps the check's temporaries to (n, m) bool masks
+    singular = np.abs(x1, out=tmp) < _POLE_EPS
+    singular |= np.abs(x2, out=tmp) < _POLE_EPS
+    singular |= np.abs(x_stub) < _POLE_EPS
     if np.any(singular):
         # exact branch resonance on a sample: deterministic 1 Hz nudge
         f_adj = np.broadcast_to(freqs, singular.shape) + 1.0
         nudged = _s22_kernel(feats, np.where(singular, f_adj, freqs), consts, geom)
         with np.errstate(divide="ignore", invalid="ignore"):
-            _finish(z_series, zb1, zb2, z_stub, eta, out)
+            _finish(x_series, x1, x2, x_stub, eta, y, den, out)
         np.copyto(out, nudged, where=singular)
         return out
-    return _finish(z_series, zb1, zb2, z_stub, eta, out)
+    return _finish(x_series, x1, x2, x_stub, eta, y, den, out)
 
 
-def _series_lc(jw, l, c, z, tmp) -> None:
-    """z = jw*l + 1/(jw*c), the impedance of a series LC branch."""
-    np.divide(1.0, np.multiply(jw, c, out=tmp), out=tmp)
-    np.add(np.multiply(jw, l, out=z), tmp, out=z)
+def _series_lc(w, l, c, x, tmp) -> None:
+    """x = w*l - 1/(w*c), the reactance of a series LC branch."""
+    np.divide(1.0, np.multiply(w, c, out=tmp), out=tmp)
+    np.subtract(np.multiply(w, l, out=x), tmp, out=x)
 
 
-def _finish(z_series, zb1, zb2, z_stub, eta, out):
-    """out = (z_in - eta)/(z_in + eta), z_in = z_series + 1/y, with
-    y = 1/zb1 + 1/zb2 + 1/z_stub + 1/eta summed left to right.
+def _finish(x_series, x1, x2, x_stub, eta, y, den, out):
+    """out = (z_in - eta)/(z_in + eta), z_in = j*x_series + 1/y, with
+    y = 1/eta + j*(-1/x1 - 1/x2 - 1/x_stub).
 
-    The steps run in place in z_series, zb1 and zb2, which they overwrite, so
+    The steps run in place in x1, x2, y and den, which they overwrite, so
     out, which may be a strided view, is written once.
     """
-    y = np.divide(1.0, zb1, out=zb1)
-    y += np.divide(1.0, zb2, out=zb2)
-    y += 1.0 / z_stub
-    y += 1.0 / eta
-    z_in = np.add(z_series, np.divide(1.0, y, out=y), out=z_series)
-    den = np.add(z_in, eta, out=zb2)
+    b = np.divide(-1.0, x1, out=x1)
+    b -= np.divide(1.0, x2, out=x2)
+    b -= 1.0 / x_stub
+    # the complex cascade adds 1/eta as (1/eta, +0), so the susceptance
+    # gets + 0.0, which turns a -0 into +0
+    np.add(b, 0.0, out=y.imag)
+    y.real = 1.0 / eta
+    z_in = np.divide(1.0, y, out=y)
+    z_in.imag += x_series
+    np.add(z_in, eta, out=den)
     return np.divide(np.subtract(z_in, eta, out=z_in), den, out=out)
 
 
@@ -313,17 +336,19 @@ def _response(feats, consts, geom, freqs, out) -> np.ndarray:
     f = freq_grid() if freqs is None else np.atleast_1d(np.asarray(freqs, dtype=float))
     if f.ndim != 1:
         raise ValueError(f"expected a 1-D array of frequencies, got shape {f.shape}")
-    if np.any(f <= 0):
-        raise ValueError("frequencies must be positive")
+    if not np.all(np.isfinite(f) & (f > 0)):
+        raise ValueError("frequencies must be finite and positive")
     feats = np.asarray(feats, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != len(FEATURE_NAMES):
         raise ValueError(f"expected (n, {len(FEATURE_NAMES)}) feature rows, got {feats.shape}")
+    if not np.isfinite(feats).all():
+        raise ValueError("feature rows must be finite")
     if out is None:
         out = np.empty((len(feats), len(f)), dtype=complex)
     elif out.shape != (len(feats), len(f)) or out.dtype != np.complex128:
         raise ValueError(f"out must be a ({len(feats)}, {len(f)}) complex128 array, "
                          f"got {out.shape} {out.dtype}")
-    scratch = np.empty((4, min(KERNEL_BLOCK, len(feats)), len(f)), dtype=complex)
+    scratch = _kernel_scratch(min(KERNEL_BLOCK, len(feats)), len(f))
     for i in range(0, len(feats), KERNEL_BLOCK):
         _s22_kernel(feats[i:i + KERNEL_BLOCK], f, consts, geom, out[i:i + KERNEL_BLOCK], scratch)
     return out

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import re
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from metapix import arraysim, surrogate
+from metapix import arraysim, cli, surrogate
 from metapix.cli import main
 from metapix.surrogate import init_mlp, save_checkpoint
 
@@ -587,6 +589,34 @@ def test_write_error_after_staging_publishes_nothing(tmp_path, capsys, monkeypat
     assert code == 1
     assert _one_error_line(err) and "Permission denied" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "data.bin.manifest.json"]
+
+
+@pytest.mark.parametrize("argv", [["stats", "--out", "out/stats.json"],
+                                  ["train", "--epochs", "1", "--outdir", "out"]])
+def test_input_hash_error_publishes_nothing_and_joins_the_thread(tmp_path, capsys, monkeypatch,
+                                                                 argv):
+    """The inputs are hashed on a worker thread beside the work; a read error
+    there, raised once the work has staged its outputs, ends the command in
+    one error line with nothing published, and the thread is joined."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "--n", "44", "--seed", "3", "--out", "data.bin")
+    sha256 = cli._sha256
+
+    def failing_sha256(path):
+        if path.name != "data.bin":
+            return sha256(path)
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("out/*.tmp.*")) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        raise OSError(5, "Input/output error", str(path))
+
+    monkeypatch.setattr(cli, "_sha256", failing_sha256)
+    threads = threading.active_count()
+    code, _, err = run(capsys, *argv, "--data", "data.bin")
+    assert code == 1
+    assert _one_error_line(err) and "Input/output error" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "data.bin.manifest.json"]
+    assert threading.active_count() == threads
 
 
 # sha256 of all 26 files (13 artifacts, 13 manifests) the chain below writes;

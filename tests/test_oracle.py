@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,55 @@ def _hand_s22(feat, f, consts=None, geom=None):
     y = 1.0 / z1 + 1.0 / z2 + y_stub + 1.0 / ETA
     z_in = z_series + 1.0 / y
     return (z_in - ETA) / (z_in + ETA)
+
+
+def _complex_kernel(feats, freqs, consts=None, geom=None):
+    """The cascade of the module docstring in complex128 numpy on (n, 6)
+    feature rows x (m,) or (n, m) frequencies, with the kernel's 1 Hz nudge at
+    a branch resonance; kept as the independent reference for the kernel's
+    real-reactance arithmetic, which must give the same bits."""
+    consts = consts or oc.OracleConstants()
+    geom = geom or GeometryMeta()
+    rho, v_conn, e_h, e_v, rho_center, q_cb = (feats[:, k:k + 1] for k in range(6))
+    w = 2.0 * math.pi * freqs
+    jw = 1j * w
+    c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center)
+    z_series = jw * consts.l_lead + 1.0 / (jw * c_gap)
+    zb1 = jw * (consts.l_a + consts.l_b * (1.0 - v_conn)) + 1.0 / (
+        jw * (consts.c_a + consts.c_b * rho + consts.c_c * e_h))
+    zb2 = jw * (consts.l2_0 * (1.0 + q_cb)) + 1.0 / (jw * (consts.c2_0 * (1.0 + e_v)))
+    eta_s = ETA / math.sqrt(geom.eps_r)
+    z_stub = 1j * eta_s * np.tan(w * math.sqrt(geom.eps_r) * geom.substrate_h / C0)
+    singular = ((np.abs(zb1) < oc._POLE_EPS) | (np.abs(zb2) < oc._POLE_EPS)
+                | (np.abs(z_stub) < oc._POLE_EPS))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_in = z_series + 1.0 / (1.0 / zb1 + 1.0 / zb2 + 1.0 / z_stub + 1.0 / ETA)
+        s22 = (z_in - ETA) / (z_in + ETA)
+    if not singular.any():
+        return s22
+    f = np.broadcast_to(freqs, singular.shape)
+    nudged = _complex_kernel(feats, np.where(singular, f + 1.0, f), consts, geom)
+    return np.where(singular, nudged, s22)
+
+
+def _exact_resonances(feats, consts):
+    """For each branch, a frequency at which the reactance w*l - 1/(w*c) of
+    one of the rows is exactly 0, found within 64 ulps of its resonance."""
+    rho, v_conn, e_h, e_v, _, q_cb = feats.T
+    branches = ((consts.l_a + consts.l_b * (1.0 - v_conn),
+                 consts.c_a + consts.c_b * rho + consts.c_c * e_h),
+                (consts.l2_0 * (1.0 + q_cb), consts.c2_0 * (1.0 + e_v)))
+    found = []
+    for ls, cs in branches:
+        for l, c in zip(ls.tolist(), cs.tolist()):
+            f0 = 1.0 / (2 * math.pi * math.sqrt(l * c))
+            hits = [f for k in range(-64, 65) for f in [f0 + k * math.ulp(f0)]
+                    if 2.0 * math.pi * f * l - 1.0 / (2.0 * math.pi * f * c) == 0.0]
+            if hits:
+                found.append(hits[0])
+                break
+    assert len(found) == 2
+    return found
 
 
 def _grid_features(grids):
@@ -246,11 +296,61 @@ def test_blocks_equal_one_row_calls():
 
 def test_kernel_block_temporaries_stay_under_the_mmap_threshold():
     """glibc serves an allocation of 128 KiB or more from a fresh mmap that
-    is page-faulted in and unmapped again on free.  The kernel's per-block
-    temporaries, none larger than one (KERNEL_BLOCK, 61) complex array, stay
-    under that size and are reused from the heap; an mmap per temporary made
-    a fresh process evaluate the kernel about half as fast per row."""
-    assert oc.KERNEL_BLOCK * oc.N_FREQ * np.dtype(np.complex128).itemsize < 128 * 1024
+    is page-faulted in and unmapped again on free.  The kernel's largest
+    per-block temporary, a (KERNEL_BLOCK, 61) float64 array (the stub's
+    reactance on the nudge path), stays under that size and is reused from
+    the heap; an mmap per temporary made a fresh process evaluate the kernel
+    about half as fast per row."""
+    assert oc.KERNEL_BLOCK * oc.N_FREQ * np.dtype(np.float64).itemsize < 128 * 1024
+
+
+def test_kernel_allocates_nothing_mmap_sized_beside_its_scratch():
+    """A 10,000-row call into a preallocated out peaks under its scratch plus
+    128 KiB of traced memory, so no array allocated beside the scratch reaches
+    glibc's mmap threshold, whatever the number of blocks.  numpy's iterator
+    buffers a broadcast operand in np.getbufsize() elements, 64 KiB of float64
+    by default and so under the threshold too; the buffers are shrunk while
+    measuring so that the peak counts arrays alone."""
+    assert np.getbufsize() * np.dtype(np.float64).itemsize < 128 * 1024
+    feats = oc.code_features(oc.word_codes(CounterRng(8).u64(10_000)))
+    out = np.empty((len(feats), oc.N_FREQ), dtype=complex)
+    scratch = sum(a.nbytes for a in oc._kernel_scratch(oc.KERNEL_BLOCK, oc.N_FREQ))
+    assert len(feats) > 30 * oc.KERNEL_BLOCK
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        oc.features_response_batch(feats, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak - before - scratch < 128 * 1024
+    assert np.isfinite(out).all()
+
+
+def test_real_kernel_equals_the_complex_cascade():
+    """The kernel's real reactances give the bits of the complex cascade on
+    random and edge words, on the default grid and on a grid holding an exact
+    resonance of each branch (the nudge path), with out= a strided view of
+    records included."""
+    consts = oc.OracleConstants()
+    words = np.concatenate([CounterRng(9).u64(200_000), _EDGE_WORDS])
+    feats = oc.code_features(oc.word_codes(words))
+    edge = feats[-len(_EDGE_WORDS):]
+    for freqs in (oc.freq_grid(), np.append(oc.freq_grid(), _exact_resonances(edge, consts))):
+        for i in range(0, len(feats), 20_000):
+            rows = feats[i:i + 20_000]
+            got = oc.features_response_batch(rows, consts, freqs=freqs)
+            want = _complex_kernel(rows, freqs)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        rows = np.concatenate([feats[:2 * oc.KERNEL_BLOCK], edge])  # across blocks
+        records = np.zeros(len(rows), dtype=[("genome", ">u8"), ("resp", "<f8", (2 * len(freqs),))])
+        out = records["resp"].view(np.complex128)
+        oc.features_response_batch(rows, consts, freqs=freqs, out=out)
+        want = _complex_kernel(rows, freqs)
+        assert np.isfinite(want).all()
+        np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 def test_features_response_fills_a_strided_view_of_records():
@@ -320,6 +420,19 @@ def test_constants_validation_and_fingerprint():
 def test_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
         oc.response_batch(np.zeros((16, 16), bool), freqs=[0.0])
+
+
+@pytest.mark.parametrize("freqs, feats", [([math.nan], None), ([math.inf], None),
+                                          ([oc.FREQ_START, -math.inf], None),
+                                          (None, [math.nan] + [0.0] * 5),
+                                          (None, [0.0] * 5 + [math.inf])])
+def test_rejects_non_finite_inputs(freqs, feats):
+    """A NaN or infinite frequency or feature is refused, not turned into NaN spectra."""
+    with pytest.raises(ValueError, match="finite"):
+        if feats is None:
+            oc.response_batch(np.zeros((16, 16), bool), freqs=freqs)
+        else:
+            oc.features_response_batch(np.array([[0.0] * 6, feats]), freqs=freqs)
 
 
 def test_rejects_frequencies_that_are_not_1d():
