@@ -30,6 +30,9 @@ from .netcalc import C0
 TWO_PI = 2.0 * math.pi
 PATTERN_FLOOR_DB = -100.0  # lowest level of a normalized pattern cut
 PGM_FLOOR_DB = -40.0  # dB level that renders black in render_pgm
+# directions per block of far_field_gammas' (directions, n) factors, so that a
+# whole hemisphere holds them a block at a time
+DIRECTION_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,10 @@ def gammas_from_codes(codes: np.ndarray, gamma0: complex, gamma1: complex) -> np
 
 
 def far_field_gammas(cfg: ArrayConfig, gammas: np.ndarray, f: float,
-                     thetas_deg: np.ndarray, phi_deg: float = 0.0) -> np.ndarray:
-    """Complex field along one cut; negative theta means the phi+180 side."""
+                     thetas_deg: np.ndarray, phi_deg: float | np.ndarray = 0.0) -> np.ndarray:
+    """Complex field toward the 1-D set of directions (theta, phi) that
+    thetas_deg and phi_deg broadcast to; a scalar phi gives one cut, where
+    negative theta means the phi+180 side."""
     gammas = np.asarray(gammas, dtype=complex)
     if gammas.shape != (cfg.n_y, cfg.n_x):
         raise ValueError(f"gammas must be ({cfg.n_y}, {cfg.n_x}), got {gammas.shape}")
@@ -127,21 +132,26 @@ def far_field_gammas(cfg: ArrayConfig, gammas: np.ndarray, f: float,
     amp, feed_phase = _feed_terms(cfg, k0)
     excite = amp * gammas * np.exp(1j * feed_phase)
 
-    t = np.radians(np.asarray(thetas_deg, dtype=float))
-    p = math.radians(phi_deg)
-    ux = np.sin(t) * math.cos(p)
-    uy = np.sin(t) * math.sin(p)
+    t, p = np.broadcast_arrays(np.radians(np.asarray(thetas_deg, dtype=float)),
+                               np.radians(phi_deg))
+    ux = np.sin(t) * np.cos(p)
+    uy = np.sin(t) * np.sin(p)
+    elem = np.cos(t) ** cfg.q_elem
+    e = np.empty(t.shape, dtype=complex)
     # the steering phase separates per axis: sum rows with (D, n_y) y
     # factors, then columns with (D, n_x) x factors
-    ex = np.exp(1j * k0 * np.multiply.outer(ux, xs))
-    ey = np.exp(1j * k0 * np.multiply.outer(uy, ys))
-    elem = np.cos(t) ** cfg.q_elem
-    return ((ey @ excite) * ex).sum(axis=1) * elem
+    for i in range(0, len(e), DIRECTION_BLOCK):
+        d = slice(i, i + DIRECTION_BLOCK)
+        ex = np.exp(1j * k0 * np.multiply.outer(ux[d], xs))
+        ey = np.exp(1j * k0 * np.multiply.outer(uy[d], ys))
+        e[d] = ((ey @ excite) * ex).sum(axis=1) * elem[d]
+    return e
 
 
 def pattern_db(cfg: ArrayConfig, gammas: np.ndarray, f: float,
-               thetas_deg: np.ndarray, phi_deg: float = 0.0) -> np.ndarray:
-    """|E|^2 along the cut, normalized so the peak sits at 0 dB."""
+               thetas_deg: np.ndarray, phi_deg: float | np.ndarray = 0.0) -> np.ndarray:
+    """|E|^2 toward the directions of far_field_gammas, normalized so the
+    peak sits at 0 dB."""
     e = far_field_gammas(cfg, gammas, f, thetas_deg, phi_deg)
     p = np.abs(e) ** 2
     peak = p.max()
@@ -158,7 +168,7 @@ def _check_reflections(*gammas) -> None:
 
 
 def far_field(cfg: ArrayConfig, codes: np.ndarray, gamma0: complex, gamma1: complex,
-              f: float, thetas_deg: np.ndarray, phi_deg: float = 0.0) -> np.ndarray:
+              f: float, thetas_deg: np.ndarray, phi_deg: float | np.ndarray = 0.0) -> np.ndarray:
     """Normalized 1-bit pattern for a coding matrix and two element states."""
     _check_reflections(gamma0, gamma1)
     g = gammas_from_codes(codes, gamma0, gamma1)

@@ -157,13 +157,11 @@ def _outputs(command: str, force: bool, paths: list[Path],
                             "version": __version__}, names or tuple(inputs))
         return _tmp(path)
 
-    # the thread starts on the first submit, so a command without inputs,
-    # such as `gen`, which forks its workers, runs no thread
     pool = ThreadPoolExecutor(max_workers=1)
-    hashing = pool.submit(lambda: {n: _sha256(p) for n, p in inputs.items()}) if inputs else None
+    hashing = pool.submit(lambda: {n: _sha256(p) for n, p in inputs.items()})
     try:
         yield stage
-        hashes = hashing.result() if hashing else {}
+        hashes = hashing.result()
         for path, (manifest, names) in manifests.items():
             manifest["inputs"] = {n: hashes[n] for n in names}
             manifest["sha256"] = _sha256(_tmp(path))
@@ -437,15 +435,8 @@ def cmd_array(args, cfg: RunConfig) -> int:
         if args.hemisphere:
             thetas = np.arange(0.0, 90.0 + 1e-9, 1.0)
             phis = np.arange(0.0, 360.0, 1.0)
-            gam = arraysim.gammas_from_codes(codes, gamma0, gamma1)
-            rows = np.empty((len(phis), len(thetas)))
-            for i, phi in enumerate(phis):
-                e = arraysim.far_field_gammas(acfg, gam, f, thetas, float(phi))
-                rows[i] = np.abs(e) ** 2
-            peak = rows.max()
-            if peak > 0.0:
-                rows /= peak
-            db = 10.0 * np.log10(np.maximum(rows, 1e-10))
+            db = arraysim.far_field(acfg, codes, gamma0, gamma1, f, np.tile(thetas, len(phis)),
+                                    np.repeat(phis, len(thetas))).reshape(len(phis), len(thetas))
             path = outdir / "hemisphere.pgm"
             stage(path, params).write_text(arraysim.render_pgm(db))
             print(f"wrote {path}")
@@ -489,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[shared], help="generate the oracle dataset")
     p.add_argument("--n", type=int, help="number of records")
     p.add_argument("--seed", type=int, help="dataset seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--out", help="dataset path (default <outdir>/dataset.bin)")
     p.set_defaults(func=cmd_gen)
 

@@ -15,12 +15,9 @@ complex view, and readers take it back the same way.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import mmap
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +46,6 @@ RECORD_DTYPE = np.dtype([("genome", ">u8"), ("resp", "<f8", (RESP_WIDTH,))])
 # temporaries stay one block's size.
 ROW_BLOCK = 512
 
-# The records generate is filling, set only while it runs.  Pool workers are
-# forked after it is set and so inherit it, which is how they reach the shared
-# mapping without anything being pickled.
-_records: np.ndarray | None = None
-
 
 @dataclass(frozen=True)
 class DatasetHeader:
@@ -66,15 +58,13 @@ class DatasetHeader:
     n_freq: int
 
 
-def _fill(seed: int, start: int, count: int, consts: OracleConstants,
-          geom: GeometryMeta) -> int:
-    """Compute _records[start:start + count] in place; returns count."""
-    part = _records[start:start + count]
-    words = stream_u64(seed, start, count)
+def _fill(part: np.ndarray, seed: int, start: int, consts: OracleConstants,
+          geom: GeometryMeta) -> None:
+    """Compute the records at counters start.. in place in `part`."""
+    words = stream_u64(seed, start, len(part))
     part["genome"] = words
     features_response_batch(features_batch(expand_genome(u64_to_bits(words))), consts, geom,
                             out=part["resp"].view(np.complex128))
-    return count
 
 
 def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
@@ -83,32 +73,16 @@ def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
     """n records for (seed, constants); bit-identical for any jobs/chunk.
 
     Every chunk is computed straight into its slice of the returned array, so
-    the records are held once for any jobs.  With one worker the array is
-    plain memory.  With more, it lies in one anonymous shared mapping that
-    forked worker processes (at most one per chunk) write directly; only
-    record counts come back through the pool.  Platforms without the fork
-    start method get a ValueError for jobs > 1.
+    the records are held once for any jobs.  The chunks run on min(jobs,
+    chunks) threads, which write disjoint slices; the kernel's numpy loops
+    release the GIL, so the threads run side by side.
     """
-    global _records
     if n <= 0:
         raise ValueError("n must be positive")
-    args = [(seed, s, min(chunk, n - s), consts, geom) for s in range(0, n, chunk)]
-    workers = min(jobs, len(args))
-    if workers > 1:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError as exc:
-            raise ValueError(f"--jobs above 1 needs the fork start method ({exc})") from exc
-        records = np.frombuffer(mmap.mmap(-1, n * RECORD_DTYPE.itemsize), RECORD_DTYPE)
-    else:
-        records = np.empty(n, dtype=RECORD_DTYPE)
-    _records = records
-    try:
-        with (ProcessPoolExecutor(max_workers=workers, mp_context=context) if workers > 1
-              else contextlib.nullcontext()) as pool:
-            list((pool.map if pool else map)(_fill, *zip(*args)))
-    finally:
-        _records = None
+    records = np.empty(n, dtype=RECORD_DTYPE)
+    starts = range(0, n, chunk)
+    with ThreadPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
+        list(pool.map(lambda s: _fill(records[s:s + chunk], seed, s, consts, geom), starts))
     return records
 
 

@@ -111,7 +111,7 @@ def _count(x: np.ndarray) -> np.ndarray:
 
 
 def _quadrant_counts(w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(k,) uint64 genome words -> the five (k,) int64 counts of feature_codes."""
+    """(k,) uint64 genome words -> the five (k,) int64 counts that word_codes packs."""
     # starts[j]: cells that start a vertical run of j + 1 or more metal cells
     starts = w << _ROW_SHIFTS
     for j in range(1, GENOME_SIDE):
@@ -141,7 +141,7 @@ def features_batch(grids) -> np.ndarray:
     mean per-column longest vertical metal run / 16, e_h and e_v the
     horizontally and vertically dissimilar neighbor pairs / (16*15),
     rho_center the fill of the central 8x8 block, q_cb |rho_center - rho_border|.
-    They are computed from the quadrant counts that feature_codes packs (the
+    They are computed from the quadrant counts that word_codes packs (the
     grid's are 4x those, 2x for s); an unmirrored grid raises ValueError.
     """
     g = np.asarray(grids).astype(bool, copy=False)
@@ -190,14 +190,6 @@ def code_features(codes) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
     return _count_features(codes & 0x7F, codes >> 7 & 0x1FF, codes >> 16 & 0xFF,
                            codes >> 24 & 0xFF, codes >> 32)
-
-
-def feature_codes(bits) -> np.ndarray:
-    """(k, 64) quadrant bits -> the (k,) int64 word_codes of their words."""
-    q = np.asarray(bits).astype(bool)
-    if q.ndim != 2 or q.shape[1] != GENOME_BITS:
-        raise ValueError(f"expected (k, {GENOME_BITS}) genome bits, got {q.shape}")
-    return word_codes(bits_to_u64(q))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,15 @@ def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
+def _check_seed(seed: int) -> int:
+    """`seed` as an int; ValueError unless it lies in [0, 2**64), where no two
+    seeds share a stream."""
+    seed = int(seed)
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed {seed} lies outside [0, 2**64)")
+    return seed
+
+
 def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     """`count` draws at counters start..start+count-1, one u64 each.
 
@@ -39,7 +48,9 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     s[1], so only word 4i+1 is materialized.  It is computed in place in the
     counter array, with one scratch array for the shifts: the splitmix64 input
     (4i+2)*gamma + seed mod 2**64, then the finalizer, then rotl(s1*5, 7)*9.
+    A seed outside [0, 2**64) raises ValueError.
     """
+    seed = _check_seed(seed)
     z = np.arange(start, start + count, dtype=np.uint64)
     z *= np.uint64((4 * _SM_GAMMA) & _MASK)
     z += np.uint64((2 * _SM_GAMMA + seed) & _MASK)
@@ -70,7 +81,7 @@ class CounterRng:
     """Stateful façade over stream_u64: one seed, a moving counter."""
 
     def __init__(self, seed: int, start: int = 0):
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self.counter = int(start)
 
     def u64(self, n: int) -> np.ndarray:

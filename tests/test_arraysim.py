@@ -135,6 +135,20 @@ def test_far_field_matches_direct_sum(cfg):
         assert np.abs(e - ref).max() <= 1e-12 * np.abs(ref).max(), f"phi {phi}"
 
 
+def test_far_field_broadcasts_phi_against_theta():
+    """Directions given as flat (theta, phi) pairs have the bits of one call
+    per phi cut."""
+    cfg = ArrayConfig()
+    rng = np.random.default_rng(3)
+    gammas = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (cfg.n_y, cfg.n_x)))
+    thetas = np.arange(0.0, 90.5, 1.0)
+    phis = np.array([0.0, 37.5, 90.0, 215.0, 359.0])
+    e = far_field_gammas(cfg, gammas, F0, np.tile(thetas, len(phis)),
+                         np.repeat(phis, len(thetas)))
+    cuts = [far_field_gammas(cfg, gammas, F0, thetas, float(phi)) for phi in phis]
+    assert e.tobytes() == np.concatenate(cuts).tobytes()
+
+
 @pytest.mark.parametrize("gamma0, gamma1", [
     (complex(math.nan, 0.0), -1.0), (1.0, complex(0.0, math.nan)),
     (math.inf, -1.0), (1.0, complex(-math.inf, 0.0)),
@@ -145,18 +159,21 @@ def test_far_field_refuses_non_finite_reflections(gamma0, gamma1):
 
 
 def test_far_field_memory_peak_stays_small():
-    # the per-axis sum holds (directions, n_x) arrays, never the dense
-    # (directions, n_x * n_y) phase matrix
+    # the per-axis sum holds (DIRECTION_BLOCK, n_x) arrays, never the dense
+    # (directions, n_x * n_y) phase matrix nor factors for every direction
     cfg = ArrayConfig()
     codes = quantize_1bit(ideal_phase(cfg, SteerTarget(30.0, 0.0), F0))
-    cut = default_cut(0.01)
-    tracemalloc.start()
-    try:
-        far_field(cfg, codes, 1.0, -1.0, F0, cut)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+    thetas, phis = np.arange(0.0, 90.5, 1.0), np.arange(0.0, 360.0, 1.0)
+    cut = (default_cut(0.01),)  # 18,001 directions
+    hemisphere = (np.tile(thetas, len(phis)), np.repeat(phis, len(thetas)))  # 32,760
+    for directions in (cut, hemisphere):
+        tracemalloc.start()
+        try:
+            far_field(cfg, codes, 1.0, -1.0, F0, *directions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB for {directions[0].size} directions"
 
 
 def test_uniform_aperture_sidelobe_level():

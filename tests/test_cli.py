@@ -201,7 +201,8 @@ def test_array_pattern_peak_at_steer(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 def test_array_hemisphere_with_no_power_renders_the_floor(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(arraysim, "far_field_gammas",
-                        lambda cfg, gammas, f, thetas, phi=0.0: np.zeros(len(thetas), complex))
+                        lambda cfg, gammas, f, thetas, phi=0.0:
+                        np.zeros(np.broadcast_shapes(np.shape(thetas), np.shape(phi)), complex))
     code, _, _ = run(capsys, "array", "--hemisphere", "--outdir", str(tmp_path))
     assert code == 0
     lines = (tmp_path / "hemisphere.pgm").read_text().splitlines()
@@ -474,6 +475,32 @@ def test_gen_refuses_jobs_below_one(tmp_path, capsys, jobs):
     assert code == 1
     assert _one_error_line(err) and "--jobs" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["gen", "--n", "5", "--seed", "-1"], None),
+    (["gen", "--n", "5", "--seed", str(1 << 64)], None),
+    (["gen", "--n", "5"], {"dataset_seed": -1}),
+    (["design", "--target", "t.json", "--evaluator", "oracle", "--population", "8", "--generations", "1", "--seed", "99999999999999999999999"], None),
+    (["design", "--target", "t.json", "--evaluator", "oracle", "--population", "8", "--generations", "1"], {"ga": {"seed": -1}}),
+    (["train", "--data", "data.bin", "--epochs", "1"], {"train": {"seed": 1 << 64}}),
+], ids=["gen-flag-negative", "gen-flag-2**64", "gen-config", "design-flag", "design-config",
+        "train-config"])
+def test_seed_outside_u64_is_one_error_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                               argv, config):
+    """A seed is refused rather than folded mod 2**64, where -1 and 2**64 - 1
+    would write the same records under different headers."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "target", "--freq", "5.8e9", "--out", "t.json")
+    run(capsys, "gen", "--n", "44", "--out", "data.bin")
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run(capsys, *argv, "--outdir", "out")
+    assert code == 1
+    assert _one_error_line(err) and "lies outside [0, 2**64)" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])

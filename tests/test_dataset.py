@@ -1,6 +1,7 @@
 import json
-import multiprocessing
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_records_hold_the_oracle_response():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_filled_records_are_the_interleaved_oracle_response(jobs):
     """Chunks of more than two kernel blocks, written straight into the
-    records by this process or by pool workers, equal the records built from
+    records by one fill thread or two, equal the records built from
     interleave(response_batch(...)), byte for byte."""
     count = 2 * KERNEL_BLOCK + 37
     got = ds.generate(3 * count, 5, jobs=jobs, chunk=count)
@@ -69,12 +70,12 @@ def test_filled_records_are_the_interleaved_oracle_response(jobs):
     assert got.tobytes() == expect.tobytes()
 
 
-def test_generate_drops_its_shared_records_and_workers(monkeypatch):
-    """The module-level handle is cleared and no pool process outlives
-    generate, both after a normal return and after a chunk raises."""
+def test_generate_propagates_chunk_errors_and_joins_its_threads(monkeypatch):
+    """A chunk that raises propagates out of generate, and no fill thread
+    outlives generate, both after a normal return and after the error."""
+    before = threading.active_count()
     ds.generate(300, seed=9, jobs=2, chunk=100)
-    assert ds._records is None
-    assert multiprocessing.active_children() == []
+    assert threading.active_count() == before
 
     real = ds.features_response_batch
 
@@ -87,38 +88,33 @@ def test_generate_drops_its_shared_records_and_workers(monkeypatch):
     for jobs in (1, 2):
         with pytest.raises(RuntimeError, match="chunk failed"):
             ds.generate(250, seed=9, jobs=jobs, chunk=100)
-        assert ds._records is None
-        assert multiprocessing.active_children() == []
-
-
-def test_generate_refuses_jobs_without_fork(monkeypatch):
-    def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(ds.multiprocessing, "get_context", no_fork)
-    with pytest.raises(ValueError, match="fork start method"):
-        ds.generate(300, seed=9, jobs=2, chunk=100)
-    assert ds._records is None
-    assert ds.generate(300, seed=9, jobs=2, chunk=300).tobytes() == ds.generate(300, 9).tobytes()
+        assert threading.active_count() == before
 
 
 def test_generation_is_chunk_and_worker_invariant():
     """The same (n, seed) must produce byte-identical records no matter how
-    the work is sliced or how many processes run it."""
+    the work is sliced or how many threads run it."""
     base = ds.generate(600, seed=9, chunk=600)
     np.testing.assert_array_equal(ds.generate(600, seed=9, chunk=64), base)
     np.testing.assert_array_equal(ds.generate(600, seed=9, jobs=3, chunk=97), base)
     assert base.tobytes() == ds.generate(600, seed=9, jobs=2, chunk=200).tobytes()
+    # more threads than cores, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert base.tobytes() == ds.generate(600, seed=9, jobs=16, chunk=37).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("jobs, chunk, workers", [(64, 100, 3), (2, 100, 2), (64, 300, None)])
+@pytest.mark.parametrize("jobs, chunk, workers", [(64, 100, 3), (2, 100, 2), (64, 300, 1)])
 def test_generation_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, chunk, workers):
     started = []
 
     class FakePool:
-        """Runs the chunks in this process and records the requested pool size."""
+        """Runs the chunks in the calling thread and records the requested pool size."""
 
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):
@@ -130,9 +126,9 @@ def test_generation_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, chunk
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(ds, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(ds, "ThreadPoolExecutor", FakePool)
     recs = ds.generate(300, seed=9, jobs=jobs, chunk=chunk)
-    assert started == ([] if workers is None else [workers])
+    assert started == [workers]
     assert recs.tobytes() == ds.generate(300, seed=9).tobytes()
 
 

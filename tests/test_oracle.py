@@ -7,7 +7,7 @@ import pytest
 
 from metapix import oracle as oc
 from metapix.pattern import GeometryMeta, expand_genome, unpack_genome
-from metapix.rng import CounterRng, stream_u64, u64_to_bits
+from metapix.rng import CounterRng, bits_to_u64, stream_u64, u64_to_bits
 
 ETA = 377.0
 C0 = 299_792_458.0
@@ -103,7 +103,7 @@ def _grid_features(grids):
 
 
 def _scan_counts(bits):
-    """The five quadrant counts of feature_codes by an integer scan of the
+    """The five quadrant counts of word_codes by an integer scan of the
     (k, 64) bits as 8x8 quadrants, kept independent of the word popcounts."""
     q = np.asarray(bits).astype(bool).reshape(-1, 8, 8)
     run = np.zeros((len(q), 8), dtype=np.int64)
@@ -196,11 +196,6 @@ def test_popcounts_equal_the_quadrant_scan():
     # a full column: n = 8, and s = max(longest run 8, 2 x 8 ending at row 7)
     cols = oc.word_codes(_LINE_WORDS[2:10])
     assert (cols & 0x7F).tolist() == [8] * 8 and (cols >> 7 & 0x1FF).tolist() == [16] * 8
-
-
-def test_word_codes_equal_feature_codes():
-    words = np.concatenate([CounterRng(6).u64(1000), _EDGE_WORDS, _LINE_WORDS])
-    np.testing.assert_array_equal(oc.word_codes(words), oc.feature_codes(u64_to_bits(words)))
 
 
 def test_features_batch_matches_scalar():
@@ -484,7 +479,7 @@ def test_feature_code_determines_the_feature_row():
     """Genomes share a feature code exactly when their grid feature rows are
     byte-equal, on random words and on edge words."""
     bits = u64_to_bits(np.concatenate([CounterRng(3).u64(200_000), _EDGE_WORDS]))
-    codes = oc.feature_codes(bits)
+    codes = oc.word_codes(bits_to_u64(bits))
     assert codes.dtype == np.int64 and codes.shape == (len(bits),)
     assert codes[-2] == codes[-1]  # the equal-feature pair
     rows = oc.features_batch(expand_genome(bits)).view(np.uint64)
@@ -492,5 +487,3 @@ def test_feature_code_determines_the_feature_row():
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     np.testing.assert_array_equal(rows, rows[first][inverse])
     assert len(np.unique(rows, axis=0)) == len(first)
-    with pytest.raises(ValueError, match="genome bits"):
-        oc.feature_codes(expand_genome(bits[:2]))

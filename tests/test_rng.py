@@ -112,6 +112,16 @@ def test_counter_rng_is_stateless_across_instances():
     np.testing.assert_array_equal(CounterRng(7).u64(30)[20:], a.u64(10))
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 10**23])
+def test_seeds_outside_u64_are_refused(seed):
+    """Seeds are not folded mod 2**64, where -1 would draw the stream of 2**64 - 1."""
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+        stream_u64(seed, 0, 4)
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+        CounterRng(seed)
+    assert CounterRng((1 << 64) - 1).u64(4).tolist() == stream_u64((1 << 64) - 1, 0, 4).tolist()
+
+
 def test_random_unit_interval():
     r = CounterRng(3).random(10_000)
     assert r.min() >= 0.0
