@@ -126,11 +126,13 @@ def _outputs(command: str, force: bool, paths: list[Path],
     output that a rename could not put in place, then starts hashing each
     input once on a worker thread, beside the block's work.  The block writes
     each artifact to the `<name>.tmp.<pid>` path that the yielded `stage`
-    returns.  A clean exit takes the input hashes from the thread (raising
-    its error, if any) before the first manifest is written, then writes the
-    manifests and renames every file into place; an exception removes the
-    staged files and the directories made for them.  Either exit joins the
-    thread.
+    returns.  A block that hashes an artifact as it writes it puts the digest
+    in `stage.sha256[path]`, and the manifest takes it from there instead of
+    reading the file back.  A clean exit takes the input hashes from the
+    thread (raising its error, if any) before the first manifest is written,
+    then writes the manifests and renames every file into place; an exception
+    removes the staged files and the directories made for them.  Either exit
+    joins the thread.
     """
     if len({p.resolve() for p in paths}) < len(paths):
         raise CliError(f"two outputs of {command} name the same file")
@@ -157,6 +159,7 @@ def _outputs(command: str, force: bool, paths: list[Path],
                             "version": __version__}, names or tuple(inputs))
         return _tmp(path)
 
+    stage.sha256 = {}
     pool = ThreadPoolExecutor(max_workers=1)
     hashing = pool.submit(lambda: {n: _sha256(p) for n, p in inputs.items()})
     try:
@@ -164,7 +167,7 @@ def _outputs(command: str, force: bool, paths: list[Path],
         hashes = hashing.result()
         for path, (manifest, names) in manifests.items():
             manifest["inputs"] = {n: hashes[n] for n in names}
-            manifest["sha256"] = _sha256(_tmp(path))
+            manifest["sha256"] = stage.sha256.get(path) or _sha256(_tmp(path))
             side = path.with_name(path.name + ".manifest.json")
             staged.append(side)
             _tmp(side).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -221,11 +224,16 @@ def cmd_gen(args, cfg: RunConfig) -> int:
     out = _out_path(args.out, args, cfg, "dataset.bin")
     seed = args.seed if args.seed is not None else cfg.dataset_seed
     with _outputs("gen", args.force, [out]) as stage:
-        records = dataset.generate(n, seed, cfg.constants, cfg.geometry, jobs=args.jobs)
         params = {"n": n, "seed": seed,
                   "fingerprint": oracle.fingerprint(cfg.constants, cfg.geometry),
                   "dataset_version": dataset.DATASET_VERSION}
-        dataset.save(stage(out, params), records, seed, cfg.constants, cfg.geometry)
+        # the records in order, jobs x WINDOW at a time: `save` writes one
+        # window while the next one fills
+        step = args.jobs * dataset.WINDOW
+        windows = (dataset.generate(min(step, n - s), seed, cfg.constants, cfg.geometry,
+                                    jobs=args.jobs, start=s) for s in range(0, n, step))
+        stage.sha256[out] = dataset.save(stage(out, params), n, windows, seed,
+                                         cfg.constants, cfg.geometry)
     print(f"wrote {out} ({n} records, seed {seed})")
     return 0
 
@@ -234,11 +242,11 @@ def cmd_stats(args, cfg: RunConfig) -> int:
     path = _require(Path(args.data), "dataset artifact")
     out = Path(args.out) if args.out else None
     with _outputs("stats", args.force, [out] if out else [], {"dataset": path}) as stage:
-        header, records = dataset.load(path, cfg.constants, cfg.geometry,
-                                       check_fingerprint=not args.no_fingerprint_check)
-        text = json.dumps(dataset.summarize(records), indent=2, sort_keys=True) + "\n"
+        blocks = dataset.FileBlocks.open(path, cfg.constants, cfg.geometry,
+                                         check_fingerprint=not args.no_fingerprint_check)
+        text = json.dumps(dataset.summarize(blocks), indent=2, sort_keys=True) + "\n"
         if out:
-            stage(out, {"n": header.n, "seed": header.seed}).write_text(text)
+            stage(out, {"n": blocks.header.n, "seed": blocks.header.seed}).write_text(text)
     if out:
         print(f"wrote {out}")
     else:

@@ -11,12 +11,20 @@ function of (n, seed, constants, geometry), whatever the worker count.  The
 interleaved "resp" field has exactly the layout of 61 little-endian complex128
 values, so the oracle writes a record's response straight into it through a
 complex view, and readers take it back the same way.
+
+`gen` and `stats` stream the file: `gen` fills the records in windows of
+`jobs x WINDOW` records, which `save` writes and hashes in order on one writer
+thread while the next window fills, and `stats` reads the body in blocks of
+WINDOW records through `load`, in two passes.  Neither holds more than two
+windows or blocks of records at once; `train` loads the whole file, one copy.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +50,12 @@ SPLIT_NUM, SPLIT_DEN = 10, 11  # split trains on 10 of every 11 records
 
 RECORD_DTYPE = np.dtype([("genome", ">u8"), ("resp", "<f8", (RESP_WIDTH,))])
 
+# Records per `gen` window and job, and per block that `stats` reads.
+WINDOW = 4096
+# Records per fill task of generate.  A task's temporaries, about 1.4 MB at
+# this size, come on top of the two windows `gen` holds, once per thread; at
+# 4096 records they are twice that, and 2048 fills as fast.
+CHUNK = 2048
 # Records per block when load and summarize walk a record array, so their
 # temporaries stay one block's size.
 ROW_BLOCK = 512
@@ -69,49 +83,69 @@ def _fill(part: np.ndarray, seed: int, start: int, consts: OracleConstants,
 
 def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
              geom: GeometryMeta = GeometryMeta(), jobs: int = 1,
-             chunk: int = 4096) -> np.ndarray:
-    """n records for (seed, constants); bit-identical for any jobs/chunk.
+             chunk: int = CHUNK, start: int = 0) -> np.ndarray:
+    """Records start..start+n-1 of (seed, constants); bit-identical for any jobs/chunk.
 
     Every chunk is computed straight into its slice of the returned array, so
-    the records are held once for any jobs.  The chunks run on min(jobs,
-    chunks) threads, which write disjoint slices; the kernel's numpy loops
-    release the GIL, so the threads run side by side.
+    the records are held once for any jobs.  One chunk, or jobs 1, runs on the
+    calling thread; otherwise the chunks run on min(jobs, chunks) threads,
+    which write disjoint slices.  The kernel's numpy loops release the GIL, so
+    the threads run side by side.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     records = np.empty(n, dtype=RECORD_DTYPE)
-    starts = range(0, n, chunk)
-    with ThreadPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
-        list(pool.map(lambda s: _fill(records[s:s + chunk], seed, s, consts, geom), starts))
+    offsets = range(0, n, chunk)
+
+    def fill(i: int) -> None:
+        _fill(records[i:i + chunk], seed, start + i, consts, geom)
+
+    workers = min(jobs, len(offsets))
+    if workers == 1:
+        for i in offsets:
+            fill(i)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, offsets))
     return records
 
 
-def _header_for(records: np.ndarray, seed: int, consts: OracleConstants,
-                geom: GeometryMeta) -> DatasetHeader:
-    return DatasetHeader(
+def save(path: str, n: int, windows: Iterable[np.ndarray], seed: int,
+         consts: OracleConstants = OracleConstants(),
+         geom: GeometryMeta = GeometryMeta()) -> str:
+    """Write the header for n records, then each window in order; return the file's sha256.
+
+    One writer thread writes and hashes each window straight from its buffer
+    while the caller produces the next one, so at most two windows are alive.
+    The caller makes the write atomic; windows that hold other than n records
+    in all raise ValueError once written.
+    """
+    header = DatasetHeader(
         version=DATASET_VERSION,
-        n=len(records),
+        n=n,
         seed=int(seed),
         fingerprint=fingerprint(consts, geom),
         freq_start=FREQ_START,
         freq_step=FREQ_STEP,
         n_freq=N_FREQ,
     )
+    digest = hashlib.sha256()
+    written = 0
+    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as writer:
+        def put(data) -> None:
+            fh.write(data)
+            digest.update(data)
 
-
-def save(path: str, records: np.ndarray, seed: int,
-         consts: OracleConstants = OracleConstants(),
-         geom: GeometryMeta = GeometryMeta()) -> DatasetHeader:
-    """Write header + records to `path`; the caller makes the write atomic.
-
-    The body is written straight from the records' own buffer, without a copy.
-    """
-    records = np.ascontiguousarray(records, dtype=RECORD_DTYPE)
-    header = _header_for(records, seed, consts, geom)
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header.__dict__, sort_keys=True) + "\n").encode())
-        fh.write(records.view(np.uint8))
-    return header
+        pending = writer.submit(put, (json.dumps(header.__dict__, sort_keys=True) + "\n").encode())
+        for window in windows:
+            window = np.ascontiguousarray(window, dtype=RECORD_DTYPE)
+            written += len(window)
+            pending.result()
+            pending = writer.submit(put, window.view(np.uint8))
+        pending.result()
+    if written != n:
+        raise ValueError(f"{path}: header says {n} records, windows held {written}")
+    return digest.hexdigest()
 
 
 def _parse_header(line: bytes, consts: OracleConstants, geom: GeometryMeta,
@@ -147,14 +181,16 @@ def _check_body(path, n: int, size: int) -> None:
 
 
 def load(path: str, consts: OracleConstants = OracleConstants(),
-         geom: GeometryMeta = GeometryMeta(),
-         check_fingerprint: bool = True) -> tuple[DatasetHeader, np.ndarray]:
-    """Read a dataset; refuse one built under other model constants or frequencies.
+         geom: GeometryMeta = GeometryMeta(), check_fingerprint: bool = True,
+         start: int = 0, count: int | None = None) -> tuple[DatasetHeader, np.ndarray]:
+    """Read records start..start+count-1 (default: to the end) of a dataset;
+    refuse one built under other model constants or frequencies.
 
-    The header (field types included) and the body size are checked before
-    anything is allocated; the body is then read straight into the returned
-    records, so they are held once.  A record whose response is not finite is
-    refused; the check runs over ROW_BLOCK records at a time.
+    The header (field types included), the body size and the range are
+    checked before anything is allocated; the range is then read straight
+    into the returned records, so they are held once.  A record whose
+    response is not finite is refused by its index in the file; the check
+    runs over ROW_BLOCK records at a time.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -162,16 +198,50 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
             header = _parse_header(line, consts, geom, check_fingerprint)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        _check_body(path, header.n, os.fstat(fh.fileno()).st_size - len(line))
-        records = np.empty(header.n, dtype=RECORD_DTYPE)
-        _check_body(path, header.n, fh.readinto(records.view(np.uint8)))
+        body = os.fstat(fh.fileno()).st_size - len(line)
+        _check_body(path, header.n, body)
+        count = header.n - start if count is None else count
+        if not 0 <= start <= start + count <= header.n:
+            raise ValueError(f"{path}: records {start}..{start + count - 1} "
+                             f"lie outside its {header.n} records")
+        records = np.empty(count, dtype=RECORD_DTYPE)
+        fh.seek(len(line) + start * RECORD_DTYPE.itemsize)
+        got = fh.readinto(records.view(np.uint8))
+        _check_body(path, header.n, body - records.nbytes + got)
     resp = records["resp"]
     for i in range(0, len(resp), ROW_BLOCK):
         finite = np.isfinite(resp[i:i + ROW_BLOCK]).all(axis=1)
         if not finite.all():
-            bad = i + int(np.argmin(finite))
+            bad = start + i + int(np.argmin(finite))
             raise ValueError(f"{path}: record {bad} holds a non-finite response")
     return header, records
+
+
+@dataclass(frozen=True)
+class FileBlocks:
+    """The records of a dataset file as a re-iterable of WINDOW-record blocks.
+
+    Each pass reads the body anew, one block at a time through `load`, so a
+    pass holds the block in hand and the next one while it is read; `header`
+    is the file's, read and checked by `open`.
+    """
+    path: str
+    header: DatasetHeader
+    consts: OracleConstants
+    geom: GeometryMeta
+    check_fingerprint: bool
+
+    @classmethod
+    def open(cls, path: str, consts: OracleConstants = OracleConstants(),
+             geom: GeometryMeta = GeometryMeta(), check_fingerprint: bool = True) -> FileBlocks:
+        header, _ = load(path, consts, geom, check_fingerprint, count=0)
+        return cls(path, header, consts, geom, check_fingerprint)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        n = self.header.n
+        for start in range(0, n, WINDOW):
+            yield load(self.path, self.consts, self.geom, self.check_fingerprint,
+                       start=start, count=min(WINDOW, n - start))[1]
 
 
 def split(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,48 +252,65 @@ def split(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return records[:k], records[k:]
 
 
-def _column_sums(resp: np.ndarray, rows_into) -> np.ndarray:
-    """Axis-0 sums of the rows that rows_into(out, block) writes per block.
+def _add_rows(acc: np.ndarray, buf: np.ndarray, rows: np.ndarray, rows_into) -> np.ndarray:
+    """acc plus the rows that rows_into(out, rows) writes, added one after another.
 
-    Each block is reduced with the running sums as its first row, so every
-    column adds its rows one after another, bit-equal to numpy's axis-0 sum
-    over the whole stack; one block-sized buffer is reused throughout.
+    The rows are reduced with acc as their first row, so running sums carried
+    across calls add every column's rows in order, bit-equal to numpy's axis-0
+    sum over the whole stack; `buf` holds ROW_BLOCK + 1 rows and is reused.
     """
-    buf = np.empty((ROW_BLOCK + 1, resp.shape[1]))
-    acc = np.zeros(resp.shape[1])  # numpy's add.reduce starts from 0.0 too
-    for i in range(0, len(resp), ROW_BLOCK):
-        block = resp[i:i + ROW_BLOCK]
-        rows = buf[:len(block) + 1]
-        rows[0] = acc
-        rows_into(rows[1:], block)
-        acc = np.add.reduce(rows, axis=0)
-    return acc
+    out = buf[:len(rows) + 1]
+    out[0] = acc
+    rows_into(out[1:], rows)
+    return np.add.reduce(out, axis=0)
 
 
-def summarize(records: np.ndarray) -> dict:
+def summarize(blocks: Iterable[np.ndarray] | np.ndarray) -> dict:
     """Sanity statistics: per-frequency response moments, fill, magnitudes.
 
-    Works on blocks of ROW_BLOCK rows, so beyond the records it holds one
-    block of temporaries plus one float per record; the figures are bit-equal
-    to numpy's whole-array mean, std, abs and histogram.
+    `blocks` is a re-iterable of record arrays (one array is one block),
+    walked twice: column sums, magnitudes and popcount totals first, then the
+    squared deviations from the mean.  Beyond the block in hand it holds one
+    ROW_BLOCK of temporaries; the figures are bit-equal to numpy's
+    whole-array mean, std, abs and histogram over all the records.
     """
-    n = len(records)
+    if isinstance(blocks, np.ndarray):
+        blocks = (blocks,)
+    buf = np.empty((ROW_BLOCK + 1, RESP_WIDTH))
+    sums = np.zeros(RESP_WIDTH)  # numpy's add.reduce starts from 0.0 too
+    # records per genome popcount: the quadrant's fill is the grid's, and a
+    # popcount over 64 is exactly the mean of the genome's 64 bits
+    fills = np.zeros(65, dtype=np.int64)
+    mag_min, mag_max = np.inf, -np.inf
+    n = 0
+    for block in blocks:
+        n += len(block)
+        fills += np.bincount(np.bitwise_count(block["genome"]), minlength=65)
+        for i in range(0, len(block), ROW_BLOCK):
+            resp = block["resp"][i:i + ROW_BLOCK]
+            sums = _add_rows(sums, buf, resp, np.copyto)
+            mags = np.abs(resp.view(np.complex128))
+            mag_min, mag_max = min(mag_min, mags.min()), max(mag_max, mags.max())
     if n == 0:
         raise ValueError("cannot summarize an empty dataset")
-    resp = records["resp"]
-    mag_min, mag_max = np.inf, -np.inf
-    s22 = resp.view(np.complex128)
-    for i in range(0, n, ROW_BLOCK):
-        mags = np.abs(s22[i:i + ROW_BLOCK])
-        mag_min, mag_max = min(mag_min, mags.min()), max(mag_max, mags.max())
-    # the quadrant's fill is the grid's; a popcount over 64 is exactly the
-    # mean of the genome's 64 bits
-    fill = np.bitwise_count(records["genome"]) / 64
     # np.std takes the mean as np.mean does, then sums the squared deviations
-    mean = _column_sums(resp, np.copyto) / n
-    std = np.sqrt(_column_sums(
-        resp, lambda out, block: np.square(np.subtract(block, mean, out=out), out=out)) / n)
-    hist, edges = np.histogram(fill, bins=16, range=(0.0, 1.0))
+    mean = sums / n
+    squares = np.zeros(RESP_WIDTH)
+    seen = 0
+    for block in blocks:
+        seen += len(block)
+        for i in range(0, len(block), ROW_BLOCK):
+            squares = _add_rows(
+                squares, buf, block["resp"][i:i + ROW_BLOCK],
+                lambda out, rows: np.square(np.subtract(rows, mean, out=out), out=out))
+    if seen != n:
+        raise ValueError(f"the second pass over the blocks saw {seen} of {n} records; "
+                         f"summarize needs blocks it can iterate twice")
+    std = np.sqrt(squares / n)
+    # popcount/64 summed over the records is exact in float64 in any order,
+    # so the totals give numpy's mean and histogram of the fills exactly
+    popcounts = np.arange(65)
+    hist, edges = np.histogram(popcounts / 64, bins=16, range=(0.0, 1.0), weights=fills)
     return {
         "n": n,
         "re_mean": mean[0::2].tolist(),
@@ -232,7 +319,7 @@ def summarize(records: np.ndarray) -> dict:
         "im_std": std[1::2].tolist(),
         "mag_min": float(mag_min),
         "mag_max": float(mag_max),
-        "fill_mean": float(fill.mean()),
+        "fill_mean": int(fills @ popcounts) / 64 / n,
         "fill_hist": hist.tolist(),
         "fill_edges": edges.tolist(),
     }

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from metapix import arraysim, cli, surrogate
+from metapix import arraysim, cli, dataset, surrogate
 from metapix.cli import main
 from metapix.surrogate import init_mlp, save_checkpoint
 
@@ -95,6 +95,90 @@ def test_gen_deterministic_across_jobs(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--n", "66", "--seed", "1", "--outdir", str(a))
     assert code == 1
     assert "refusing to overwrite" in err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_gen_manifest_holds_the_sha256_of_the_file_it_wrote(tmp_path, capsys, jobs):
+    """gen hashes its windows as it writes them; the last window is partial."""
+    n = 2 * jobs * dataset.WINDOW + 100
+    code, _, _ = run(capsys, "gen", "--n", str(n), "--seed", "8", "--jobs", str(jobs),
+                     "--outdir", str(tmp_path))
+    assert code == 0
+    data = tmp_path / "dataset.bin"
+    manifest = json.loads((tmp_path / "dataset.bin.manifest.json").read_text())
+    assert manifest["sha256"] == sha(data)
+    whole = tmp_path / "whole.bin"
+    dataset.save(str(whole), n, [dataset.generate(n, 8)], 8)
+    assert data.read_bytes() == whole.read_bytes()
+
+
+def _fail_in_window_two(monkeypatch, jobs):
+    """Make every chunk from gen's second window on raise."""
+    fill = dataset._fill
+
+    def failing_fill(part, seed, start, consts, geom):
+        if start >= jobs * dataset.WINDOW:
+            raise ValueError("chunk failed")
+        fill(part, seed, start, consts, geom)
+
+    monkeypatch.setattr(dataset, "_fill", failing_fill)
+    return "chunk failed"
+
+
+def _fail_in_the_writer(monkeypatch, jobs):
+    """Make the writer thread's second write fail, as on a full disk."""
+    main_thread = threading.current_thread()
+
+    class FullDisk:
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            assert threading.current_thread() is not main_thread
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(dataset, "open", FullDisk, raising=False)
+    return "No space left on device"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fail", [_fail_in_window_two, _fail_in_the_writer])
+def test_gen_failure_mid_stream_publishes_nothing_and_joins_its_threads(
+        tmp_path, capsys, monkeypatch, fail, jobs):
+    message = fail(monkeypatch, jobs)
+    threads = threading.active_count()
+    code, _, err = run(capsys, "gen", "--n", str(3 * jobs * dataset.WINDOW), "--jobs", str(jobs),
+                       "--outdir", str(tmp_path / "out"))
+    assert code == 1
+    assert _one_error_line(err) and message in err
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == threads
+
+
+def test_stats_names_a_non_finite_record_of_a_later_block(tmp_path, capsys):
+    run(capsys, "gen", "--n", str(2 * dataset.WINDOW + 9), "--seed", "3",
+        "--outdir", str(tmp_path))
+    data = tmp_path / "dataset.bin"
+    blob = bytearray(data.read_bytes())
+    bad = dataset.WINDOW + 5
+    offset = blob.index(b"\n") + 1 + bad * dataset.RECORD_DTYPE.itemsize + 8 + 8 * 17
+    blob[offset:offset + 8] = np.array([np.inf]).tobytes()
+    data.write_bytes(bytes(blob))
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "stats", "--data", str(data), "--out", str(tmp_path / "s.json"))
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and f"{data}: record {bad} holds a non-finite response" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_stats_reads_dataset(tmp_path, capsys):

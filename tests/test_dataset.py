@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from metapix import dataset as ds
+from metapix.cli import main
 from metapix.dataset import ROW_BLOCK
 from metapix.oracle import (
     KERNEL_BLOCK,
@@ -128,16 +130,17 @@ def test_generation_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, chunk
 
     monkeypatch.setattr(ds, "ThreadPoolExecutor", FakePool)
     recs = ds.generate(300, seed=9, jobs=jobs, chunk=chunk)
-    assert started == [workers]
+    # a single worker is the calling thread itself: no pool is started
+    assert started == ([workers] if workers > 1 else [])
     assert recs.tobytes() == ds.generate(300, seed=9).tobytes()
 
 
 def test_save_load_round_trip(tmp_path):
-    path = str(tmp_path / "set.bin")
+    path = tmp_path / "set.bin"
     recs = ds.generate(64, seed=5)
-    header = ds.save(path, recs, seed=5)
-    got_header, got = ds.load(path)
-    assert got_header == header
+    digest = ds.save(str(path), 64, [recs], seed=5)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    got_header, got = ds.load(str(path))
     assert got_header.n == 64
     assert got_header.seed == 5
     assert got_header.n_freq == 61
@@ -148,7 +151,7 @@ def test_save_load_round_trip(tmp_path):
 def test_load_rejects_wrong_constants(tmp_path):
     path = str(tmp_path / "set.bin")
     recs = ds.generate(4, seed=1)
-    ds.save(path, recs, seed=1)
+    ds.save(path, len(recs), [recs], seed=1)
     with pytest.raises(ValueError, match="fingerprint"):
         ds.load(path, consts=OracleConstants(c_b=200e-15))
     # explicit opt-out still works
@@ -166,7 +169,7 @@ def test_load_rejects_garbage(tmp_path):
 
 def test_load_rejects_truncation(tmp_path):
     path = str(tmp_path / "set.bin")
-    ds.save(path, ds.generate(16, seed=2), seed=2)
+    ds.save(path, 16, [ds.generate(16, seed=2)], seed=2)
     blob = open(path, "rb").read()
     with open(path, "wb") as fh:
         fh.write(blob[:-100])
@@ -177,7 +180,7 @@ def test_load_rejects_truncation(tmp_path):
 def test_load_rejects_trailing_bytes(tmp_path):
     path = str(tmp_path / "set.bin")
     recs = ds.generate(16, seed=2)
-    ds.save(path, recs, seed=2)
+    ds.save(path, len(recs), [recs], seed=2)
     with open(path, "ab") as fh:
         fh.write(recs[:1].tobytes())
     with pytest.raises(ValueError, match="header says 16 records, file holds 17$"):
@@ -205,7 +208,7 @@ def _edit_header(path, **fields):
 ])
 def test_load_rejects_another_frequency_grid(tmp_path, fields):
     path = str(tmp_path / "set.bin")
-    ds.save(path, ds.generate(4, seed=1), seed=1)
+    ds.save(path, 4, [ds.generate(4, seed=1)], seed=1)
     _edit_header(path, **fields)
     for check in (True, False):
         with pytest.raises(ValueError, match=f"{path}: frequency grid"):
@@ -218,7 +221,7 @@ def test_load_rejects_another_frequency_grid(tmp_path, fields):
 ])
 def test_load_rejects_header_field_of_wrong_type(tmp_path, fields):
     path = str(tmp_path / "set.bin")
-    ds.save(path, ds.generate(16, seed=2), seed=2)
+    ds.save(path, 16, [ds.generate(16, seed=2)], seed=2)
     _edit_header(path, **fields)
     (name, value), = fields.items()
     kind = ds.DatasetHeader.__annotations__[name]
@@ -236,7 +239,7 @@ def test_load_refuses_non_finite_responses(tmp_path, value, bad):
     recs = ds.generate(ROW_BLOCK + 3, seed=2)
     for i in bad:
         recs["resp"][i, 7] = value
-    ds.save(path, recs, seed=2)
+    ds.save(path, len(recs), [recs], seed=2)
     want = re.escape(f"{path}: record {bad[0]} holds a non-finite response")
     with pytest.raises(ValueError, match=f"^{want}$"):
         ds.load(path)
@@ -245,14 +248,14 @@ def test_load_refuses_non_finite_responses(tmp_path, value, bad):
 def test_load_accepts_integer_frequencies(tmp_path):
     """A JSON writer may print a whole-number float without its point."""
     path = str(tmp_path / "set.bin")
-    ds.save(path, ds.generate(4, seed=2), seed=2)
+    ds.save(path, 4, [ds.generate(4, seed=2)], seed=2)
     _edit_header(path, freq_start=int(ds.FREQ_START), freq_step=int(ds.FREQ_STEP))
     assert len(ds.load(path)[1]) == 4
 
 
 def test_load_refuses_a_huge_count_before_allocating(tmp_path):
     path = str(tmp_path / "set.bin")
-    ds.save(path, ds.generate(16, seed=2), seed=2)
+    ds.save(path, 16, [ds.generate(16, seed=2)], seed=2)
     _edit_header(path, n=10**15)
     tracemalloc.start()
     try:
@@ -320,16 +323,20 @@ def _reference_summary(records):
     }
 
 
+def _wide_records(n, seed=3):
+    """Records whose responses span twelve decades, so that any change in the
+    order of the column sums shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    recs = np.empty(n, dtype=ds.RECORD_DTYPE)
+    recs["genome"] = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    recs["resp"] = rng.normal(size=(n, ds.RESP_WIDTH)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+    return recs
+
+
 @pytest.fixture(scope="module")
 def summary_records():
-    """Oracle records, and records whose responses span twelve decades, so
-    that any change in the order of the column sums shows in the last bits."""
-    oracle = ds.generate(10000, seed=7)
-    rng = np.random.default_rng(3)
-    wide = np.empty(10000, dtype=ds.RECORD_DTYPE)
-    wide["genome"] = rng.integers(0, 2**64, size=10000, dtype=np.uint64)
-    wide["resp"] = rng.normal(size=(10000, ds.RESP_WIDTH)) * 10.0 ** rng.uniform(-6, 6, (10000, 1))
-    return {"oracle": oracle, "wide": wide}
+    """Oracle records and wide-range records."""
+    return {"oracle": ds.generate(10000, seed=7), "wide": _wide_records(10000)}
 
 
 @pytest.mark.parametrize("block", [None, 1, 7])
@@ -348,6 +355,12 @@ def test_summarize_refuses_no_records():
         ds.summarize(ds.generate(1, seed=1)[:0])
 
 
+def test_summarize_refuses_blocks_it_cannot_walk_twice():
+    recs = ds.generate(10, seed=1)
+    with pytest.raises(ValueError, match="saw 0 of 10 records"):
+        ds.summarize(recs[i:i + 4] for i in range(0, 10, 4))
+
+
 def _peak_bytes(fn, *args):
     """Peak bytes fn allocates, numpy data buffers included, and its result."""
     tracemalloc.start()
@@ -359,17 +372,109 @@ def _peak_bytes(fn, *args):
     return peak, result
 
 
-def test_each_stage_holds_the_records_once(tmp_path):
+def test_each_stage_holds_the_records_once(tmp_path, capsys):
     n = 20000
     path = str(tmp_path / "set.bin")
     one_chunk, _ = _peak_bytes(ds.generate, 4096, 11)
     peak, recs = _peak_bytes(ds.generate, n, 11)
     size = recs.nbytes
     assert peak <= size + 1.1 * one_chunk, f"generate {peak / size:.2f}x the records"
-    peak, _ = _peak_bytes(ds.save, path, recs, 11)
+    peak, _ = _peak_bytes(ds.save, path, n, [recs], 11)
     assert peak <= 0.05 * size, f"save {peak / size:.2f}x the records"
     peak, (_, got) = _peak_bytes(ds.load, path)
     assert peak <= 1.05 * size, f"load {peak / size:.2f}x the records"
     assert got.tobytes() == recs.tobytes()
     peak, _ = _peak_bytes(ds.summarize, got)
     assert peak <= 0.6 * size, f"summarize {peak / size:.2f}x the records"
+
+    # gen and stats stream the file: two windows of jobs x WINDOW records at
+    # most, never the whole set
+    n = 40000
+    size = n * ds.RECORD_DTYPE.itemsize
+    for jobs in (1, 2):
+        argv = ["gen", "--n", str(n), "--seed", "11", "--jobs", str(jobs),
+                "--out", str(tmp_path / f"jobs{jobs}.bin")]
+        peak, code = _peak_bytes(main, argv)
+        assert code == 0
+        assert peak < 0.5 * size, f"gen --jobs {jobs} {peak / size:.2f}x the records"
+    peak, code = _peak_bytes(main, ["stats", "--data", str(tmp_path / "jobs1.bin"),
+                                    "--out", str(tmp_path / "stats.json")])
+    assert code == 0
+    assert peak < 0.5 * size, f"stats {peak / size:.2f}x the records"
+    capsys.readouterr()
+    assert (tmp_path / "jobs1.bin").read_bytes() == (tmp_path / "jobs2.bin").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 1])
+@pytest.mark.parametrize("source", ["oracle", "wide"])
+def test_streamed_summary_is_bit_equal_to_whole_array_formulas(tmp_path, source, n):
+    """`stats` reads WINDOW-record blocks of the file in two passes; its
+    summary equals the whole-array one in every bit."""
+    assert ds.WINDOW == 4096
+    recs = ds.generate(n, seed=7) if source == "oracle" else _wide_records(n)
+    path = str(tmp_path / "set.bin")
+    ds.save(path, n, [recs], seed=7)
+    blocks = ds.FileBlocks.open(path)
+    assert [len(b) for b in blocks] == [len(recs[i:i + 4096]) for i in range(0, n, 4096)]
+    want = json.dumps(_reference_summary(recs))
+    assert json.dumps(ds.summarize(blocks)) == want
+    # any split into blocks, the empty one included
+    half = (n + 1) // 2
+    parts = [recs[:1], recs[1:1], recs[1:half], recs[half:]]
+    assert json.dumps(ds.summarize(parts)) == want
+
+
+def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path):
+    recs = ds.generate(1003, seed=4)
+    whole = tmp_path / "whole.bin"
+    parts = tmp_path / "parts.bin"
+    digest = ds.save(str(whole), 1003, [recs], seed=4)
+    windows = (recs[i:i + 300] for i in range(0, 1003, 300))
+    assert ds.save(str(parts), 1003, windows, seed=4) == digest
+    assert parts.read_bytes() == whole.read_bytes()
+    # windows filled on 16 threads while the writer writes, switching as often
+    # as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        windows = (ds.generate(min(97, 1003 - s), 4, jobs=16, chunk=5, start=s)
+                   for s in range(0, 1003, 97))
+        assert ds.save(str(parts), 1003, windows, seed=4) == digest
+    finally:
+        sys.setswitchinterval(interval)
+    assert parts.read_bytes() == whole.read_bytes()
+    assert digest == hashlib.sha256(whole.read_bytes()).hexdigest()
+    for count in (1002, 1004):
+        with pytest.raises(ValueError, match=f"header says {count} records, windows held 1003"):
+            ds.save(str(parts), count, [recs], seed=4)
+
+
+def test_generate_starts_at_any_counter():
+    whole = ds.generate(700, seed=6, chunk=128)
+    for start, count in ((0, 1), (1, 300), (299, 401), (699, 1)):
+        part = ds.generate(count, seed=6, jobs=2, chunk=128, start=start)
+        assert part.tobytes() == whole[start:start + count].tobytes()
+
+
+def test_load_reads_a_record_range(tmp_path):
+    path = str(tmp_path / "set.bin")
+    recs = ds.generate(50, seed=2)
+    ds.save(path, 50, [recs], seed=2)
+    for start, count in ((0, 0), (0, 50), (13, 7), (49, 1), (50, 0), (20, None)):
+        header, got = ds.load(path, start=start, count=count)
+        assert header.n == 50
+        assert got.tobytes() == recs[start:None if count is None else start + count].tobytes()
+    for start, count in ((-1, 2), (0, 51), (49, 2), (51, None), (10, -1)):
+        with pytest.raises(ValueError, match=f"{re.escape(path)}: records .* lie outside its 50"):
+            ds.load(path, start=start, count=count)
+
+
+def test_load_names_a_non_finite_record_by_its_index_in_the_file(tmp_path):
+    path = str(tmp_path / "set.bin")
+    recs = ds.generate(ROW_BLOCK + 40, seed=2)
+    recs["resp"][ROW_BLOCK + 30, 3] = np.nan
+    ds.save(path, len(recs), [recs], seed=2)
+    assert len(ds.load(path, start=0, count=ROW_BLOCK + 30)[1]) == ROW_BLOCK + 30
+    for start in (0, 5, ROW_BLOCK + 30):
+        with pytest.raises(ValueError, match=f"record {ROW_BLOCK + 30} holds a non-finite"):
+            ds.load(path, start=start)
