@@ -242,9 +242,9 @@ def cmd_stats(args, cfg: RunConfig) -> int:
     path = _require(Path(args.data), "dataset artifact")
     out = Path(args.out) if args.out else None
     with _outputs("stats", args.force, [out] if out else [], {"dataset": path}) as stage:
-        blocks = dataset.FileBlocks.open(path, cfg.constants, cfg.geometry,
-                                         check_fingerprint=not args.no_fingerprint_check)
-        text = json.dumps(dataset.summarize(blocks), indent=2, sort_keys=True) + "\n"
+        with dataset.FileBlocks.open(path, cfg.constants, cfg.geometry,
+                                     check_fingerprint=not args.no_fingerprint_check) as blocks:
+            text = json.dumps(dataset.summarize(blocks), indent=2, sort_keys=True) + "\n"
         if out:
             stage(out, {"n": blocks.header.n, "seed": blocks.header.seed}).write_text(text)
     if out:
@@ -264,10 +264,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     hist_path = _out_path(args.history, args, cfg, "train_history.csv")
     params = dataclasses.asdict(ts)
     with _outputs("train", args.force, [ckpt, hist_path], {"dataset": data_path}) as stage:
-        _, records = dataset.load(data_path, cfg.constants, cfg.geometry)
-        train_recs, val_recs = dataset.split(records)
-        xt, yt = surrogate.records_to_xy(train_recs)
-        xv, yv = surrogate.records_to_xy(val_recs)
+        # inputs and targets are filled block by block: no record array is
+        # ever whole
+        with dataset.FileBlocks.open(data_path, cfg.constants, cfg.geometry) as blocks:
+            x, y = surrogate.records_to_xy(blocks)
+        (xt, xv), (yt, yv) = dataset.split(x), dataset.split(y)
         mlp = surrogate.init_mlp(ts.seed, ts.hidden)
         log = (lambda msg: print(msg)) if args.verbose else None
         result = surrogate.train(mlp, xt, yt, xv, yv, ts, log=log)

@@ -12,11 +12,14 @@ interleaved "resp" field has exactly the layout of 61 little-endian complex128
 values, so the oracle writes a record's response straight into it through a
 complex view, and readers take it back the same way.
 
-`gen` and `stats` stream the file: `gen` fills the records in windows of
+Every command streams the file: `gen` fills the records in windows of
 `jobs x WINDOW` records, which `save` writes and hashes in order on one writer
-thread while the next window fills, and `stats` reads the body in blocks of
-WINDOW records through `load`, in two passes.  Neither holds more than two
-windows or blocks of records at once; `train` loads the whole file, one copy.
+thread while the next window fills, and `stats` and `train` read the body in
+blocks of WINDOW records through one open file (`FileBlocks`), `stats` in two
+passes.  `gen` and `stats` hold at most two windows or blocks of records at
+once.  `train` holds no record array: block by block it fills the network's
+int8 inputs and float64 targets, 64 + 976 = 1,040 bytes per record beside the
+block in hand and the next one while it is read.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -180,9 +184,41 @@ def _check_body(path, n: int, size: int) -> None:
         )
 
 
+def _read_header(path, fh: BinaryIO, consts: OracleConstants, geom: GeometryMeta,
+                 check_fingerprint: bool) -> tuple[DatasetHeader, int]:
+    """The checked header of the dataset open in fh, and the offset of its first record."""
+    line = fh.readline()
+    try:
+        header = _parse_header(line, consts, geom, check_fingerprint)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    _check_body(path, header.n, os.fstat(fh.fileno()).st_size - len(line))
+    return header, len(line)
+
+
+def _read_range(path, fh: BinaryIO, header: DatasetHeader, offset: int,
+                start: int, count: int | None) -> np.ndarray:
+    count = header.n - start if count is None else count
+    if not 0 <= start <= start + count <= header.n:
+        raise ValueError(f"{path}: records {start}..{start + count - 1} "
+                         f"lie outside its {header.n} records")
+    records = np.empty(count, dtype=RECORD_DTYPE)
+    fh.seek(offset + start * RECORD_DTYPE.itemsize)
+    got = fh.readinto(records.view(np.uint8))
+    _check_body(path, header.n, header.n * RECORD_DTYPE.itemsize - records.nbytes + got)
+    resp = records["resp"]
+    for i in range(0, len(resp), ROW_BLOCK):
+        finite = np.isfinite(resp[i:i + ROW_BLOCK]).all(axis=1)
+        if not finite.all():
+            bad = start + i + int(np.argmin(finite))
+            raise ValueError(f"{path}: record {bad} holds a non-finite response")
+    return records
+
+
 def load(path: str, consts: OracleConstants = OracleConstants(),
          geom: GeometryMeta = GeometryMeta(), check_fingerprint: bool = True,
-         start: int = 0, count: int | None = None) -> tuple[DatasetHeader, np.ndarray]:
+         start: int = 0, count: int | None = None, *,
+         opened: FileBlocks | None = None) -> tuple[DatasetHeader, np.ndarray]:
     """Read records start..start+count-1 (default: to the end) of a dataset;
     refuse one built under other model constants or frequencies.
 
@@ -190,62 +226,63 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
     checked before anything is allocated; the range is then read straight
     into the returned records, so they are held once.  A record whose
     response is not finite is refused by its index in the file; the check
-    runs over ROW_BLOCK records at a time.
+    runs over ROW_BLOCK records at a time.  `opened` is the FileBlocks of
+    `path`: the range is then read through its open file under the header it
+    checked, which is not read again.
     """
+    if opened is not None:
+        return opened.header, _read_range(path, opened._fh, opened.header, opened._offset,
+                                          start, count)
     with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = _parse_header(line, consts, geom, check_fingerprint)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        body = os.fstat(fh.fileno()).st_size - len(line)
-        _check_body(path, header.n, body)
-        count = header.n - start if count is None else count
-        if not 0 <= start <= start + count <= header.n:
-            raise ValueError(f"{path}: records {start}..{start + count - 1} "
-                             f"lie outside its {header.n} records")
-        records = np.empty(count, dtype=RECORD_DTYPE)
-        fh.seek(len(line) + start * RECORD_DTYPE.itemsize)
-        got = fh.readinto(records.view(np.uint8))
-        _check_body(path, header.n, body - records.nbytes + got)
-    resp = records["resp"]
-    for i in range(0, len(resp), ROW_BLOCK):
-        finite = np.isfinite(resp[i:i + ROW_BLOCK]).all(axis=1)
-        if not finite.all():
-            bad = start + i + int(np.argmin(finite))
-            raise ValueError(f"{path}: record {bad} holds a non-finite response")
-    return header, records
+        header, offset = _read_header(path, fh, consts, geom, check_fingerprint)
+        return header, _read_range(path, fh, header, offset, start, count)
 
 
-@dataclass(frozen=True)
 class FileBlocks:
     """The records of a dataset file as a re-iterable of WINDOW-record blocks.
 
-    Each pass reads the body anew, one block at a time through `load`, so a
-    pass holds the block in hand and the next one while it is read; `header`
-    is the file's, read and checked by `open`.
+    `open` opens the file and checks its header once; the file stays open
+    until `close` or the end of a `with` block.  Each pass reads the body
+    anew, one block at a time through `load`, so a pass holds the block in
+    hand and the next one while it is read.
     """
-    path: str
-    header: DatasetHeader
-    consts: OracleConstants
-    geom: GeometryMeta
-    check_fingerprint: bool
+
+    def __init__(self, path, fh: BinaryIO, header: DatasetHeader, offset: int):
+        self.path = path
+        self.header = header
+        self._fh = fh
+        self._offset = offset
 
     @classmethod
-    def open(cls, path: str, consts: OracleConstants = OracleConstants(),
+    def open(cls, path, consts: OracleConstants = OracleConstants(),
              geom: GeometryMeta = GeometryMeta(), check_fingerprint: bool = True) -> FileBlocks:
-        header, _ = load(path, consts, geom, check_fingerprint, count=0)
-        return cls(path, header, consts, geom, check_fingerprint)
+        fh = open(path, "rb")
+        try:
+            return cls(path, fh, *_read_header(path, fh, consts, geom, check_fingerprint))
+        except BaseException:
+            fh.close()
+            raise
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> FileBlocks:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __iter__(self) -> Iterator[np.ndarray]:
         n = self.header.n
         for start in range(0, n, WINDOW):
-            yield load(self.path, self.consts, self.geom, self.check_fingerprint,
-                       start=start, count=min(WINDOW, n - start))[1]
+            yield load(self.path, start=start, count=min(WINDOW, n - start), opened=self)[1]
 
 
 def split(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading floor(n*10/11) records for training, the rest for validation."""
+    """Leading floor(n*10/11) rows for training, the rest for validation.
+
+    The rows are records, or the network inputs or targets made from them.
+    """
     k = len(records) * SPLIT_NUM // SPLIT_DEN
     if k == 0 or k == len(records):
         raise ValueError(f"cannot split {len(records)} records {SPLIT_NUM}/{SPLIT_DEN}")

@@ -1,7 +1,9 @@
 """Dense ReLU surrogate of the electrical model, float64 numpy throughout.
 
-The network maps the 64 genome bits (encoded as -1/+1) to the 122 response
-values, laid out as the 61 real parts followed by the 61 imaginary parts.
+The network maps the 64 genome bits to the 122 response values, laid out as
+the 61 real parts followed by the 61 imaginary parts.  Inputs are held as
+int8, bit b as 2b - 1 in {-1, +1}, 64 bytes per genome; `Mlp.forward` takes
+each batch to float64, which holds those values exactly.
 All parameters live in one float64 vector, `Mlp.params`: for each layer the
 (fan_in, fan_out) weight block, then the bias block.  The gradient, the Adam
 moments, the best-weight snapshot and the checkpoint body share that layout.
@@ -13,11 +15,13 @@ picks) comes from CounterRng so runs are exactly repeatable.
 from __future__ import annotations
 
 import json
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RESP_WIDTH
+from .dataset import RESP_WIDTH, FileBlocks
 from .jsontypes import loads, read_object
 from .oracle import N_FREQ
 from .rng import CounterRng, u64_to_bits
@@ -29,6 +33,11 @@ ADAM_EPS = 1e-8
 PREDICT_BATCH = 4096  # rows per forward pass in predict_s22
 MAE_BATCH = 8192  # rows per forward pass in mae
 GRAD_CHECK_EPS = 1e-5  # central-difference half step of grad_check
+_NORMAL_MIN = np.finfo(np.float64).tiny  # 2**-1022, the smallest normal float64
+# Adam steps between zeroings of subnormal first moments: a zeroing costs
+# about a quarter of a step, and a moment that turns subnormal stays so for
+# at most 15 more steps
+_ZERO_EVERY = 16
 
 CHECKPOINT_FORMAT = "mlp-f64"
 CHECKPOINT_VERSION = 1
@@ -59,17 +68,24 @@ class Mlp:
         return ([flat[a:b].reshape(fi, fo) for a, b, _, fi, fo in self._blocks],
                 [flat[b:c] for _, b, c, _, _ in self._blocks])
 
-    def forward(self, x: np.ndarray) -> list[np.ndarray]:
-        """All layer activations, input first, linear output last."""
-        acts = [np.asarray(x, dtype=np.float64)]
+    def _activations(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Each layer activation in turn, input (as float64) first, linear output last."""
+        a = np.asarray(x, dtype=np.float64)
+        yield a
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            acts.append(z if k == last else np.maximum(z, 0.0))
-        return acts
+            a = a @ w + b
+            if k < last:
+                np.maximum(a, 0.0, out=a)
+            yield a
+
+    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """All layer activations, input first, linear output last."""
+        return list(self._activations(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[-1]
+        """The linear output alone; one layer's activation is held at a time."""
+        return deque(self._activations(x), maxlen=1)[0]
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean absolute error and its gradient, laid out like `params`."""
@@ -103,20 +119,36 @@ def init_mlp(seed: int, hidden: tuple[int, ...] = DEFAULT_HIDDEN,
 # ---------------------------------------------------------------------------
 
 
-def encode_bits(words: np.ndarray) -> np.ndarray:
-    """Genome words -> (n, 64) float64 inputs in {-1, +1}."""
+def encode_bits(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Genome words -> (n, 64) int8 inputs in {-1, +1}, written to `out` if given."""
     bits = u64_to_bits(np.asarray(words, dtype=np.uint64))
-    return bits.astype(np.float64) * 2.0 - 1.0
+    x = np.multiply(bits.view(np.int8), 2, out=out)
+    x -= 1
+    return x
 
 
-def targets_from_resp(resp: np.ndarray) -> np.ndarray:
-    """Interleaved (n, 122) records -> network layout (61 Re then 61 Im)."""
+def targets_from_resp(resp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Interleaved (n, 122) records -> network layout (61 Re then 61 Im), written to `out` if given."""
     resp = np.asarray(resp)
-    return np.concatenate([resp[:, 0::2], resp[:, 1::2]], axis=1)
+    return np.concatenate([resp[:, 0::2], resp[:, 1::2]], axis=1, out=out)
 
 
-def records_to_xy(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return encode_bits(records["genome"]), targets_from_resp(records["resp"])
+def records_to_xy(records: np.ndarray | FileBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 64) int8 inputs and (n, 122) float64 targets of a record array or of
+    a dataset file's blocks, filled block by block: beside the two arrays, a
+    file's records are held only as the block in hand and the next one while
+    it is read."""
+    whole = isinstance(records, np.ndarray)
+    n = len(records) if whole else records.header.n
+    x = np.empty((n, 64), dtype=np.int8)
+    y = np.empty((n, RESP_WIDTH))
+    i = 0
+    for block in (records,) if whole else records:
+        j = i + len(block)
+        encode_bits(block["genome"], out=x[i:j])
+        targets_from_resp(block["resp"], out=y[i:j])
+        i = j
+    return x, y
 
 
 def predict_s22(mlp: Mlp, words: np.ndarray) -> np.ndarray:
@@ -168,6 +200,8 @@ class TrainResult:
 
 
 class _Adam:
+    """Adam moments laid out like `params`; `step` updates them and the net in place."""
+
     def __init__(self, mlp: Mlp):
         self.m = np.zeros_like(mlp.params)
         self.v = np.zeros_like(mlp.params)
@@ -185,6 +219,26 @@ class _Adam:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        if self.t % _ZERO_EVERY == 0:
+            self._zero_subnormal_moments(mlp.params, lr)
+
+    def _zero_subnormal_moments(self, params: np.ndarray, lr: float) -> None:
+        """Zero the first moments that decayed below the normal range, where
+        that moves no bit of any later step.
+
+        A first moment whose gradients stay 0 decays into the subnormal range
+        and then takes every step through subnormal arithmetic, which is slow
+        on x86.  Left as it is, it would go on moving its parameter by less
+        than lr * 2**-990 per step (|m| < 2**-1022, c1 >= 0.1, denominator >=
+        1e-8): below a quarter ulp of any |p| >= max(lr, 1) * 2**-900, the only
+        parameters whose moments are zeroed, as lr never rises in `train`.
+        Once a gradient g returns, 0.9 * m + 0.1 * g rounds to 0.1 * g unless
+        |0.1 * g| < 2**-968; a nonzero gradient of this network is a sum of
+        products of activations, weights and 1/(batch x 122), nowhere near.
+        """
+        small = np.abs(self.m) < _NORMAL_MIN
+        small &= np.abs(params) >= max(lr, 1.0) * 2.0**-900
+        self.m[small] = 0.0
 
 
 def mae(mlp: Mlp, x: np.ndarray, y: np.ndarray) -> float:

@@ -225,6 +225,30 @@ def test_train_missing_dataset_names_file(tmp_path, capsys):
     assert str(tmp_path / "dataset.bin") in err
 
 
+def test_train_names_a_non_finite_record_and_writes_nothing(tmp_path, capsys):
+    run(capsys, "gen", "--n", str(dataset.WINDOW + 20), "--seed", "3", "--outdir", str(tmp_path))
+    data = tmp_path / "dataset.bin"
+    blob = bytearray(data.read_bytes())
+    bad = dataset.WINDOW + 11  # a validation record of the second block
+    offset = blob.index(b"\n") + 1 + bad * dataset.RECORD_DTYPE.itemsize + 8 + 8 * 40
+    blob[offset:offset + 8] = np.array([np.nan]).tobytes()
+    data.write_bytes(bytes(blob))
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "train", "--epochs", "1", "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and f"{data}: record {bad} holds a non-finite response" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_train_refuses_a_dataset_too_small_to_split(tmp_path, capsys):
+    run(capsys, "gen", "--n", "1", "--seed", "3", "--outdir", str(tmp_path))
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "train", "--epochs", "1", "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "cannot split 1 records 10/11" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_design_missing_checkpoint_names_file(tmp_path, capsys):
     target = tmp_path / "t.json"
     run(capsys, "target", "--freq", "5.8e9", "--out", str(target))

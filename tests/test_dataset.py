@@ -414,14 +414,35 @@ def test_streamed_summary_is_bit_equal_to_whole_array_formulas(tmp_path, source,
     recs = ds.generate(n, seed=7) if source == "oracle" else _wide_records(n)
     path = str(tmp_path / "set.bin")
     ds.save(path, n, [recs], seed=7)
-    blocks = ds.FileBlocks.open(path)
-    assert [len(b) for b in blocks] == [len(recs[i:i + 4096]) for i in range(0, n, 4096)]
     want = json.dumps(_reference_summary(recs))
-    assert json.dumps(ds.summarize(blocks)) == want
+    with ds.FileBlocks.open(path) as blocks:
+        assert [len(b) for b in blocks] == [len(recs[i:i + 4096]) for i in range(0, n, 4096)]
+        assert json.dumps(ds.summarize(blocks)) == want
     # any split into blocks, the empty one included
     half = (n + 1) // 2
     parts = [recs[:1], recs[1:1], recs[1:half], recs[half:]]
     assert json.dumps(ds.summarize(parts)) == want
+
+
+def test_file_blocks_read_the_header_once_through_one_open_file(tmp_path, monkeypatch):
+    n = 2 * ds.WINDOW + 3
+    recs = ds.generate(n, seed=5)
+    path = str(tmp_path / "set.bin")
+    ds.save(path, n, [recs], seed=5)
+    parsed, opened = [], []
+    parse, builtin_open = ds._parse_header, open
+    monkeypatch.setattr(ds, "_parse_header", lambda *a: parsed.append(a) or parse(*a))
+    monkeypatch.setattr(ds, "open", lambda *a: opened.append(a) or builtin_open(*a),
+                        raising=False)
+    with ds.FileBlocks.open(path) as blocks:
+        for _ in range(2):
+            assert b"".join(b.tobytes() for b in blocks) == recs.tobytes()
+        header, got = ds.load(path, start=n - 5, count=5, opened=blocks)
+        assert header is blocks.header and got.tobytes() == recs[n - 5:].tobytes()
+        with pytest.raises(ValueError, match=f"records {n - 1}..{n} lie outside its {n}"):
+            ds.load(path, start=n - 1, count=2, opened=blocks)
+    assert (len(parsed), len(opened)) == (1, 1)
+    assert blocks._fh.closed
 
 
 def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from metapix import dataset as ds
 from metapix import surrogate as sg
+from metapix.rng import CounterRng
 
 
 def _toy_data(n=24, seed=13):
@@ -46,6 +47,41 @@ def test_target_layout_re_then_im():
     y = sg.targets_from_resp(resp)
     np.testing.assert_array_equal(y[:, :61], resp[:, 0::2])
     np.testing.assert_array_equal(y[:, 61:], resp[:, 1::2])
+
+
+def test_records_to_xy_fills_the_split_of_a_file_block_by_block(tmp_path):
+    """`train` fills int8 inputs and float64 targets from WINDOW-record
+    blocks and splits those; they equal the encoding of the split records.
+    The file ends inside a window and the split point falls inside one."""
+    n = 2 * ds.WINDOW + 777
+    k = n * ds.SPLIT_NUM // ds.SPLIT_DEN
+    assert n % ds.WINDOW and ds.WINDOW < k < 2 * ds.WINDOW and k % ds.WINDOW
+    path = str(tmp_path / "set.bin")
+    ds.save(path, n, [ds.generate(n, seed=8)], seed=8)
+    with ds.FileBlocks.open(path) as blocks:
+        x, y = sg.records_to_xy(blocks)
+    assert (x.dtype, y.dtype) == (np.int8, np.float64)
+    for got, want_recs in zip(zip(ds.split(x), ds.split(y)), ds.split(ds.load(path)[1])):
+        want = sg.records_to_xy(want_recs)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    # the inputs are the float64 encoding's values, exactly
+    words = ds.load(path, count=100)[1]["genome"]
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8).reshape(100, 8), axis=1)
+    np.testing.assert_array_equal(x[:100].astype(np.float64), bits.astype(np.float64) * 2.0 - 1.0)
+
+
+@pytest.mark.parametrize("rows", [1, 64, 1000, sg.MAE_BATCH + 5])
+def test_predict_is_bit_equal_to_the_last_forward_activation(rows):
+    mlp = sg.init_mlp(4)
+    mlp.params += CounterRng(6).uniform(mlp.params.size, -0.01, 0.01)  # nonzero biases
+    words = CounterRng(2).u64(rows)
+    x = sg.encode_bits(words)
+    out = mlp.predict(x)
+    assert out.shape == (rows, 122) and out.dtype == np.float64
+    assert out.tobytes() == mlp.forward(x)[-1].tobytes()
+    assert out.tobytes() == mlp.predict(x.astype(np.float64)).tobytes()
 
 
 def test_forward_matches_hand_matmul():
@@ -131,6 +167,56 @@ def test_training_history_and_checkpoint_are_frozen(tmp_path):
     sg.save_checkpoint(str(path), mlp, meta={"best_epoch": res.best_epoch})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "0f23cc9ae0ddb8838ece7e546e4ea28d01aacba83598f8d01a84bde35ae4b22d")
+
+
+def _unflushed_adam_step(p, m, v, t, g, lr):
+    """The Adam update with no zeroing of subnormal first moments."""
+    c1 = 1.0 - sg.ADAM_BETA1**t
+    c2 = 1.0 - sg.ADAM_BETA2**t
+    m *= sg.ADAM_BETA1
+    m += (1.0 - sg.ADAM_BETA1) * g
+    v *= sg.ADAM_BETA2
+    v += (1.0 - sg.ADAM_BETA2) * g * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + sg.ADAM_EPS)
+
+
+@pytest.mark.parametrize("zeroings", [1, 3])
+@pytest.mark.parametrize("lr", [1e-3, 10.0])
+def test_adam_zeroes_subnormal_first_moments_without_moving_a_bit(zeroings, lr):
+    """Crafted states: every parameter, every second moment and every normal
+    first moment stays bit-equal to the unflushed formula over steps with
+    zero and nonzero gradients, while subnormal first moments of parameters
+    far from zero are zeroed at the second step."""
+    tiny = np.finfo(np.float64).tiny
+    sub = [5e-324, 2e-323, 1e-310, tiny * (1 - 2**-52)]
+    moments = [s * sign for s in sub for sign in (1.0, -1.0)] + [0.0, -0.0, 3e-4, -tiny]
+    params = [0.0, -0.0, 5e-324, -1e-310, 2.0**-950, -(2.0**-901), 2.0**-899, 1e-30, 0.3, -0.7]
+    grid_p, grid_m = (a.ravel() for a in np.meshgrid(params, moments, indexing="ij"))
+    size = grid_p.size
+    mlp = sg.Mlp((size - 1, 1), grid_p.copy())
+    opt = sg._Adam(mlp)
+    opt.m[:] = grid_m
+    opt.v[:] = CounterRng(3).uniform(size, 0.0, 1e-6) * (np.arange(size) % 3 > 0)
+    opt.t = t0 = zeroings * sg._ZERO_EVERY - 2
+    ref_p, ref_m, ref_v = mlp.params.copy(), opt.m.copy(), opt.v.copy()
+    nonzero = CounterRng(4).uniform(size, -1e-3, 1e-3)
+    half = np.where(np.arange(size) % 2 == 0, nonzero, 0.0)
+    zero = np.zeros(size)
+    flushed = np.zeros(size, dtype=bool)
+    for t, g in enumerate([zero, zero, -zero, half, zero, nonzero, zero], start=t0 + 1):
+        opt.step(mlp, g, lr)
+        _unflushed_adam_step(ref_p, ref_m, ref_v, t, g, lr)
+        assert mlp.params.tobytes() == ref_p.tobytes()
+        assert opt.v.tobytes() == ref_v.tobytes()
+        same = opt.m.view(np.int64) == ref_m.view(np.int64)
+        zeroed = (opt.m == 0.0) & (np.abs(ref_m) < tiny) & (ref_m != 0.0)
+        assert (same | zeroed).all()
+        flushed |= zeroed
+    # the zeroing happened, only where the parameter is far from zero, and
+    # parameters at or near zero did move under the unflushed formula
+    far = np.abs(grid_p) >= max(lr, 1.0) * 2.0**-900
+    assert flushed.any() and not (flushed & ~far).any()
+    assert (ref_p[~far] != grid_p[~far]).any()
 
 
 def test_plateau_drops_lr_twice_then_stops():
