@@ -227,13 +227,14 @@ def cmd_gen(args, cfg: RunConfig) -> int:
         params = {"n": n, "seed": seed,
                   "fingerprint": oracle.fingerprint(cfg.constants, cfg.geometry),
                   "dataset_version": dataset.DATASET_VERSION}
-        # the records in order, jobs x WINDOW at a time: `save` writes one
-        # window while the next one fills
-        step = args.jobs * dataset.WINDOW
-        windows = (dataset.generate(min(step, n - s), seed, cfg.constants, cfg.geometry,
-                                    jobs=args.jobs, start=s) for s in range(0, n, step))
-        stage.sha256[out] = dataset.save(stage(out, params), n, windows, seed,
-                                         cfg.constants, cfg.geometry)
+        # the records in order, jobs x BLOCK at a time, on one fill pool for
+        # the whole run: `save` writes one window while the next one fills
+        step = args.jobs * dataset.BLOCK
+        with dataset.fill_pool(args.jobs, n) as pool:
+            windows = (dataset.generate(min(step, n - s), seed, cfg.constants, cfg.geometry,
+                                        executor=pool, start=s) for s in range(0, n, step))
+            stage.sha256[out] = dataset.save(stage(out, params), n, windows, seed,
+                                             cfg.constants, cfg.geometry)
     print(f"wrote {out} ({n} records, seed {seed})")
     return 0
 

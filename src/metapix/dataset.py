@@ -12,23 +12,26 @@ interleaved "resp" field has exactly the layout of 61 little-endian complex128
 values, so the oracle writes a record's response straight into it through a
 complex view, and readers take it back the same way.
 
-Every command streams the file: `gen` fills the records in windows of
-`jobs x WINDOW` records, which `save` writes and hashes in order on one writer
-thread while the next window fills, and `stats` and `train` read the body in
-blocks of WINDOW records through one open file (`FileBlocks`), `stats` in two
-passes.  `gen` and `stats` hold at most two windows or blocks of records at
-once.  `train` holds no record array: block by block it fills the network's
-int8 inputs and float64 targets, 64 + 976 = 1,040 bytes per record beside the
-block in hand and the next one while it is read.
+Every command streams the file in blocks of BLOCK records.  `gen --jobs N`
+fills the records in windows of N x BLOCK records, one block per fill task,
+on one thread pool for the whole run (none for N = 1), and `save` writes and
+hashes each window in order on one writer thread while the next window fills.
+`stats` and `train` read the body one block at a time through one open file
+(`FileBlocks`), `stats` in two passes.  `gen` and `stats` hold at most two
+windows or blocks of records at once.  `train` holds no record array: block by
+block it fills the network's int8 inputs and float64 targets, 64 + 976 =
+1,040 bytes per record beside the block in hand and the next one while it is
+read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -54,12 +57,11 @@ SPLIT_NUM, SPLIT_DEN = 10, 11  # split trains on 10 of every 11 records
 
 RECORD_DTYPE = np.dtype([("genome", ">u8"), ("resp", "<f8", (RESP_WIDTH,))])
 
-# Records per `gen` window and job, and per block that `stats` reads.
-WINDOW = 4096
-# Records per fill task of generate.  A task's temporaries, about 1.4 MB at
-# this size, come on top of the two windows `gen` holds, once per thread; at
-# 4096 records they are twice that, and 2048 fills as fast.
-CHUNK = 2048
+# Records per block: one fill task of `generate`, one job's share of a `gen`
+# window, and one block of a file that `FileBlocks` yields.  A fill task's
+# temporaries, about 1.2 MB at this size (1 MB of it the s22 kernel's
+# scratch), come once per fill thread on top of the two windows `gen` holds.
+BLOCK = 1024
 # Records per block when load and summarize walk a record array, so their
 # temporaries stay one block's size.
 ROW_BLOCK = 512
@@ -85,32 +87,42 @@ def _fill(part: np.ndarray, seed: int, start: int, consts: OracleConstants,
                             out=part["resp"].view(np.complex128))
 
 
-def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
-             geom: GeometryMeta = GeometryMeta(), jobs: int = 1,
-             chunk: int = CHUNK, start: int = 0) -> np.ndarray:
-    """Records start..start+n-1 of (seed, constants); bit-identical for any jobs/chunk.
+def fill_pool(jobs: int, n: int) -> contextlib.AbstractContextManager[Executor | None]:
+    """The executor that fills n records for `generate` on up to `jobs` threads.
 
-    Every chunk is computed straight into its slice of the returned array, so
-    the records are held once for any jobs.  One chunk, or jobs 1, runs on the
-    calling thread; otherwise the chunks run on min(jobs, chunks) threads,
-    which write disjoint slices.  The kernel's numpy loops release the GIL, so
-    the threads run side by side.
+    A pool of min(jobs, blocks of n) threads, one per block at most; when that
+    is one thread, a context that gives None, so the calling thread fills.
+    """
+    workers = min(jobs, -(-n // BLOCK))
+    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+
+
+def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
+             geom: GeometryMeta = GeometryMeta(), executor: Executor | None = None,
+             start: int = 0) -> np.ndarray:
+    """Records start..start+n-1 of (seed, constants); bit-identical for any executor.
+
+    The records are allocated on the calling thread, whose heap gets them
+    back when they are freed (a pool thread's malloc arena would keep them),
+    and every BLOCK-record block is computed straight into its slice, so they
+    are held once.  With
+    no executor the blocks fill in order on the calling thread; otherwise each
+    block is one task of `executor`, and the tasks write disjoint slices.  The
+    kernel's numpy loops release the GIL, so pool threads run side by side.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     records = np.empty(n, dtype=RECORD_DTYPE)
-    offsets = range(0, n, chunk)
 
     def fill(i: int) -> None:
-        _fill(records[i:i + chunk], seed, start + i, consts, geom)
+        _fill(records[i:i + BLOCK], seed, start + i, consts, geom)
 
-    workers = min(jobs, len(offsets))
-    if workers == 1:
+    offsets = range(0, n, BLOCK)
+    if executor is None:
         for i in offsets:
             fill(i)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, offsets))
+        list(executor.map(fill, offsets))
     return records
 
 
@@ -239,7 +251,7 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
 
 
 class FileBlocks:
-    """The records of a dataset file as a re-iterable of WINDOW-record blocks.
+    """The records of a dataset file as a re-iterable of BLOCK-record blocks.
 
     `open` opens the file and checks its header once; the file stays open
     until `close` or the end of a `with` block.  Each pass reads the body
@@ -274,8 +286,8 @@ class FileBlocks:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         n = self.header.n
-        for start in range(0, n, WINDOW):
-            yield load(self.path, start=start, count=min(WINDOW, n - start), opened=self)[1]
+        for start in range(0, n, BLOCK):
+            yield load(self.path, start=start, count=min(BLOCK, n - start), opened=self)[1]
 
 
 def split(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

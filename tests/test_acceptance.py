@@ -9,6 +9,7 @@ random-search reach scan and the full-size GA) lives in session fixtures.
 import cmath
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -142,9 +143,10 @@ def test_04_antiphase_closure(acceptance):
 
 
 def test_05_oracle_passivity_and_determinism(acceptance):
-    run1 = dataset.generate(1000, seed=2026, jobs=1)
-    run2 = dataset.generate(1000, seed=2026, jobs=8)
-    run3 = dataset.generate(1000, seed=2026, jobs=1)
+    run1 = dataset.generate(1000, seed=2026)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        run2 = dataset.generate(1000, seed=2026, executor=pool)
+    run3 = dataset.generate(1000, seed=2026)
     bit_exact = run1.tobytes() == run2.tobytes() == run3.tobytes()
     s22 = run1["resp"].view(np.complex128)
     mag_max = float(np.abs(s22).max())
@@ -174,7 +176,8 @@ def test_07_gradient_check(acceptance):
 
 def test_08_surrogate_learns(acceptance):
     t0 = time.perf_counter()
-    records = dataset.generate(11_000, seed=1, jobs=8)
+    with dataset.fill_pool(8, 11_000) as pool:
+        records = dataset.generate(11_000, seed=1, executor=pool)
     train_recs, val_recs = dataset.split(records)
     xt, yt = surrogate.records_to_xy(train_recs)
     xv, yv = surrogate.records_to_xy(val_recs)

@@ -100,7 +100,7 @@ def test_gen_deterministic_across_jobs(tmp_path, capsys):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_gen_manifest_holds_the_sha256_of_the_file_it_wrote(tmp_path, capsys, jobs):
     """gen hashes its windows as it writes them; the last window is partial."""
-    n = 2 * jobs * dataset.WINDOW + 100
+    n = 2 * jobs * dataset.BLOCK + 100
     code, _, _ = run(capsys, "gen", "--n", str(n), "--seed", "8", "--jobs", str(jobs),
                      "--outdir", str(tmp_path))
     assert code == 0
@@ -112,12 +112,34 @@ def test_gen_manifest_holds_the_sha256_of_the_file_it_wrote(tmp_path, capsys, jo
     assert data.read_bytes() == whole.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_gen_fills_every_window_on_one_pool(tmp_path, capsys, monkeypatch, jobs):
+    """A gen of several windows fills them all on the threads of one pool
+    with `--jobs 2`, and on the calling thread with `--jobs 1`."""
+    fill, threads = dataset._fill, set()
+
+    def recording_fill(*args):
+        threads.add(threading.current_thread())
+        fill(*args)
+
+    monkeypatch.setattr(dataset, "_fill", recording_fill)
+    n = 3 * jobs * dataset.BLOCK + 1  # three full windows and a one-record one
+    code, _, _ = run(capsys, "gen", "--n", str(n), "--jobs", str(jobs), "--outdir", str(tmp_path))
+    assert code == 0
+    if jobs == 1:
+        assert threads == {threading.current_thread()}
+    else:
+        # a pool's threads are named <pool name>_<thread number>
+        assert len({t.name.rsplit("_", 1)[0] for t in threads}) == 1
+        assert threading.current_thread() not in threads and len(threads) <= jobs
+
+
 def _fail_in_window_two(monkeypatch, jobs):
     """Make every chunk from gen's second window on raise."""
     fill = dataset._fill
 
     def failing_fill(part, seed, start, consts, geom):
-        if start >= jobs * dataset.WINDOW:
+        if start >= jobs * dataset.BLOCK:
             raise ValueError("chunk failed")
         fill(part, seed, start, consts, geom)
 
@@ -157,7 +179,7 @@ def test_gen_failure_mid_stream_publishes_nothing_and_joins_its_threads(
         tmp_path, capsys, monkeypatch, fail, jobs):
     message = fail(monkeypatch, jobs)
     threads = threading.active_count()
-    code, _, err = run(capsys, "gen", "--n", str(3 * jobs * dataset.WINDOW), "--jobs", str(jobs),
+    code, _, err = run(capsys, "gen", "--n", str(3 * jobs * dataset.BLOCK), "--jobs", str(jobs),
                        "--outdir", str(tmp_path / "out"))
     assert code == 1
     assert _one_error_line(err) and message in err
@@ -166,11 +188,11 @@ def test_gen_failure_mid_stream_publishes_nothing_and_joins_its_threads(
 
 
 def test_stats_names_a_non_finite_record_of_a_later_block(tmp_path, capsys):
-    run(capsys, "gen", "--n", str(2 * dataset.WINDOW + 9), "--seed", "3",
+    run(capsys, "gen", "--n", str(2 * dataset.BLOCK + 9), "--seed", "3",
         "--outdir", str(tmp_path))
     data = tmp_path / "dataset.bin"
     blob = bytearray(data.read_bytes())
-    bad = dataset.WINDOW + 5
+    bad = dataset.BLOCK + 5
     offset = blob.index(b"\n") + 1 + bad * dataset.RECORD_DTYPE.itemsize + 8 + 8 * 17
     blob[offset:offset + 8] = np.array([np.inf]).tobytes()
     data.write_bytes(bytes(blob))
@@ -226,10 +248,10 @@ def test_train_missing_dataset_names_file(tmp_path, capsys):
 
 
 def test_train_names_a_non_finite_record_and_writes_nothing(tmp_path, capsys):
-    run(capsys, "gen", "--n", str(dataset.WINDOW + 20), "--seed", "3", "--outdir", str(tmp_path))
+    run(capsys, "gen", "--n", str(dataset.BLOCK + 20), "--seed", "3", "--outdir", str(tmp_path))
     data = tmp_path / "dataset.bin"
     blob = bytearray(data.read_bytes())
-    bad = dataset.WINDOW + 11  # a validation record of the second block
+    bad = dataset.BLOCK + 11  # a validation record of the second block
     offset = blob.index(b"\n") + 1 + bad * dataset.RECORD_DTYPE.itemsize + 8 + 8 * 40
     blob[offset:offset + 8] = np.array([np.nan]).tobytes()
     data.write_bytes(bytes(blob))

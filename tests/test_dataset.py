@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,12 +60,14 @@ def test_records_hold_the_oracle_response():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_filled_records_are_the_interleaved_oracle_response(jobs):
-    """Chunks of more than two kernel blocks, written straight into the
-    records by one fill thread or two, equal the records built from
-    interleave(response_batch(...)), byte for byte."""
+def test_filled_records_are_the_interleaved_oracle_response(monkeypatch, jobs):
+    """Blocks of more than two kernel blocks, written straight into the
+    records by the calling thread or a pool of two, equal the records built
+    from interleave(response_batch(...)), byte for byte."""
     count = 2 * KERNEL_BLOCK + 37
-    got = ds.generate(3 * count, 5, jobs=jobs, chunk=count)
+    monkeypatch.setattr(ds, "BLOCK", count)
+    with ds.fill_pool(jobs, 3 * count) as pool:
+        got = ds.generate(3 * count, 5, executor=pool)
     words = stream_u64(5, 0, 3 * count)
     expect = np.empty(3 * count, dtype=ds.RECORD_DTYPE)
     expect["genome"] = words
@@ -73,10 +76,12 @@ def test_filled_records_are_the_interleaved_oracle_response(jobs):
 
 
 def test_generate_propagates_chunk_errors_and_joins_its_threads(monkeypatch):
-    """A chunk that raises propagates out of generate, and no fill thread
-    outlives generate, both after a normal return and after the error."""
+    """A block that raises propagates out of generate, from the calling
+    thread or from a pool; generate starts no pool or thread of its own."""
     before = threading.active_count()
-    ds.generate(300, seed=9, jobs=2, chunk=100)
+    monkeypatch.setattr(ds, "BLOCK", 100)
+    monkeypatch.setattr(ds, "ThreadPoolExecutor", None)  # generate must not call it
+    ds.generate(300, seed=9)
     assert threading.active_count() == before
 
     real = ds.features_response_batch
@@ -87,34 +92,41 @@ def test_generate_propagates_chunk_errors_and_joins_its_threads(monkeypatch):
         return real(feats, consts, geom, out=out)
 
     monkeypatch.setattr(ds, "features_response_batch", fail_short_chunk)
-    for jobs in (1, 2):
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        ds.generate(250, seed=9)
+    with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(RuntimeError, match="chunk failed"):
-            ds.generate(250, seed=9, jobs=jobs, chunk=100)
-        assert threading.active_count() == before
+            ds.generate(250, seed=9, executor=pool)
+    assert threading.active_count() == before
 
 
-def test_generation_is_chunk_and_worker_invariant():
+def test_generation_is_chunk_and_worker_invariant(monkeypatch):
     """The same (n, seed) must produce byte-identical records no matter how
-    the work is sliced or how many threads run it."""
-    base = ds.generate(600, seed=9, chunk=600)
-    np.testing.assert_array_equal(ds.generate(600, seed=9, chunk=64), base)
-    np.testing.assert_array_equal(ds.generate(600, seed=9, jobs=3, chunk=97), base)
-    assert base.tobytes() == ds.generate(600, seed=9, jobs=2, chunk=200).tobytes()
+    the work is sliced into blocks or how many threads run it."""
+    assert ds.BLOCK >= 600
+    base = ds.generate(600, seed=9)
+    for block, jobs in ((64, 1), (97, 3), (200, 2)):
+        monkeypatch.setattr(ds, "BLOCK", block)
+        with ds.fill_pool(jobs, 600) as pool:
+            assert base.tobytes() == ds.generate(600, seed=9, executor=pool).tobytes()
     # more threads than cores, switching as often as the interpreter allows
+    monkeypatch.setattr(ds, "BLOCK", 37)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert base.tobytes() == ds.generate(600, seed=9, jobs=16, chunk=37).tobytes()
+        with ds.fill_pool(16, 600) as pool:
+            assert base.tobytes() == ds.generate(600, seed=9, executor=pool).tobytes()
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("jobs, chunk, workers", [(64, 100, 3), (2, 100, 2), (64, 300, 1)])
 def test_generation_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, chunk, workers):
+    """`fill_pool` gives at most one thread per BLOCK-record chunk, up to jobs."""
     started = []
 
     class FakePool:
-        """Runs the chunks in the calling thread and records the requested pool size."""
+        """Runs the blocks in the calling thread and records the requested pool size."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
@@ -129,9 +141,12 @@ def test_generation_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, chunk
             return map(fn, *iterables)
 
     monkeypatch.setattr(ds, "ThreadPoolExecutor", FakePool)
-    recs = ds.generate(300, seed=9, jobs=jobs, chunk=chunk)
+    monkeypatch.setattr(ds, "BLOCK", chunk)
+    with ds.fill_pool(jobs, 300) as pool:
+        recs = ds.generate(300, seed=9, executor=pool)
     # a single worker is the calling thread itself: no pool is started
     assert started == ([workers] if workers > 1 else [])
+    assert (pool is None) == (workers == 1)
     assert recs.tobytes() == ds.generate(300, seed=9).tobytes()
 
 
@@ -375,10 +390,10 @@ def _peak_bytes(fn, *args):
 def test_each_stage_holds_the_records_once(tmp_path, capsys):
     n = 20000
     path = str(tmp_path / "set.bin")
-    one_chunk, _ = _peak_bytes(ds.generate, 4096, 11)
+    one_block, _ = _peak_bytes(ds.generate, ds.BLOCK, 11)
     peak, recs = _peak_bytes(ds.generate, n, 11)
     size = recs.nbytes
-    assert peak <= size + 1.1 * one_chunk, f"generate {peak / size:.2f}x the records"
+    assert peak <= size + 1.1 * one_block, f"generate {peak / size:.2f}x the records"
     peak, _ = _peak_bytes(ds.save, path, n, [recs], 11)
     assert peak <= 0.05 * size, f"save {peak / size:.2f}x the records"
     peak, (_, got) = _peak_bytes(ds.load, path)
@@ -387,36 +402,41 @@ def test_each_stage_holds_the_records_once(tmp_path, capsys):
     peak, _ = _peak_bytes(ds.summarize, got)
     assert peak <= 0.6 * size, f"summarize {peak / size:.2f}x the records"
 
-    # gen and stats stream the file: two windows of jobs x WINDOW records at
-    # most, never the whole set
+    # gen and stats stream the file, never holding the whole set: gen holds
+    # two windows of jobs blocks and working space under two blocks per job,
+    # stats two blocks and working space under two blocks
     n = 40000
-    size = n * ds.RECORD_DTYPE.itemsize
+    block = ds.BLOCK * ds.RECORD_DTYPE.itemsize
     for jobs in (1, 2):
         argv = ["gen", "--n", str(n), "--seed", "11", "--jobs", str(jobs),
                 "--out", str(tmp_path / f"jobs{jobs}.bin")]
         peak, code = _peak_bytes(main, argv)
         assert code == 0
-        assert peak < 0.5 * size, f"gen --jobs {jobs} {peak / size:.2f}x the records"
+        assert peak < 4 * jobs * block, f"gen --jobs {jobs} {peak / block:.2f} blocks"
     peak, code = _peak_bytes(main, ["stats", "--data", str(tmp_path / "jobs1.bin"),
                                     "--out", str(tmp_path / "stats.json")])
     assert code == 0
-    assert peak < 0.5 * size, f"stats {peak / size:.2f}x the records"
+    assert peak < 4 * block, f"stats {peak / block:.2f} blocks"
     capsys.readouterr()
     assert (tmp_path / "jobs1.bin").read_bytes() == (tmp_path / "jobs2.bin").read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 1])
+B = ds.BLOCK
+
+
+# one record, and the edges of one, three, four and twelve blocks
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 1, 4 * B - 1, 4 * B, 4 * B + 1,
+                               12 * B + 1])
 @pytest.mark.parametrize("source", ["oracle", "wide"])
 def test_streamed_summary_is_bit_equal_to_whole_array_formulas(tmp_path, source, n):
-    """`stats` reads WINDOW-record blocks of the file in two passes; its
+    """`stats` reads BLOCK-record blocks of the file in two passes; its
     summary equals the whole-array one in every bit."""
-    assert ds.WINDOW == 4096
     recs = ds.generate(n, seed=7) if source == "oracle" else _wide_records(n)
     path = str(tmp_path / "set.bin")
     ds.save(path, n, [recs], seed=7)
     want = json.dumps(_reference_summary(recs))
     with ds.FileBlocks.open(path) as blocks:
-        assert [len(b) for b in blocks] == [len(recs[i:i + 4096]) for i in range(0, n, 4096)]
+        assert [len(b) for b in blocks] == [len(recs[i:i + B]) for i in range(0, n, B)]
         assert json.dumps(ds.summarize(blocks)) == want
     # any split into blocks, the empty one included
     half = (n + 1) // 2
@@ -425,7 +445,7 @@ def test_streamed_summary_is_bit_equal_to_whole_array_formulas(tmp_path, source,
 
 
 def test_file_blocks_read_the_header_once_through_one_open_file(tmp_path, monkeypatch):
-    n = 2 * ds.WINDOW + 3
+    n = 2 * ds.BLOCK + 3
     recs = ds.generate(n, seed=5)
     path = str(tmp_path / "set.bin")
     ds.save(path, n, [recs], seed=5)
@@ -445,7 +465,7 @@ def test_file_blocks_read_the_header_once_through_one_open_file(tmp_path, monkey
     assert blocks._fh.closed
 
 
-def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path):
+def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path, monkeypatch):
     recs = ds.generate(1003, seed=4)
     whole = tmp_path / "whole.bin"
     parts = tmp_path / "parts.bin"
@@ -455,12 +475,14 @@ def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path):
     assert parts.read_bytes() == whole.read_bytes()
     # windows filled on 16 threads while the writer writes, switching as often
     # as the interpreter allows
+    monkeypatch.setattr(ds, "BLOCK", 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        windows = (ds.generate(min(97, 1003 - s), 4, jobs=16, chunk=5, start=s)
-                   for s in range(0, 1003, 97))
-        assert ds.save(str(parts), 1003, windows, seed=4) == digest
+        with ds.fill_pool(16, 1003) as pool:
+            windows = (ds.generate(min(97, 1003 - s), 4, executor=pool, start=s)
+                       for s in range(0, 1003, 97))
+            assert ds.save(str(parts), 1003, windows, seed=4) == digest
     finally:
         sys.setswitchinterval(interval)
     assert parts.read_bytes() == whole.read_bytes()
@@ -470,11 +492,13 @@ def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path):
             ds.save(str(parts), count, [recs], seed=4)
 
 
-def test_generate_starts_at_any_counter():
-    whole = ds.generate(700, seed=6, chunk=128)
-    for start, count in ((0, 1), (1, 300), (299, 401), (699, 1)):
-        part = ds.generate(count, seed=6, jobs=2, chunk=128, start=start)
-        assert part.tobytes() == whole[start:start + count].tobytes()
+def test_generate_starts_at_any_counter(monkeypatch):
+    monkeypatch.setattr(ds, "BLOCK", 128)
+    whole = ds.generate(700, seed=6)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for start, count in ((0, 1), (1, 300), (299, 401), (699, 1)):
+            part = ds.generate(count, seed=6, executor=pool, start=start)
+            assert part.tobytes() == whole[start:start + count].tobytes()
 
 
 def test_load_reads_a_record_range(tmp_path):

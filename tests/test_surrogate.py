@@ -50,12 +50,12 @@ def test_target_layout_re_then_im():
 
 
 def test_records_to_xy_fills_the_split_of_a_file_block_by_block(tmp_path):
-    """`train` fills int8 inputs and float64 targets from WINDOW-record
+    """`train` fills int8 inputs and float64 targets from BLOCK-record
     blocks and splits those; they equal the encoding of the split records.
-    The file ends inside a window and the split point falls inside one."""
-    n = 2 * ds.WINDOW + 777
+    The file ends inside a block and the split point falls inside the second."""
+    n = 2 * ds.BLOCK + 3
     k = n * ds.SPLIT_NUM // ds.SPLIT_DEN
-    assert n % ds.WINDOW and ds.WINDOW < k < 2 * ds.WINDOW and k % ds.WINDOW
+    assert n % ds.BLOCK and ds.BLOCK < k < 2 * ds.BLOCK
     path = str(tmp_path / "set.bin")
     ds.save(path, n, [ds.generate(n, seed=8)], seed=8)
     with ds.FileBlocks.open(path) as blocks:
