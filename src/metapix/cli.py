@@ -160,8 +160,8 @@ def _outputs(command: str, force: bool, paths: list[Path],
         return _tmp(path)
 
     stage.sha256 = {}
-    pool = ThreadPoolExecutor(max_workers=1)
-    hashing = pool.submit(lambda: {n: _sha256(p) for n, p in inputs.items()})
+    hasher = ThreadPoolExecutor(max_workers=1)
+    hashing = hasher.submit(lambda: {n: _sha256(p) for n, p in inputs.items()})
     try:
         yield stage
         hashes = hashing.result()
@@ -176,7 +176,7 @@ def _outputs(command: str, force: bool, paths: list[Path],
             staged.remove(path)
         made.clear()
     finally:
-        pool.shutdown()
+        hasher.shutdown()
         for path in staged:  # left only on failure
             _tmp(path).unlink(missing_ok=True)
         for d in reversed(made):
@@ -227,14 +227,8 @@ def cmd_gen(args, cfg: RunConfig) -> int:
         params = {"n": n, "seed": seed,
                   "fingerprint": oracle.fingerprint(cfg.constants, cfg.geometry),
                   "dataset_version": dataset.DATASET_VERSION}
-        # the records in order, jobs x BLOCK at a time, on one fill pool for
-        # the whole run: `save` writes one window while the next one fills
-        step = args.jobs * dataset.BLOCK
-        with dataset.fill_pool(args.jobs, n) as pool:
-            windows = (dataset.generate(min(step, n - s), seed, cfg.constants, cfg.geometry,
-                                        executor=pool, start=s) for s in range(0, n, step))
-            stage.sha256[out] = dataset.save(stage(out, params), n, windows, seed,
-                                             cfg.constants, cfg.geometry)
+        stage.sha256[out] = dataset.save(stage(out, params), n, seed, cfg.constants,
+                                         cfg.geometry, jobs=args.jobs)
     print(f"wrote {out} ({n} records, seed {seed})")
     return 0
 
@@ -243,8 +237,8 @@ def cmd_stats(args, cfg: RunConfig) -> int:
     path = _require(Path(args.data), "dataset artifact")
     out = Path(args.out) if args.out else None
     with _outputs("stats", args.force, [out] if out else [], {"dataset": path}) as stage:
-        with dataset.FileBlocks.open(path, cfg.constants, cfg.geometry,
-                                     check_fingerprint=not args.no_fingerprint_check) as blocks:
+        with dataset.FileBlocks(path, cfg.constants, cfg.geometry,
+                                check_fingerprint=not args.no_fingerprint_check) as blocks:
             text = json.dumps(dataset.summarize(blocks), indent=2, sort_keys=True) + "\n"
         if out:
             stage(out, {"n": blocks.header.n, "seed": blocks.header.seed}).write_text(text)
@@ -267,7 +261,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     with _outputs("train", args.force, [ckpt, hist_path], {"dataset": data_path}) as stage:
         # inputs and targets are filled block by block: no record array is
         # ever whole
-        with dataset.FileBlocks.open(data_path, cfg.constants, cfg.geometry) as blocks:
+        with dataset.FileBlocks(data_path, cfg.constants, cfg.geometry) as blocks:
             x, y = surrogate.records_to_xy(blocks)
         (xt, xv), (yt, yv) = dataset.split(x), dataset.split(y)
         mlp = surrogate.init_mlp(ts.seed, ts.hidden)
@@ -318,12 +312,18 @@ def cmd_design(args, cfg: RunConfig) -> int:
                  "generations": args.generations}
     ga = dataclasses.replace(cfg.ga, **{k: v for k, v in overrides.items() if v is not None})
     with _outputs("design", args.force, [out], inputs) as stage:
-        result = inverse.ga_run(ga, evaluator)
-        if args.evaluator == "oracle":
-            predicted = oracle.response_batch(expand_genome(result.best_bits[None, :]),
-                                              cfg.constants, cfg.geometry)[0]
-        else:
-            predicted = surrogate.predict_s22(mlp, np.array([result.best_word], dtype=np.uint64))[0]
+        try:
+            result = inverse.ga_run(ga, evaluator)
+            if args.evaluator == "oracle":
+                predicted = oracle.response_batch(expand_genome(result.best_bits[None, :]),
+                                                  cfg.constants, cfg.geometry)[0]
+            else:
+                predicted = surrogate.predict_s22(mlp, np.array([result.best_word],
+                                                                dtype=np.uint64))[0]
+        except ValueError as exc:
+            if args.evaluator == "oracle":
+                raise
+            raise CliError(f"checkpoint {ckpt}: {exc}") from exc
         doc = {
             "genome": pack_genome(result.best_word),
             "fitness": result.best_fitness,

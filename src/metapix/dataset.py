@@ -5,23 +5,15 @@ Each record is the 64-bit genome word (big endian, matching the canonical hex
 form) followed by the 61-point response with real and imaginary parts
 interleaved per frequency, little-endian float64.
 
-Record i of a run is always genome stream_u64(seed, i); together with the
-chunk-invariant response evaluation this makes the file contents a pure
-function of (n, seed, constants, geometry), whatever the worker count.  The
-interleaved "resp" field has exactly the layout of 61 little-endian complex128
-values, so the oracle writes a record's response straight into it through a
-complex view, and readers take it back the same way.
+Record i of a run is genome stream_u64(seed, i) and its oracle response, so
+the file is a pure function of (n, seed, constants, geometry).  The "resp"
+field has the layout of 61 little-endian complex128 values, so the oracle
+writes into it through a complex view.
 
-Every command streams the file in blocks of BLOCK records.  `gen --jobs N`
-fills the records in windows of N x BLOCK records, one block per fill task,
-on one thread pool for the whole run (none for N = 1), and `save` writes and
-hashes each window in order on one writer thread while the next window fills.
-`stats` and `train` read the body one block at a time through one open file
-(`FileBlocks`), `stats` in two passes.  `gen` and `stats` hold at most two
-windows or blocks of records at once.  `train` holds no record array: block by
-block it fills the network's int8 inputs and float64 targets, 64 + 976 =
-1,040 bytes per record beside the block in hand and the next one while it is
-read.
+Files are made and read in blocks of BLOCK records.  `save` fills windows of
+up to one block per CPU on one thread pool, and writes and hashes each window
+on one writer thread while the next one fills.  `FileBlocks` opens a file,
+checks its header once and yields its blocks; `load` reads any record range.
 """
 
 from __future__ import annotations
@@ -33,7 +25,6 @@ import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -57,10 +48,10 @@ SPLIT_NUM, SPLIT_DEN = 10, 11  # split trains on 10 of every 11 records
 
 RECORD_DTYPE = np.dtype([("genome", ">u8"), ("resp", "<f8", (RESP_WIDTH,))])
 
-# Records per block: one fill task of `generate`, one job's share of a `gen`
-# window, and one block of a file that `FileBlocks` yields.  A fill task's
-# temporaries, about 1.2 MB at this size (1 MB of it the s22 kernel's
-# scratch), come once per fill thread on top of the two windows `gen` holds.
+# Records per block: one fill task of `generate`, one fill thread's share of
+# a `save` window, and one block of a file that `FileBlocks` yields.  A fill
+# task's temporaries, about 1.2 MB at this size (1 MB of it the s22 kernel's
+# scratch), come once per fill thread on top of the two windows `save` holds.
 BLOCK = 1024
 # Records per block when load and summarize walk a record array, so their
 # temporaries stay one block's size.
@@ -85,16 +76,6 @@ def _fill(part: np.ndarray, seed: int, start: int, consts: OracleConstants,
     part["genome"] = words
     features_response_batch(features_batch(expand_genome(u64_to_bits(words))), consts, geom,
                             out=part["resp"].view(np.complex128))
-
-
-def fill_pool(jobs: int, n: int) -> contextlib.AbstractContextManager[Executor | None]:
-    """The executor that fills n records for `generate` on up to `jobs` threads.
-
-    A pool of min(jobs, blocks of n) threads, one per block at most; when that
-    is one thread, a context that gives None, so the calling thread fills.
-    """
-    workers = min(jobs, -(-n // BLOCK))
-    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
 
 
 def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
@@ -126,15 +107,24 @@ def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
     return records
 
 
-def save(path: str, n: int, windows: Iterable[np.ndarray], seed: int,
-         consts: OracleConstants = OracleConstants(),
-         geom: GeometryMeta = GeometryMeta()) -> str:
-    """Write the header for n records, then each window in order; return the file's sha256.
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    One writer thread writes and hashes each window straight from its buffer
-    while the caller produces the next one, so at most two windows are alive.
-    The caller makes the write atomic; windows that hold other than n records
-    in all raise ValueError once written.
+
+def save(path: str, n: int, seed: int, consts: OracleConstants = OracleConstants(),
+         geom: GeometryMeta = GeometryMeta(), jobs: int = 1) -> str:
+    """Generate records 0..n-1 of (seed, constants) into a dataset file at
+    path; return the file's sha256.
+
+    The records are made in windows of w blocks, w = min(jobs, CPUs this
+    process may run on, blocks of n); with w > 1 one pool of w threads fills
+    every window, one block per thread, else the calling thread does.  One
+    writer thread writes and hashes each window straight from its buffer
+    while the next one fills, so at most two windows are alive.  The file is
+    byte-identical for any `jobs`; the caller makes the write atomic.
     """
     header = DatasetHeader(
         version=DATASET_VERSION,
@@ -145,22 +135,22 @@ def save(path: str, n: int, windows: Iterable[np.ndarray], seed: int,
         freq_step=FREQ_STEP,
         n_freq=N_FREQ,
     )
+    workers = max(1, min(jobs, _cpus(), -(-n // BLOCK)))
+    step = workers * BLOCK
     digest = hashlib.sha256()
-    written = 0
-    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as writer:
+    with (open(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as writer,
+          ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext() as pool):
         def put(data) -> None:
             fh.write(data)
             digest.update(data)
 
         pending = writer.submit(put, (json.dumps(header.__dict__, sort_keys=True) + "\n").encode())
-        for window in windows:
-            window = np.ascontiguousarray(window, dtype=RECORD_DTYPE)
-            written += len(window)
+        for s in range(0, n, step):
+            window = generate(min(step, n - s), seed, consts, geom, executor=pool, start=s)
             pending.result()
             pending = writer.submit(put, window.view(np.uint8))
         pending.result()
-    if written != n:
-        raise ValueError(f"{path}: header says {n} records, windows held {written}")
     return digest.hexdigest()
 
 
@@ -196,37 +186,6 @@ def _check_body(path, n: int, size: int) -> None:
         )
 
 
-def _read_header(path, fh: BinaryIO, consts: OracleConstants, geom: GeometryMeta,
-                 check_fingerprint: bool) -> tuple[DatasetHeader, int]:
-    """The checked header of the dataset open in fh, and the offset of its first record."""
-    line = fh.readline()
-    try:
-        header = _parse_header(line, consts, geom, check_fingerprint)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    _check_body(path, header.n, os.fstat(fh.fileno()).st_size - len(line))
-    return header, len(line)
-
-
-def _read_range(path, fh: BinaryIO, header: DatasetHeader, offset: int,
-                start: int, count: int | None) -> np.ndarray:
-    count = header.n - start if count is None else count
-    if not 0 <= start <= start + count <= header.n:
-        raise ValueError(f"{path}: records {start}..{start + count - 1} "
-                         f"lie outside its {header.n} records")
-    records = np.empty(count, dtype=RECORD_DTYPE)
-    fh.seek(offset + start * RECORD_DTYPE.itemsize)
-    got = fh.readinto(records.view(np.uint8))
-    _check_body(path, header.n, header.n * RECORD_DTYPE.itemsize - records.nbytes + got)
-    resp = records["resp"]
-    for i in range(0, len(resp), ROW_BLOCK):
-        finite = np.isfinite(resp[i:i + ROW_BLOCK]).all(axis=1)
-        if not finite.all():
-            bad = start + i + int(np.argmin(finite))
-            raise ValueError(f"{path}: record {bad} holds a non-finite response")
-    return records
-
-
 def load(path: str, consts: OracleConstants = OracleConstants(),
          geom: GeometryMeta = GeometryMeta(), check_fingerprint: bool = True,
          start: int = 0, count: int | None = None, *,
@@ -234,45 +193,57 @@ def load(path: str, consts: OracleConstants = OracleConstants(),
     """Read records start..start+count-1 (default: to the end) of a dataset;
     refuse one built under other model constants or frequencies.
 
-    The header (field types included), the body size and the range are
-    checked before anything is allocated; the range is then read straight
-    into the returned records, so they are held once.  A record whose
-    response is not finite is refused by its index in the file; the check
-    runs over ROW_BLOCK records at a time.  `opened` is the FileBlocks of
-    `path`: the range is then read through its open file under the header it
-    checked, which is not read again.
+    The records are read through `opened`, the FileBlocks of `path`, under
+    the header it checked; without it, through a FileBlocks opened for this
+    call.  The range is checked before anything is allocated, then read
+    straight into the returned records, so they are held once.  A record
+    whose response is not finite is refused by its index in the file; the
+    check runs over ROW_BLOCK records at a time.
     """
-    if opened is not None:
-        return opened.header, _read_range(path, opened._fh, opened.header, opened._offset,
-                                          start, count)
-    with open(path, "rb") as fh:
-        header, offset = _read_header(path, fh, consts, geom, check_fingerprint)
-        return header, _read_range(path, fh, header, offset, start, count)
+    with (FileBlocks(path, consts, geom, check_fingerprint) if opened is None
+          else contextlib.nullcontext(opened)) as blocks:
+        header = blocks.header
+        count = header.n - start if count is None else count
+        if not 0 <= start <= start + count <= header.n:
+            raise ValueError(f"{path}: records {start}..{start + count - 1} "
+                             f"lie outside its {header.n} records")
+        records = np.empty(count, dtype=RECORD_DTYPE)
+        blocks._fh.seek(blocks._offset + start * RECORD_DTYPE.itemsize)
+        got = blocks._fh.readinto(records.view(np.uint8))
+    _check_body(path, header.n, header.n * RECORD_DTYPE.itemsize - records.nbytes + got)
+    resp = records["resp"]
+    for i in range(0, len(resp), ROW_BLOCK):
+        finite = np.isfinite(resp[i:i + ROW_BLOCK]).all(axis=1)
+        if not finite.all():
+            bad = start + i + int(np.argmin(finite))
+            raise ValueError(f"{path}: record {bad} holds a non-finite response")
+    return header, records
 
 
 class FileBlocks:
     """The records of a dataset file as a re-iterable of BLOCK-record blocks.
 
-    `open` opens the file and checks its header once; the file stays open
-    until `close` or the end of a `with` block.  Each pass reads the body
-    anew, one block at a time through `load`, so a pass holds the block in
-    hand and the next one while it is read.
+    The constructor opens the file and checks its header and body size once,
+    closing it again when a check fails; the file then stays open until
+    `close` or the end of a `with` block.  Each pass reads the body anew, one
+    block at a time through `load`, so a pass holds the block in hand and the
+    next one while it is read.
     """
 
-    def __init__(self, path, fh: BinaryIO, header: DatasetHeader, offset: int):
+    def __init__(self, path, consts: OracleConstants = OracleConstants(),
+                 geom: GeometryMeta = GeometryMeta(), check_fingerprint: bool = True):
         self.path = path
-        self.header = header
-        self._fh = fh
-        self._offset = offset
-
-    @classmethod
-    def open(cls, path, consts: OracleConstants = OracleConstants(),
-             geom: GeometryMeta = GeometryMeta(), check_fingerprint: bool = True) -> FileBlocks:
-        fh = open(path, "rb")
+        self._fh = open(path, "rb")
         try:
-            return cls(path, fh, *_read_header(path, fh, consts, geom, check_fingerprint))
+            line = self._fh.readline()
+            try:
+                self.header = _parse_header(line, consts, geom, check_fingerprint)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+            self._offset = len(line)
+            _check_body(path, self.header.n, os.fstat(self._fh.fileno()).st_size - len(line))
         except BaseException:
-            fh.close()
+            self._fh.close()
             raise
 
     def close(self) -> None:

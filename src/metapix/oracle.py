@@ -78,8 +78,8 @@ class OracleConstants:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < value < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def fingerprint(consts: OracleConstants, geom: GeometryMeta) -> str:
@@ -341,6 +341,13 @@ def _response(feats, consts, geom, freqs, out) -> np.ndarray:
         raise ValueError(f"out must be a ({len(feats)}, {len(f)}) complex128 array, "
                          f"got {out.shape} {out.dtype}")
     scratch = _kernel_scratch(min(KERNEL_BLOCK, len(feats)), len(f))
-    for i in range(0, len(feats), KERNEL_BLOCK):
-        _s22_kernel(feats[i:i + KERNEL_BLOCK], f, consts, geom, out[i:i + KERNEL_BLOCK], scratch)
+    # a reactance may overflow to infinity and still give a finite s22; a
+    # response it makes non-finite passes through inf/inf or inf - inf
+    try:
+        with np.errstate(over="ignore", invalid="raise"):
+            for i in range(0, len(feats), KERNEL_BLOCK):
+                _s22_kernel(feats[i:i + KERNEL_BLOCK], f, consts, geom, out[i:i + KERNEL_BLOCK],
+                            scratch)
+    except FloatingPointError as exc:
+        raise ValueError(f"the oracle response is not finite under {consts} and {geom}") from exc
     return out

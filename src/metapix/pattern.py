@@ -43,8 +43,9 @@ class GeometryMeta:
     def __post_init__(self):
         for name in ("period", "pixel_side", "pixel_pitch", "substrate_h",
                      "eps_r", "gap", "lead_width", "lead_length", "f0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def expand_genome(bits) -> np.ndarray:

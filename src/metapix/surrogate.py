@@ -152,10 +152,17 @@ def records_to_xy(records: np.ndarray | FileBlocks) -> tuple[np.ndarray, np.ndar
 
 
 def predict_s22(mlp: Mlp, words: np.ndarray) -> np.ndarray:
-    """Genome words -> (n, 61) complex response under the surrogate."""
+    """Genome words -> (n, 61) complex response under the surrogate.
+
+    A network whose output overflows or is not finite is refused with
+    ValueError rather than scored.
+    """
     x = encode_bits(words)
-    outs = [mlp.predict(x[i : i + PREDICT_BATCH]) for i in range(0, len(x), PREDICT_BATCH)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        outs = [mlp.predict(x[i : i + PREDICT_BATCH]) for i in range(0, len(x), PREDICT_BATCH)]
     out = np.concatenate(outs) if outs else np.empty((0, RESP_WIDTH))
+    if not np.isfinite(out).all():
+        raise ValueError("the surrogate predicts a non-finite response")
     return out[:, :N_FREQ] + 1j * out[:, N_FREQ:]
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 _ACCEPTANCE_LINES = []
@@ -14,6 +16,17 @@ def acceptance():
         assert ok, line
 
     return record
+
+
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """pin_cpus(k) makes this process look as if it may run on k CPUs."""
+
+    def pin(cpus: int):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    return pin
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

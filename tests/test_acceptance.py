@@ -176,7 +176,7 @@ def test_07_gradient_check(acceptance):
 
 def test_08_surrogate_learns(acceptance):
     t0 = time.perf_counter()
-    with dataset.fill_pool(8, 11_000) as pool:
+    with ThreadPoolExecutor(max_workers=8) as pool:
         records = dataset.generate(11_000, seed=1, executor=pool)
     train_recs, val_recs = dataset.split(records)
     xt, yt = surrogate.records_to_xy(train_recs)

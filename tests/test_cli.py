@@ -108,12 +108,12 @@ def test_gen_manifest_holds_the_sha256_of_the_file_it_wrote(tmp_path, capsys, jo
     manifest = json.loads((tmp_path / "dataset.bin.manifest.json").read_text())
     assert manifest["sha256"] == sha(data)
     whole = tmp_path / "whole.bin"
-    dataset.save(str(whole), n, [dataset.generate(n, 8)], 8)
+    dataset.save(str(whole), n, 8)
     assert data.read_bytes() == whole.read_bytes()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_gen_fills_every_window_on_one_pool(tmp_path, capsys, monkeypatch, jobs):
+def test_gen_fills_every_window_on_one_pool(tmp_path, capsys, monkeypatch, pin_cpus, jobs):
     """A gen of several windows fills them all on the threads of one pool
     with `--jobs 2`, and on the calling thread with `--jobs 1`."""
     fill, threads = dataset._fill, set()
@@ -123,6 +123,7 @@ def test_gen_fills_every_window_on_one_pool(tmp_path, capsys, monkeypatch, jobs)
         fill(*args)
 
     monkeypatch.setattr(dataset, "_fill", recording_fill)
+    pin_cpus(jobs)
     n = 3 * jobs * dataset.BLOCK + 1  # three full windows and a one-record one
     code, _, _ = run(capsys, "gen", "--n", str(n), "--jobs", str(jobs), "--outdir", str(tmp_path))
     assert code == 0
@@ -132,6 +133,25 @@ def test_gen_fills_every_window_on_one_pool(tmp_path, capsys, monkeypatch, jobs)
         # a pool's threads are named <pool name>_<thread number>
         assert len({t.name.rsplit("_", 1)[0] for t in threads}) == 1
         assert threading.current_thread() not in threads and len(threads) <= jobs
+
+
+def test_gen_fills_on_no_more_threads_than_the_cpus_it_may_run_on(tmp_path, capsys,
+                                                                  monkeypatch, pin_cpus):
+    fill, threads = dataset._fill, set()
+
+    def recording_fill(*args):
+        threads.add(threading.current_thread())
+        fill(*args)
+
+    monkeypatch.setattr(dataset, "_fill", recording_fill)
+    pin_cpus(2)
+    n = str(5 * dataset.BLOCK + 1)
+    for jobs in ("64", "1"):
+        code, _, _ = run(capsys, "gen", "--n", n, "--jobs", jobs, "--out", str(tmp_path / jobs))
+        assert code == 0
+        if jobs == "64":
+            assert len(threads) == 2 and threading.current_thread() not in threads
+    assert (tmp_path / "64").read_bytes() == (tmp_path / "1").read_bytes()
 
 
 def _fail_in_window_two(monkeypatch, jobs):
@@ -176,8 +196,9 @@ def _fail_in_the_writer(monkeypatch, jobs):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("fail", [_fail_in_window_two, _fail_in_the_writer])
 def test_gen_failure_mid_stream_publishes_nothing_and_joins_its_threads(
-        tmp_path, capsys, monkeypatch, fail, jobs):
+        tmp_path, capsys, monkeypatch, pin_cpus, fail, jobs):
     message = fail(monkeypatch, jobs)
+    pin_cpus(jobs)
     threads = threading.active_count()
     code, _, err = run(capsys, "gen", "--n", str(3 * jobs * dataset.BLOCK), "--jobs", str(jobs),
                        "--outdir", str(tmp_path / "out"))
@@ -200,6 +221,31 @@ def test_stats_names_a_non_finite_record_of_a_later_block(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "--data", str(data), "--out", str(tmp_path / "s.json"))
     assert code == 1 and out == ""
     assert _one_error_line(err) and f"{data}: record {bad} holds a non-finite response" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["gen", "design", "validate"])
+def test_a_non_finite_oracle_response_is_one_error_line_and_writes_nothing(tmp_path, capsys,
+                                                                          command):
+    """A reactance that overflows makes the spectra NaN; every command that
+    runs the oracle refuses them, without a floating-point warning."""
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps(_design_doc()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"constants": {"l_lead": 1e308}}))
+    before = sorted(tmp_path.iterdir())
+    argv = {"gen": ["gen", "--n", "50"],
+            "design": ["design", "--evaluator", "oracle", "--target", str(target),
+                       "--population", "8", "--generations", "1"],
+            "validate": ["validate", "--design", str(design), "--target", str(target)]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--config", str(cfg), "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "oracle response is not finite under" in err
+    assert "l_lead=1e+308" in err
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -279,6 +325,25 @@ def test_design_missing_checkpoint_names_file(tmp_path, capsys):
     assert code == 1
     assert "missing" in err
     assert str(tmp_path / "surrogate.ckpt") in err
+
+
+def test_design_refuses_a_surrogate_that_predicts_non_finite_values(tmp_path, capsys):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    ckpt = tmp_path / "big.ckpt"
+    mlp = init_mlp(0, (16,))
+    mlp.params[:] = 1e200  # the hidden layer holds 6.4e201, the output overflows
+    save_checkpoint(ckpt, mlp)
+    before = sorted(tmp_path.iterdir())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "design", "--target", str(target), "--ckpt", str(ckpt),
+                             "--population", "8", "--generations", "1",
+                             "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert _one_error_line(err)
+    assert f"checkpoint {ckpt}: the surrogate predicts a non-finite response" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_design_oracle_deterministic(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import sys
 import threading
@@ -36,6 +37,14 @@ def deinterleave(resp: np.ndarray) -> np.ndarray:
     return resp[..., 0::2] + 1j * resp[..., 1::2]
 
 
+def _save_records(path, recs, seed):
+    """A dataset file of len(recs) records of seed whose body is `recs`."""
+    ds.save(path, len(recs), seed)
+    with open(path, "r+b") as fh:
+        fh.seek(-recs.nbytes, os.SEEK_END)
+        fh.write(recs.tobytes())
+
+
 def test_interleave_round_trip():
     """The records' Re/Im layout is complex128's, so their complex view is
     the deinterleaved response."""
@@ -66,8 +75,8 @@ def test_filled_records_are_the_interleaved_oracle_response(monkeypatch, jobs):
     from interleave(response_batch(...)), byte for byte."""
     count = 2 * KERNEL_BLOCK + 37
     monkeypatch.setattr(ds, "BLOCK", count)
-    with ds.fill_pool(jobs, 3 * count) as pool:
-        got = ds.generate(3 * count, 5, executor=pool)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        got = ds.generate(3 * count, 5, executor=pool if jobs > 1 else None)
     words = stream_u64(5, 0, 3 * count)
     expect = np.empty(3 * count, dtype=ds.RECORD_DTYPE)
     expect["genome"] = words
@@ -107,53 +116,44 @@ def test_generation_is_chunk_and_worker_invariant(monkeypatch):
     base = ds.generate(600, seed=9)
     for block, jobs in ((64, 1), (97, 3), (200, 2)):
         monkeypatch.setattr(ds, "BLOCK", block)
-        with ds.fill_pool(jobs, 600) as pool:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             assert base.tobytes() == ds.generate(600, seed=9, executor=pool).tobytes()
     # more threads than cores, switching as often as the interpreter allows
     monkeypatch.setattr(ds, "BLOCK", 37)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ds.fill_pool(16, 600) as pool:
+        with ThreadPoolExecutor(max_workers=16) as pool:
             assert base.tobytes() == ds.generate(600, seed=9, executor=pool).tobytes()
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("jobs, chunk, workers", [(64, 100, 3), (2, 100, 2), (64, 300, 1)])
-def test_generation_starts_at_most_one_worker_per_chunk(monkeypatch, jobs, chunk, workers):
-    """`fill_pool` gives at most one thread per BLOCK-record chunk, up to jobs."""
-    started = []
+def test_generation_starts_at_most_one_worker_per_chunk(tmp_path, monkeypatch, pin_cpus, jobs,
+                                                        chunk, workers):
+    """`save` fills on at most one thread per BLOCK-record chunk, up to jobs."""
+    real, started = ds.ThreadPoolExecutor, []
 
-    class FakePool:
-        """Runs the blocks in the calling thread and records the requested pool size."""
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(ds, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(ds, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(ds, "BLOCK", chunk)
-    with ds.fill_pool(jobs, 300) as pool:
-        recs = ds.generate(300, seed=9, executor=pool)
-    # a single worker is the calling thread itself: no pool is started
-    assert started == ([workers] if workers > 1 else [])
-    assert (pool is None) == (workers == 1)
-    assert recs.tobytes() == ds.generate(300, seed=9).tobytes()
+    pin_cpus(64)
+    path = str(tmp_path / "set.bin")
+    ds.save(path, 300, 9, jobs=jobs)
+    # the writer's one thread, and a fill pool only when it has two threads
+    # or more: a single worker is the calling thread itself
+    assert sorted(started) == sorted([1] + ([workers] if workers > 1 else []))
+    assert ds.load(path)[1].tobytes() == ds.generate(300, seed=9).tobytes()
 
 
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "set.bin"
     recs = ds.generate(64, seed=5)
-    digest = ds.save(str(path), 64, [recs], seed=5)
+    digest = ds.save(str(path), 64, seed=5)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     got_header, got = ds.load(str(path))
     assert got_header.n == 64
@@ -165,8 +165,7 @@ def test_save_load_round_trip(tmp_path):
 
 def test_load_rejects_wrong_constants(tmp_path):
     path = str(tmp_path / "set.bin")
-    recs = ds.generate(4, seed=1)
-    ds.save(path, len(recs), [recs], seed=1)
+    ds.save(path, 4, seed=1)
     with pytest.raises(ValueError, match="fingerprint"):
         ds.load(path, consts=OracleConstants(c_b=200e-15))
     # explicit opt-out still works
@@ -184,7 +183,7 @@ def test_load_rejects_garbage(tmp_path):
 
 def test_load_rejects_truncation(tmp_path):
     path = str(tmp_path / "set.bin")
-    ds.save(path, 16, [ds.generate(16, seed=2)], seed=2)
+    ds.save(path, 16, seed=2)
     blob = open(path, "rb").read()
     with open(path, "wb") as fh:
         fh.write(blob[:-100])
@@ -195,7 +194,7 @@ def test_load_rejects_truncation(tmp_path):
 def test_load_rejects_trailing_bytes(tmp_path):
     path = str(tmp_path / "set.bin")
     recs = ds.generate(16, seed=2)
-    ds.save(path, len(recs), [recs], seed=2)
+    ds.save(path, len(recs), seed=2)
     with open(path, "ab") as fh:
         fh.write(recs[:1].tobytes())
     with pytest.raises(ValueError, match="header says 16 records, file holds 17$"):
@@ -223,7 +222,7 @@ def _edit_header(path, **fields):
 ])
 def test_load_rejects_another_frequency_grid(tmp_path, fields):
     path = str(tmp_path / "set.bin")
-    ds.save(path, 4, [ds.generate(4, seed=1)], seed=1)
+    ds.save(path, 4, seed=1)
     _edit_header(path, **fields)
     for check in (True, False):
         with pytest.raises(ValueError, match=f"{path}: frequency grid"):
@@ -236,7 +235,7 @@ def test_load_rejects_another_frequency_grid(tmp_path, fields):
 ])
 def test_load_rejects_header_field_of_wrong_type(tmp_path, fields):
     path = str(tmp_path / "set.bin")
-    ds.save(path, 16, [ds.generate(16, seed=2)], seed=2)
+    ds.save(path, 16, seed=2)
     _edit_header(path, **fields)
     (name, value), = fields.items()
     kind = ds.DatasetHeader.__annotations__[name]
@@ -254,7 +253,7 @@ def test_load_refuses_non_finite_responses(tmp_path, value, bad):
     recs = ds.generate(ROW_BLOCK + 3, seed=2)
     for i in bad:
         recs["resp"][i, 7] = value
-    ds.save(path, len(recs), [recs], seed=2)
+    _save_records(path, recs, seed=2)
     want = re.escape(f"{path}: record {bad[0]} holds a non-finite response")
     with pytest.raises(ValueError, match=f"^{want}$"):
         ds.load(path)
@@ -263,14 +262,14 @@ def test_load_refuses_non_finite_responses(tmp_path, value, bad):
 def test_load_accepts_integer_frequencies(tmp_path):
     """A JSON writer may print a whole-number float without its point."""
     path = str(tmp_path / "set.bin")
-    ds.save(path, 4, [ds.generate(4, seed=2)], seed=2)
+    ds.save(path, 4, seed=2)
     _edit_header(path, freq_start=int(ds.FREQ_START), freq_step=int(ds.FREQ_STEP))
     assert len(ds.load(path)[1]) == 4
 
 
 def test_load_refuses_a_huge_count_before_allocating(tmp_path):
     path = str(tmp_path / "set.bin")
-    ds.save(path, 16, [ds.generate(16, seed=2)], seed=2)
+    ds.save(path, 16, seed=2)
     _edit_header(path, n=10**15)
     tracemalloc.start()
     try:
@@ -394,8 +393,10 @@ def test_each_stage_holds_the_records_once(tmp_path, capsys):
     peak, recs = _peak_bytes(ds.generate, n, 11)
     size = recs.nbytes
     assert peak <= size + 1.1 * one_block, f"generate {peak / size:.2f}x the records"
-    peak, _ = _peak_bytes(ds.save, path, n, [recs], 11)
-    assert peak <= 0.05 * size, f"save {peak / size:.2f}x the records"
+    # save generates and writes a window of one block while the next fills
+    block = ds.BLOCK * ds.RECORD_DTYPE.itemsize
+    peak, _ = _peak_bytes(ds.save, path, n, 11)
+    assert peak < 4 * block, f"save {peak / block:.2f} blocks"
     peak, (_, got) = _peak_bytes(ds.load, path)
     assert peak <= 1.05 * size, f"load {peak / size:.2f}x the records"
     assert got.tobytes() == recs.tobytes()
@@ -406,7 +407,6 @@ def test_each_stage_holds_the_records_once(tmp_path, capsys):
     # two windows of jobs blocks and working space under two blocks per job,
     # stats two blocks and working space under two blocks
     n = 40000
-    block = ds.BLOCK * ds.RECORD_DTYPE.itemsize
     for jobs in (1, 2):
         argv = ["gen", "--n", str(n), "--seed", "11", "--jobs", str(jobs),
                 "--out", str(tmp_path / f"jobs{jobs}.bin")]
@@ -433,9 +433,9 @@ def test_streamed_summary_is_bit_equal_to_whole_array_formulas(tmp_path, source,
     summary equals the whole-array one in every bit."""
     recs = ds.generate(n, seed=7) if source == "oracle" else _wide_records(n)
     path = str(tmp_path / "set.bin")
-    ds.save(path, n, [recs], seed=7)
+    _save_records(path, recs, seed=7)
     want = json.dumps(_reference_summary(recs))
-    with ds.FileBlocks.open(path) as blocks:
+    with ds.FileBlocks(path) as blocks:
         assert [len(b) for b in blocks] == [len(recs[i:i + B]) for i in range(0, n, B)]
         assert json.dumps(ds.summarize(blocks)) == want
     # any split into blocks, the empty one included
@@ -448,13 +448,13 @@ def test_file_blocks_read_the_header_once_through_one_open_file(tmp_path, monkey
     n = 2 * ds.BLOCK + 3
     recs = ds.generate(n, seed=5)
     path = str(tmp_path / "set.bin")
-    ds.save(path, n, [recs], seed=5)
+    ds.save(path, n, seed=5)
     parsed, opened = [], []
     parse, builtin_open = ds._parse_header, open
     monkeypatch.setattr(ds, "_parse_header", lambda *a: parsed.append(a) or parse(*a))
     monkeypatch.setattr(ds, "open", lambda *a: opened.append(a) or builtin_open(*a),
                         raising=False)
-    with ds.FileBlocks.open(path) as blocks:
+    with ds.FileBlocks(path) as blocks:
         for _ in range(2):
             assert b"".join(b.tobytes() for b in blocks) == recs.tobytes()
         header, got = ds.load(path, start=n - 5, count=5, opened=blocks)
@@ -465,31 +465,44 @@ def test_file_blocks_read_the_header_once_through_one_open_file(tmp_path, monkey
     assert blocks._fh.closed
 
 
-def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path, monkeypatch):
+@pytest.mark.parametrize("spoil, message", [
+    (lambda path: _edit_header(path, n_freq=60), "frequency grid"),
+    (lambda path: _edit_header(path, version="1"), "dataset header field version"),
+    (lambda path: open(path, "ab").write(b"\0"), "header says 4 records, file holds 4 and a"),
+    (lambda path: os.truncate(path, os.path.getsize(path) - 1), "file holds 3 and a partial"),
+])
+def test_file_blocks_close_the_file_when_a_check_fails(tmp_path, monkeypatch, spoil, message):
+    path = str(tmp_path / "set.bin")
+    ds.save(path, 4, seed=2)
+    spoil(path)
+    handles, builtin_open = [], open
+    monkeypatch.setattr(ds, "open", lambda *a: handles.append(builtin_open(*a)) or handles[-1],
+                        raising=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: .*{message}"):
+        ds.FileBlocks(path)
+    assert len(handles) == 1 and handles[0].closed
+
+
+def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path, monkeypatch,
+                                                                     pin_cpus):
     recs = ds.generate(1003, seed=4)
     whole = tmp_path / "whole.bin"
     parts = tmp_path / "parts.bin"
-    digest = ds.save(str(whole), 1003, [recs], seed=4)
-    windows = (recs[i:i + 300] for i in range(0, 1003, 300))
-    assert ds.save(str(parts), 1003, windows, seed=4) == digest
-    assert parts.read_bytes() == whole.read_bytes()
-    # windows filled on 16 threads while the writer writes, switching as often
-    # as the interpreter allows
+    digest = ds.save(str(whole), 1003, seed=4)
+    assert digest == hashlib.sha256(whole.read_bytes()).hexdigest()
+    assert ds.load(str(whole))[1].tobytes() == recs.tobytes()
+    # one-block windows filled on 16 threads while the writer writes,
+    # switching as often as the interpreter allows
     monkeypatch.setattr(ds, "BLOCK", 5)
+    pin_cpus(16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ds.fill_pool(16, 1003) as pool:
-            windows = (ds.generate(min(97, 1003 - s), 4, executor=pool, start=s)
-                       for s in range(0, 1003, 97))
-            assert ds.save(str(parts), 1003, windows, seed=4) == digest
+        for jobs in (1, 16):
+            assert ds.save(str(parts), 1003, seed=4, jobs=jobs) == digest
+            assert parts.read_bytes() == whole.read_bytes()
     finally:
         sys.setswitchinterval(interval)
-    assert parts.read_bytes() == whole.read_bytes()
-    assert digest == hashlib.sha256(whole.read_bytes()).hexdigest()
-    for count in (1002, 1004):
-        with pytest.raises(ValueError, match=f"header says {count} records, windows held 1003"):
-            ds.save(str(parts), count, [recs], seed=4)
 
 
 def test_generate_starts_at_any_counter(monkeypatch):
@@ -504,7 +517,7 @@ def test_generate_starts_at_any_counter(monkeypatch):
 def test_load_reads_a_record_range(tmp_path):
     path = str(tmp_path / "set.bin")
     recs = ds.generate(50, seed=2)
-    ds.save(path, 50, [recs], seed=2)
+    ds.save(path, 50, seed=2)
     for start, count in ((0, 0), (0, 50), (13, 7), (49, 1), (50, 0), (20, None)):
         header, got = ds.load(path, start=start, count=count)
         assert header.n == 50
@@ -518,7 +531,7 @@ def test_load_names_a_non_finite_record_by_its_index_in_the_file(tmp_path):
     path = str(tmp_path / "set.bin")
     recs = ds.generate(ROW_BLOCK + 40, seed=2)
     recs["resp"][ROW_BLOCK + 30, 3] = np.nan
-    ds.save(path, len(recs), [recs], seed=2)
+    _save_records(path, recs, seed=2)
     assert len(ds.load(path, start=0, count=ROW_BLOCK + 30)[1]) == ROW_BLOCK + 30
     for start in (0, 5, ROW_BLOCK + 30):
         with pytest.raises(ValueError, match=f"record {ROW_BLOCK + 30} holds a non-finite"):

@@ -405,8 +405,9 @@ def test_constants_change_the_response():
 
 
 def test_constants_validation_and_fingerprint():
-    with pytest.raises(ValueError):
-        oc.OracleConstants(c_a=0.0)
+    for value in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="c_a must be finite and positive"):
+            oc.OracleConstants(c_a=value)
     fp = oc.fingerprint(oc.OracleConstants(), GeometryMeta())
     assert fp == "d7fd10d0d6447f25"
     assert oc.fingerprint(oc.OracleConstants(c_b=200e-15), GeometryMeta()) != fp

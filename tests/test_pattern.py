@@ -107,5 +107,6 @@ def test_geometry_defaults_and_validation():
     assert geom.eps_r == 3.5
     with pytest.raises(ValueError):
         pt.GeometryMeta(substrate_h=0.0)
-    with pytest.raises(ValueError):
-        pt.GeometryMeta(eps_r=-1.0)
+    for value in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps_r must be finite and positive"):
+            pt.GeometryMeta(eps_r=value)

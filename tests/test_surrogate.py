@@ -57,8 +57,8 @@ def test_records_to_xy_fills_the_split_of_a_file_block_by_block(tmp_path):
     k = n * ds.SPLIT_NUM // ds.SPLIT_DEN
     assert n % ds.BLOCK and ds.BLOCK < k < 2 * ds.BLOCK
     path = str(tmp_path / "set.bin")
-    ds.save(path, n, [ds.generate(n, seed=8)], seed=8)
-    with ds.FileBlocks.open(path) as blocks:
+    ds.save(path, n, seed=8)
+    with ds.FileBlocks(path) as blocks:
         x, y = sg.records_to_xy(blocks)
     assert (x.dtype, y.dtype) == (np.int8, np.float64)
     for got, want_recs in zip(zip(ds.split(x), ds.split(y)), ds.split(ds.load(path)[1])):
