@@ -29,6 +29,7 @@ from .netcalc import C0
 
 TWO_PI = 2.0 * math.pi
 PATTERN_FLOOR_DB = -100.0  # lowest level of a normalized pattern cut
+SWEEP_FLOOR_DB = -300.0  # lowest level of a normalized frequency sweep
 PGM_FLOOR_DB = -40.0  # dB level that renders black in render_pgm
 # directions per block of far_field_gammas' (directions, n) factors, so that a
 # whole hemisphere holds them a block at a time
@@ -148,17 +149,21 @@ def far_field_gammas(cfg: ArrayConfig, gammas: np.ndarray, f: float,
     return e
 
 
+def _peak_db(power: np.ndarray, floor_db: float) -> np.ndarray:
+    """10 log10 of power over its peak, floored at floor_db; all floor when
+    the peak is 0."""
+    peak = power.max()
+    if peak == 0.0:
+        return np.full_like(power, floor_db)
+    return 10.0 * np.log10(np.maximum(power / peak, 10.0 ** (floor_db / 10.0)))
+
+
 def pattern_db(cfg: ArrayConfig, gammas: np.ndarray, f: float,
                thetas_deg: np.ndarray, phi_deg: float | np.ndarray = 0.0) -> np.ndarray:
     """|E|^2 toward the directions of far_field_gammas, normalized so the
     peak sits at 0 dB."""
     e = far_field_gammas(cfg, gammas, f, thetas_deg, phi_deg)
-    p = np.abs(e) ** 2
-    peak = p.max()
-    if peak == 0.0:
-        return np.full_like(p, PATTERN_FLOOR_DB)
-    p = np.maximum(p / peak, 10.0 ** (PATTERN_FLOOR_DB / 10.0))
-    return 10.0 * np.log10(p)
+    return _peak_db(np.abs(e) ** 2, PATTERN_FLOOR_DB)
 
 
 def _check_reflections(*gammas) -> None:
@@ -225,11 +230,7 @@ def spectral_power_sweep(cfg: ArrayConfig, freqs: np.ndarray,
         e = far_field_gammas(cfg, gammas, float(f), theta, steer.phi_deg)
         power[k] = float(np.abs(e[0]) ** 2)
 
-    floor_db = -300.0
-    peak = power.max()
-    if peak == 0.0:
-        return SweepResult(freqs, np.full(len(freqs), floor_db), None, 0.0)
-    power_db = 10.0 * np.log10(np.maximum(power / peak, 10.0 ** (floor_db / 10.0)))
+    power_db = _peak_db(power, SWEEP_FLOOR_DB)
     ok = power_db >= -3.0
     if not ok[k0_idx]:
         return SweepResult(freqs, power_db, None, 0.0)

@@ -368,14 +368,11 @@ def cmd_validate(args, cfg: RunConfig) -> int:
     params = {"genome": doc["genome"]}
     with _outputs("validate", args.force, [out_csv, pbm],
                  {"design": design_path, "target": target_path}) as stage:
-        report = inverse.validate_design(
-            genome.reshape(-1), cfg.switch, cfg.constants, cfg.geometry,
-            predicted=predicted, history_best=doc["history_best"],
-            history_median=doc["history_median"],
-        )
-        stage(out_csv, params).write_text(inverse.report_csv(report, target))
+        report = inverse.validate_design(genome.reshape(-1), cfg.switch, cfg.constants,
+                                         cfg.geometry)
+        stage(out_csv, params).write_text(inverse.report_csv(report, target, predicted))
         stage(pbm, params, ("design",)).write_text(render_pbm(expand_genome(genome)))
-    print(inverse.report_summary(report))
+    print(inverse.report_summary(report, doc["history_best"]))
     print(f"wrote {out_csv}")
     return 0
 

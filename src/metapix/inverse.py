@@ -32,7 +32,6 @@ from .pattern import expand_genome, pack_genome
 from .rng import CounterRng, bits_to_u64, u64_to_bits
 
 FITNESS_EPS = 1e-6
-MISMATCH_THRESHOLD = 0.1
 PHASE_WINDOW_DEG = 45.0
 LOSS_LIMIT_DB = 1.5
 
@@ -105,8 +104,8 @@ def build_target(f_lo: float, f_hi: float, switch: SwitchModel = PIN_SWITCH,
     Each in-band grid frequency gets the solved required response at weight 1,
     the switch impedances being re-evaluated per frequency.  Anchors are
     explicit (f, re, im) rows, also at weight 1, snapped to the nearest grid
-    frequency; an anchor landing on an in-band row is refused rather than
-    silently replacing the solved value.
+    frequency; an anchor landing on an in-band row or on another anchor's row
+    is refused rather than silently replacing the value set there.
     """
     if f_lo > f_hi:
         raise ValueError("f_lo must not exceed f_hi")
@@ -120,9 +119,8 @@ def build_target(f_lo: float, f_hi: float, switch: SwitchModel = PIN_SWITCH,
     weight = np.zeros_like(freqs)
     for k in np.flatnonzero(in_band):
         f = float(freqs[k])
-        gl0 = nc.reflection_of_load(nc.switch_impedance(switch, 0, f))
-        gl1 = nc.reflection_of_load(nc.switch_impedance(switch, 1, f))
-        sol = nc.solve_target_s22(gl0, gl1)
+        # scalar f per row: loads from one call on the grid differ in their last bits
+        sol = nc.solve_target_s22(*nc.switch_loads(switch, f))
         if not sol.converged:
             raise NoSolutionError(
                 f"anti-phase condition unsolved at {f} Hz (residual {sol.residual:.3e})"
@@ -131,10 +129,9 @@ def build_target(f_lo: float, f_hi: float, switch: SwitchModel = PIN_SWITCH,
         re[k], im[k], weight[k] = s22.real, s22.imag, 1.0
     for f, a_re, a_im in anchors:
         k = _grid_index(float(f))
-        if in_band[k]:
-            raise ValueError(
-                f"anchor at {f} Hz snaps to in-band grid frequency {freqs[k]} Hz"
-            )
+        if weight[k]:
+            kind = "in-band" if in_band[k] else "already anchored"
+            raise ValueError(f"anchor at {f} Hz snaps to {kind} grid frequency {freqs[k]} Hz")
         re[k], im[k], weight[k] = float(a_re), float(a_im), 1.0
     return TargetSpec(freqs, re, im, weight)
 
@@ -330,7 +327,9 @@ def ga_run(cfg: GAConfig, evaluator, seed_genomes=None) -> GaResult:
 
 @dataclass
 class DesignReport:
-    """Everything needed to judge a finished design against the model."""
+    """What validate_design computes for one genome: the model response, the
+    loaded reflection of each switch state, their losses and phase difference,
+    and the operating band as a per-frequency mask and as segments."""
 
     genome_word: int
     freqs: np.ndarray
@@ -342,10 +341,6 @@ class DesignReport:
     phase_diff_deg: np.ndarray
     band_mask: np.ndarray
     band_segments: tuple[tuple[float, float], ...]
-    predicted_s22: np.ndarray | None = None
-    mismatch: np.ndarray | None = None
-    history_best: np.ndarray | None = None
-    history_median: np.ndarray | None = None
 
     @property
     def genome_hex(self) -> str:
@@ -368,23 +363,22 @@ def _segments(freqs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float],
 
 def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
                     consts: OracleConstants = OracleConstants(),
-                    geom: GeometryMeta = GeometryMeta(),
-                    predicted: np.ndarray | None = None,
-                    history_best=None, history_median=None) -> DesignReport:
+                    geom: GeometryMeta = GeometryMeta()) -> DesignReport:
     """Re-evaluate a genome under the electrical model with the switch loaded.
 
     Per frequency the model response is split into magnitude and phase, the
     loaded reflection is computed for both switch states, and the operating
     band collects contiguous grid frequencies with the state phase difference
-    within 45 degrees of anti-phase and both losses at most 1.5 dB.
+    within 45 degrees of anti-phase and both losses at most 1.5 dB.  What the
+    design search predicted is not read here: report_csv and report_summary
+    take it from the caller.
     """
     bits = np.asarray(genome_bits, dtype=np.uint8).reshape(1, 64)
     freqs = freq_grid()
     s22 = response_batch(expand_genome(bits), consts, geom)[0]
 
     a, theta = np.abs(s22), np.angle(s22)
-    g0 = nc.gamma1_reduced(a, theta, nc.reflection_of_load(nc.switch_impedance(switch, 0, freqs)))
-    g1 = nc.gamma1_reduced(a, theta, nc.reflection_of_load(nc.switch_impedance(switch, 1, freqs)))
+    g0, g1 = (nc.gamma1_reduced(a, theta, gl) for gl in nc.switch_loads(switch, freqs))
     m = nc.coding_metrics(g0, g1)
 
     mask = (
@@ -392,10 +386,6 @@ def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
         & (m.loss0_db <= LOSS_LIMIT_DB)
         & (m.loss1_db <= LOSS_LIMIT_DB)
     )
-    mismatch = None
-    if predicted is not None:
-        predicted = np.asarray(predicted)
-        mismatch = np.abs(predicted - s22) > MISMATCH_THRESHOLD
 
     return DesignReport(
         genome_word=int(bits_to_u64(bits)[0]),
@@ -408,15 +398,17 @@ def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
         phase_diff_deg=m.phase_diff_deg,
         band_mask=mask,
         band_segments=_segments(freqs, mask),
-        predicted_s22=predicted,
-        mismatch=mismatch,
-        history_best=None if history_best is None else np.asarray(history_best),
-        history_median=None if history_median is None else np.asarray(history_median),
     )
 
 
-def report_csv(report: DesignReport, target: TargetSpec | None = None) -> str:
-    """Spectra table: frequency, target, predicted, model, loaded states."""
+def report_csv(report: DesignReport, target: TargetSpec | None = None,
+               predicted: np.ndarray | None = None) -> str:
+    """Spectra table: frequency, target, predicted, model, loaded states.
+
+    The target columns are filled where `target` has nonzero weight and the
+    predicted ones where `predicted`, the (61,) s22 the design search
+    predicted, is given; the rest come from `report`.
+    """
     cols = ["f_hz", "target_re", "target_im", "pred_re", "pred_im",
             "oracle_re", "oracle_im", "g1_state0_re", "g1_state0_im",
             "g1_state1_re", "g1_state1_im", "loss0_db", "loss1_db",
@@ -427,9 +419,8 @@ def report_csv(report: DesignReport, target: TargetSpec | None = None) -> str:
         if target is not None and target.weight[k] > 0:
             t_re, t_im = f"{target.re[k]:.6f}", f"{target.im[k]:.6f}"
         p_re = p_im = ""
-        if report.predicted_s22 is not None:
-            p_re = f"{report.predicted_s22[k].real:.6f}"
-            p_im = f"{report.predicted_s22[k].imag:.6f}"
+        if predicted is not None:
+            p_re, p_im = f"{predicted[k].real:.6f}", f"{predicted[k].imag:.6f}"
         lines.append(",".join([
             f"{f:.0f}", t_re, t_im, p_re, p_im,
             f"{report.oracle_s22[k].real:.6f}", f"{report.oracle_s22[k].imag:.6f}",
@@ -441,13 +432,14 @@ def report_csv(report: DesignReport, target: TargetSpec | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_summary(report: DesignReport) -> str:
+def report_summary(report: DesignReport, history_best=()) -> str:
+    """Genome, operating band and, from the search's `history_best`, its final fitness."""
     lines = [f"genome {report.genome_hex}"]
     if report.band_segments:
         for lo, hi in report.band_segments:
             lines.append(f"operating band {lo / 1e9:.1f}-{hi / 1e9:.1f} GHz")
     else:
         lines.append("operating band empty")
-    if report.history_best is not None and len(report.history_best):
-        lines.append(f"final fitness {report.history_best[-1]:.3f}")
+    if len(history_best):
+        lines.append(f"final fitness {history_best[-1]:.3f}")
     return "\n".join(lines) + "\n"

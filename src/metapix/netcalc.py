@@ -111,6 +111,12 @@ def reflection_of_load(zl):
     return (zl - FREE_SPACE_ETA) / den
 
 
+def switch_loads(model: SwitchModel, f):
+    """Load reflections (gl0, gl1) of the two switch states at f (Hz), scalar or array."""
+    return (reflection_of_load(switch_impedance(model, 0, f)),
+            reflection_of_load(switch_impedance(model, 1, f)))
+
+
 # ---------------------------------------------------------------------------
 # two-port response
 # ---------------------------------------------------------------------------
@@ -196,17 +202,6 @@ class TargetSolution:
     minima: tuple[tuple[float, float, float], ...]
 
 
-def _closure_residual(x, theta, gl0, gl1):
-    """|gamma1_r(gl0) + gamma1_r(gl1)| on broadcastable arrays."""
-    u = np.exp(1j * np.asarray(theta))
-    x = np.asarray(x)
-    g = 0.0
-    for gl in (gl0, gl1):
-        z = u * gl
-        g = g + (x - z) / (1.0 - x * z)
-    return np.abs(g)
-
-
 def solve_target_s22(gl0: complex, gl1: complex) -> TargetSolution:
     """Solve (a-z0)/(1-a*z0) = -(a-z1)/(1-a*z1) for a22 and theta22.
 
@@ -239,7 +234,8 @@ def solve_target_s22(gl0: complex, gl1: complex) -> TargetSolution:
         if k >= 1.0:
             # equals k - sqrt(k**2 - 1) without its cancellation at large k
             a = 1.0 / (k + math.sqrt(k * k - 1.0))
-            roots.append((a, t, float(_closure_residual(a, t, gl0, gl1))))
+            residual = abs(gamma1_reduced(a, t, gl0) + gamma1_reduced(a, t, gl1))
+            roots.append((a, t, float(residual)))
     if not roots:
         return TargetSolution(0.0, 0.0, math.inf, converged=False, minima=())
     a, t, r = min(roots)

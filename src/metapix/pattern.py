@@ -84,12 +84,13 @@ def unpack_genome(text: str) -> np.ndarray:
 
 
 def render_pbm(grid) -> str:
-    """Plain PBM (P1) image of a 16x16 grid, 1 = metal."""
+    """Plain PBM (P1) image of a 2-D 0/1 array, such as a grid with 1 = metal;
+    its columns give the width and its rows the height."""
     arr = np.asarray(grid).astype(bool)
-    if arr.shape != (GRID_SIDE, GRID_SIDE):
-        raise ValueError(f"expected ({GRID_SIDE}, {GRID_SIDE}) grid, got {arr.shape}")
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     rows = [" ".join("1" if v else "0" for v in row) for row in arr]
-    return f"P1\n{GRID_SIDE} {GRID_SIDE}\n" + "\n".join(rows) + "\n"
+    return f"P1\n{arr.shape[1]} {arr.shape[0]}\n" + "\n".join(rows) + "\n"
 
 
 def is_mirror_symmetric(grid) -> bool:

@@ -265,7 +265,9 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
     min_delta for `patience` straight epochs; the first `lr_drops` events
     divide the rate by 10, the next one stops training.  The weights left in
     `mlp` are the best-validation ones, not the last ones.  `settings.hidden`
-    is not read here: the network's shape is fixed by `mlp`.
+    is not read here: the network's shape is fixed by `mlp`.  An epoch whose
+    training or validation error is not finite raises ValueError naming it:
+    the network diverged.
     """
     rng = CounterRng(settings.seed)
     opt = _Adam(mlp)
@@ -284,13 +286,18 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
         epochs_run = epoch
         order = rng.permutation(n)
         running = 0.0
-        for i in range(0, n, settings.batch_size):
-            idx = order[i : i + settings.batch_size]
-            loss, grad = mlp.loss_and_grads(x_train[idx], y_train[idx])
-            opt.step(mlp, grad, lr)
-            running += loss * len(idx)
-        train_mae = running / n
-        val_mae = mae(mlp, x_val, y_val)
+        # a diverging network overflows; the epoch's error reports it below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, n, settings.batch_size):
+                idx = order[i : i + settings.batch_size]
+                loss, grad = mlp.loss_and_grads(x_train[idx], y_train[idx])
+                opt.step(mlp, grad, lr)
+                running += loss * len(idx)
+            train_mae = running / n
+            val_mae = mae(mlp, x_val, y_val)
+        if not (np.isfinite(train_mae) and np.isfinite(val_mae)):
+            raise ValueError(f"training diverged at epoch {epoch}: train MAE {train_mae:g}, "
+                             f"val MAE {val_mae:g}")
         history.append((epoch, train_mae, val_mae, lr))
         if log is not None:
             log(f"epoch {epoch:4d}  train {train_mae:.5f}  val {val_mae:.5f}  lr {lr:g}")
@@ -311,9 +318,6 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
                 lr /= 10.0
 
     np.copyto(mlp.params, best)
-    if not np.isfinite(best_val):
-        best_val = history[-1][2] if history else float("nan")
-        best_epoch = epochs_run
     return TrainResult(float(best_val), best_epoch, epochs_run, stop_reason, history)
 
 

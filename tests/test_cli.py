@@ -50,6 +50,15 @@ def test_target_anchor_row(capsys):
     assert "re -0.100000" in anchors[0]
 
 
+def test_target_refuses_two_anchors_on_one_grid_row_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code, stdout, err = run(capsys, "target", "--band", "5.3e9:6.3e9", "--anchor", "5.0e9:-0.1:0",
+                            "--anchor", "5.04e9:0.3:0.2", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert _one_error_line(err) and "already anchored grid frequency" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_target_artifact_and_manifest(tmp_path, capsys):
     out = tmp_path / "t.json"
     code, _, _ = run(capsys, "target", "--freq", "5.8e9", "--out", str(out))
@@ -308,6 +317,18 @@ def test_train_names_a_non_finite_record_and_writes_nothing(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_train_refuses_a_diverged_network_and_writes_nothing(tmp_path, capsys):
+    run(capsys, "gen", "--n", "200", "--seed", "3", "--outdir", str(tmp_path))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"lr0": 1e300}}))
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "train", "--epochs", "3", "--config", str(cfg),
+                         "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "training diverged at epoch 1" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_train_refuses_a_dataset_too_small_to_split(tmp_path, capsys):
     run(capsys, "gen", "--n", "1", "--seed", "3", "--outdir", str(tmp_path))
     before = sorted(tmp_path.iterdir())
@@ -391,6 +412,17 @@ def test_array_pattern_peak_at_steer(tmp_path, capsys):
     assert abs(peak_angle - 30.0) <= 1.5
     assert (tmp_path / "codes.pbm").exists()
     assert (tmp_path / "pattern_phi0.csv.manifest.json").exists()
+
+
+def test_array_writes_codes_for_a_non_square_array(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"array": {"n_x": 20, "n_y": 12}}))
+    code, _, err = run(capsys, "array", "--steer", "30:0", "--config", str(cfg),
+                       "--outdir", str(tmp_path))
+    assert code == 0 and err == ""
+    lines = (tmp_path / "codes.pbm").read_text().splitlines()
+    assert lines[:2] == ["P1", "20 12"]
+    assert len(lines) == 14 and all(len(row.split()) == 20 for row in lines[2:])
 
 
 @pytest.mark.filterwarnings("error")

@@ -70,6 +70,11 @@ def test_anchor_colliding_with_band_is_refused():
         iv.build_target(5.8e9, 5.8e9, anchors=[(5.82e9, -0.1, 0.0)])
 
 
+def test_anchors_sharing_a_grid_row_are_refused():
+    with pytest.raises(ValueError, match="already anchored grid frequency 5000000000.0 Hz"):
+        iv.build_target(5.3e9, 6.3e9, anchors=[(5.0e9, -0.1, 0.0), (5.04e9, 0.3, 0.2)])
+
+
 def test_anchor_off_grid_is_refused():
     with pytest.raises(ValueError, match="off the evaluation grid"):
         iv.build_target(5.8e9, 5.8e9, anchors=[(20e9, 0.0, 0.0)])
@@ -355,7 +360,6 @@ def test_validate_design_band_rule():
     for lo, hi in rep.band_segments:
         assert lo in grid and hi in grid and lo <= hi
     assert rep.genome_hex == f"{rep.genome_word:016X}"
-    assert rep.mismatch is None
 
 
 def test_validate_design_segments_match_mask():
@@ -365,16 +369,6 @@ def test_validate_design_segments_match_mask():
     for lo, hi in rep.band_segments:
         covered |= (rep.freqs >= lo) & (rep.freqs <= hi)
     np.testing.assert_array_equal(covered, rep.band_mask)
-
-
-def test_validate_design_flags_prediction_mismatch():
-    bits = u64_to_bits(stream_u64(13, 0, 1))[0]
-    clean = iv.validate_design(bits)
-    predicted = clean.oracle_s22.copy()
-    predicted[40] += 0.2
-    rep = iv.validate_design(bits, predicted=predicted)
-    assert rep.mismatch[40]
-    assert rep.mismatch.sum() == 1
 
 
 def test_matching_response_gives_antiphase_states():
@@ -397,15 +391,21 @@ def test_matching_response_gives_antiphase_states():
 def test_report_csv_and_summary():
     bits = u64_to_bits(stream_u64(17, 0, 1))[0]
     target = iv.build_target(5.3e9, 6.3e9)
-    rep = iv.validate_design(bits, history_best=[1.0, 2.0])
-    csv = iv.report_csv(rep, target)
+    rep = iv.validate_design(bits)
+    predicted = rep.oracle_s22 + 0.25
+    csv = iv.report_csv(rep, target, predicted)
     lines = csv.splitlines()
     assert len(lines) == 62
-    assert lines[0].startswith("f_hz,target_re")
+    assert lines[0].startswith("f_hz,target_re,target_im,pred_re,pred_im")
     assert lines[1].split(",")[0] == "2800000000"
     in_band_col = [row.split(",")[-1] for row in lines[1:]]
     np.testing.assert_array_equal(np.array(in_band_col, dtype=int), rep.band_mask.astype(int))
+    pred = np.array([row.split(",")[3:5] for row in lines[1:]], dtype=float)
+    np.testing.assert_allclose(pred[:, 0] + 1j * pred[:, 1], predicted, rtol=0, atol=1e-6)
+    assert all(row.split(",")[3:5] == ["", ""] for row in iv.report_csv(rep).splitlines()[1:])
 
-    summary = iv.report_summary(rep)
+    summary = iv.report_summary(rep, [1.0, 2.0])
     assert rep.genome_hex in summary
     assert "operating band" in summary
+    assert "final fitness 2.000" in summary
+    assert "final fitness" not in iv.report_summary(rep)

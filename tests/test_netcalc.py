@@ -266,6 +266,7 @@ LOADED_FORMS = {
         nc.reflection_of_load,
         (nc.switch_impedance(nc.PIN_SWITCH, 1, _GRID),),
     ),
+    "switch_loads": (lambda f: np.array(nc.switch_loads(nc.PIN_SWITCH, f)), (_GRID,)),
     "gamma1_reduced": (nc.gamma1_reduced, (np.abs(_S22), np.angle(_S22), _GL[1])),
     "coding_metrics": (
         _metrics,

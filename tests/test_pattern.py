@@ -90,8 +90,9 @@ def test_render_pbm():
     assert lines[3] == "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"
     assert lines[17] == "1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1"
     assert text.endswith("\n")
+    assert pt.render_pbm(np.eye(3, 2, dtype=np.uint8)) == "P1\n2 3\n1 0\n0 1\n0 0\n"
     with pytest.raises(ValueError):
-        pt.render_pbm(np.zeros((8, 8)))
+        pt.render_pbm(np.zeros(16))
 
 
 def test_metal_count_is_four_times_popcount():
