@@ -85,7 +85,8 @@ def _feed_terms(cfg: ArrayConfig, k0: float) -> tuple[np.ndarray, np.ndarray]:
         shape = (cfg.n_y, cfg.n_x)
         return np.ones(shape), np.zeros(shape)
     xs, ys = _axes(cfg)
-    fx, fy, fz = cfg.feed_xyz
+    # numpy scalars: fz**2 overflows to inf, and rounds as Python's pow does
+    fx, fy, fz = map(np.float64, cfg.feed_xyz)
     d = np.sqrt((xs[None, :] - fx) ** 2 + (ys[:, None] - fy) ** 2 + fz**2)
     amp = (fz / d) ** cfg.q_feed / d
     return amp, -k0 * d
@@ -99,14 +100,18 @@ def steer_unit(steer: SteerTarget) -> tuple[float, float, float]:
 
 def ideal_phase(cfg: ArrayConfig, steer: SteerTarget, f: float,
                 ref_phase: float = 0.0) -> np.ndarray:
-    """Continuous compensation phases, wrapped to [0, 2*pi)."""
+    """Continuous compensation phases, wrapped to [0, 2*pi); ValueError when
+    the geometry and frequency make one of them overflow."""
     if f <= 0:
         raise ValueError("frequency must be positive")
     k0 = TWO_PI * f / C0
-    x, y = element_positions(cfg)
-    _, feed_phase = _feed_terms(cfg, k0)
-    ux, uy, _ = steer_unit(steer)
-    phases = -feed_phase - k0 * (x * ux + y * uy) + ref_phase
+    with np.errstate(all="ignore"):
+        x, y = element_positions(cfg)
+        _, feed_phase = _feed_terms(cfg, k0)
+        ux, uy, _ = steer_unit(steer)
+        phases = -feed_phase - k0 * (x * ux + y * uy) + ref_phase
+    if not np.isfinite(phases).all():
+        raise ValueError(f"element phases at {f:g} Hz overflow for this array geometry")
     return np.mod(phases, TWO_PI)
 
 
@@ -129,29 +134,32 @@ def far_field_gammas(cfg: ArrayConfig, gammas: np.ndarray, f: float,
     if gammas.shape != (cfg.n_y, cfg.n_x):
         raise ValueError(f"gammas must be ({cfg.n_y}, {cfg.n_x}), got {gammas.shape}")
     k0 = TWO_PI * f / C0
-    xs, ys = _axes(cfg)
-    amp, feed_phase = _feed_terms(cfg, k0)
-    excite = amp * gammas * np.exp(1j * feed_phase)
-
     t, p = np.broadcast_arrays(np.radians(np.asarray(thetas_deg, dtype=float)),
                                np.radians(phi_deg))
-    ux = np.sin(t) * np.cos(p)
-    uy = np.sin(t) * np.sin(p)
-    elem = np.cos(t) ** cfg.q_elem
     e = np.empty(t.shape, dtype=complex)
-    # the steering phase separates per axis: sum rows with (D, n_y) y
-    # factors, then columns with (D, n_x) x factors
-    for i in range(0, len(e), DIRECTION_BLOCK):
-        d = slice(i, i + DIRECTION_BLOCK)
-        ex = np.exp(1j * k0 * np.multiply.outer(ux[d], xs))
-        ey = np.exp(1j * k0 * np.multiply.outer(uy[d], ys))
-        e[d] = ((ey @ excite) * ex).sum(axis=1) * elem[d]
+    # an overflow leaves inf or nan in the field, which _peak_db refuses
+    with np.errstate(all="ignore"):
+        xs, ys = _axes(cfg)
+        amp, feed_phase = _feed_terms(cfg, k0)
+        excite = amp * gammas * np.exp(1j * feed_phase)
+        ux = np.sin(t) * np.cos(p)
+        uy = np.sin(t) * np.sin(p)
+        elem = np.cos(t) ** cfg.q_elem
+        # the steering phase separates per axis: sum rows with (D, n_y) y
+        # factors, then columns with (D, n_x) x factors
+        for i in range(0, len(e), DIRECTION_BLOCK):
+            d = slice(i, i + DIRECTION_BLOCK)
+            ex = np.exp(1j * k0 * np.multiply.outer(ux[d], xs))
+            ey = np.exp(1j * k0 * np.multiply.outer(uy[d], ys))
+            e[d] = ((ey @ excite) * ex).sum(axis=1) * elem[d]
     return e
 
 
 def _peak_db(power: np.ndarray, floor_db: float) -> np.ndarray:
     """10 log10 of power over its peak, floored at floor_db; all floor when
-    the peak is 0."""
+    the peak is 0, ValueError when a power is not finite."""
+    if not np.isfinite(power).all():
+        raise ValueError("the far field overflows for this array geometry and frequency")
     peak = power.max()
     if peak == 0.0:
         return np.full_like(power, floor_db)
@@ -163,7 +171,9 @@ def pattern_db(cfg: ArrayConfig, gammas: np.ndarray, f: float,
     """|E|^2 toward the directions of far_field_gammas, normalized so the
     peak sits at 0 dB."""
     e = far_field_gammas(cfg, gammas, f, thetas_deg, phi_deg)
-    return _peak_db(np.abs(e) ** 2, PATTERN_FLOOR_DB)
+    with np.errstate(over="ignore"):
+        power = np.abs(e) ** 2
+    return _peak_db(power, PATTERN_FLOOR_DB)
 
 
 def _check_reflections(*gammas) -> None:
@@ -228,7 +238,8 @@ def spectral_power_sweep(cfg: ArrayConfig, freqs: np.ndarray,
     for k, f in enumerate(freqs):
         gammas = gammas_from_codes(codes, complex(g0[k]), complex(g1[k]))
         e = far_field_gammas(cfg, gammas, float(f), theta, steer.phi_deg)
-        power[k] = float(np.abs(e[0]) ** 2)
+        with np.errstate(over="ignore"):
+            power[k] = float(np.abs(e[0]) ** 2)
 
     power_db = _peak_db(power, SWEEP_FLOOR_DB)
     ok = power_db >= -3.0

@@ -44,49 +44,42 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _parse_freq(text: str) -> float:
+def _numbers(text: str, what: str, form: str) -> tuple[float, ...]:
+    """The finite numbers of a flag value with one colon-separated field per
+    field of `form`, as in "f_lo:f_hi in Hz"."""
+    parts = text.split(":")
+    if len(parts) != form.count(":") + 1:
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: expected {form}")
     try:
-        f = float(text)
+        values = tuple(float(p) for p in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad frequency {text!r}: expected Hz")
-    if not math.isfinite(f):
-        raise argparse.ArgumentTypeError(f"frequency must be finite, got {text}")
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: non-numeric field")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: non-finite field")
+    return values
+
+
+def _parse_freq(text: str) -> float:
+    (f,) = _numbers(text, "frequency", "Hz")
     if f <= 0:
         raise argparse.ArgumentTypeError(f"frequency must be positive, got {text}")
     return f
 
 
 def _parse_band(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"bad band {text!r}: expected f_lo:f_hi in Hz")
-    lo, hi = (_parse_freq(p) for p in parts)
-    if hi < lo:
-        raise argparse.ArgumentTypeError(f"band {text!r} is reversed")
+    lo, hi = _numbers(text, "band", "f_lo:f_hi in Hz")
+    if not 0 < lo <= hi:
+        raise argparse.ArgumentTypeError(f"bad band {text!r}: expected 0 < f_lo <= f_hi")
     return lo, hi
 
 
 def _parse_anchor(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"bad anchor {text!r}: expected f:re:im (Hz and target reflection)"
-        )
-    try:
-        f, re, im = float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad anchor {text!r}: non-numeric field")
-    if not all(map(math.isfinite, (f, re, im))):
-        raise argparse.ArgumentTypeError(f"bad anchor {text!r}: non-finite field")
-    return f, re, im
+    return _numbers(text, "anchor", "f:re:im (Hz and target reflection)")
 
 
 def _parse_steer(text: str) -> arraysim.SteerTarget:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"bad steer {text!r}: expected theta:phi degrees")
     try:
-        return arraysim.SteerTarget(float(parts[0]), float(parts[1]))
+        return arraysim.SteerTarget(*_numbers(text, "steer", "theta:phi degrees"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -550,8 +543,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except (CliError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

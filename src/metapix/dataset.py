@@ -186,22 +186,20 @@ def _check_body(path, n: int, size: int) -> None:
         )
 
 
-def load(path: str, consts: OracleConstants = OracleConstants(),
-         geom: GeometryMeta = GeometryMeta(), check_fingerprint: bool = True,
-         start: int = 0, count: int | None = None, *,
+def load(path: str, start: int = 0, count: int | None = None, *,
          opened: FileBlocks | None = None) -> tuple[DatasetHeader, np.ndarray]:
     """Read records start..start+count-1 (default: to the end) of a dataset;
     refuse one built under other model constants or frequencies.
 
     The records are read through `opened`, the FileBlocks of `path`, under
-    the header it checked; without it, through a FileBlocks opened for this
-    call.  The range is checked before anything is allocated, then read
-    straight into the returned records, so they are held once.  A record
-    whose response is not finite is refused by its index in the file; the
-    check runs over ROW_BLOCK records at a time.
+    the header it checked against its constants; without it, through a
+    FileBlocks opened for this call under the default constants.  The range
+    is checked before anything is allocated, then read straight into the
+    returned records, so they are held once.  A record whose response is not
+    finite is refused by its index in the file; the check runs over
+    ROW_BLOCK records at a time.
     """
-    with (FileBlocks(path, consts, geom, check_fingerprint) if opened is None
-          else contextlib.nullcontext(opened)) as blocks:
+    with (FileBlocks(path) if opened is None else contextlib.nullcontext(opened)) as blocks:
         header = blocks.header
         count = header.n - start if count is None else count
         if not 0 <= start <= start + count <= header.n:
@@ -224,7 +222,8 @@ class FileBlocks:
     """The records of a dataset file as a re-iterable of BLOCK-record blocks.
 
     The constructor opens the file and checks its header and body size once,
-    closing it again when a check fails; the file then stays open until
+    the fingerprint against `consts` and `geom` unless `check_fingerprint` is
+    false, closing it again when a check fails; the file then stays open until
     `close` or the end of a `with` block.  Each pass reads the body anew, one
     block at a time through `load`, so a pass holds the block in hand and the
     next one while it is read.
@@ -285,17 +284,16 @@ def _add_rows(acc: np.ndarray, buf: np.ndarray, rows: np.ndarray, rows_into) -> 
     return np.add.reduce(out, axis=0)
 
 
-def summarize(blocks: Iterable[np.ndarray] | np.ndarray) -> dict:
+def summarize(blocks: Iterable[np.ndarray]) -> dict:
     """Sanity statistics: per-frequency response moments, fill, magnitudes.
 
-    `blocks` is a re-iterable of record arrays (one array is one block),
-    walked twice: column sums, magnitudes and popcount totals first, then the
-    squared deviations from the mean.  Beyond the block in hand it holds one
-    ROW_BLOCK of temporaries; the figures are bit-equal to numpy's
-    whole-array mean, std, abs and histogram over all the records.
+    `blocks` is a re-iterable of record arrays, such as a FileBlocks or a
+    list of one whole array, walked twice: column sums, magnitudes and
+    popcount totals first, then the squared deviations from the mean.
+    Beyond the block in hand it holds one ROW_BLOCK of temporaries; the
+    figures are bit-equal to numpy's whole-array mean, std, abs and
+    histogram over all the records.
     """
-    if isinstance(blocks, np.ndarray):
-        blocks = (blocks,)
     buf = np.empty((ROW_BLOCK + 1, RESP_WIDTH))
     sums = np.zeros(RESP_WIDTH)  # numpy's add.reduce starts from 0.0 too
     # records per genome popcount: the quadrant's fill is the grid's, and a

@@ -163,16 +163,15 @@ def _cached_scorer(key_of, score):
     """Scorer from (k, 64) genome bits to (k,) fitness that scores each key once.
 
     The scorer packs the bits to genome words once; key_of maps the words to
-    the (k,) integer keys fitness depends on alone, and score(words, keys)
-    scores one word per new key.  The scorer keeps a sorted array of the keys
-    seen, in their own dtype, and their float64 fitness.
+    the (k,) integer keys fitness depends on alone, and score(keys) scores
+    the call's new keys, sorted, as one batch.  The scorer keeps a sorted
+    array of the keys seen, in their own dtype, and their float64 fitness.
     """
     keys = values = None
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
         nonlocal keys, values
-        words = bits_to_u64(bits)
-        batch, first, inverse = np.unique(key_of(words), return_index=True, return_inverse=True)
+        batch, inverse = np.unique(key_of(bits_to_u64(bits)), return_inverse=True)
         if keys is None:
             keys, values = batch[:0], np.empty(0)
         pos = np.searchsorted(keys, batch)
@@ -184,7 +183,7 @@ def _cached_scorer(key_of, score):
         fit[seen] = values[pos[seen]]
         miss = ~seen
         if miss.any():
-            fit[miss] = score(words[first[miss]], batch[miss])
+            fit[miss] = score(batch[miss])
             keys = np.insert(keys, pos[miss], batch[miss])
             values = np.insert(values, pos[miss], fit[miss])
         return fit[inverse]
@@ -202,7 +201,7 @@ def oracle_evaluator(target: TargetSpec, consts: OracleConstants = OracleConstan
     fitness_of are exact row by row, so every value has the bits of a
     one-genome fitness_of(response_batch(...)) call.
     """
-    def score(words, codes):
+    def score(codes):
         return fitness_of(features_response_batch(code_features(codes), consts, geom), target)
 
     return _cached_scorer(word_codes, score)
@@ -218,7 +217,7 @@ def surrogate_evaluator(mlp, target: TargetSpec):
     """
     from .surrogate import predict_s22
 
-    def score(words, keys):
+    def score(words):
         return fitness_of(predict_s22(mlp, words), target)
 
     return _cached_scorer(lambda words: words, score)
@@ -259,7 +258,7 @@ class GaResult:
     history_median: np.ndarray = field(repr=False)
 
 
-def ga_run(cfg: GAConfig, evaluator, seed_genomes=None) -> GaResult:
+def ga_run(cfg: GAConfig, evaluator) -> GaResult:
     """Tournament GA with elitism over 64-bit genomes, exactly reproducible.
 
     The population is an (n,) array of uint64 genome words.  Crossover takes
@@ -268,20 +267,12 @@ def ga_run(cfg: GAConfig, evaluator, seed_genomes=None) -> GaResult:
     bit for bit, as comparing CounterRng.random with the probabilities.
     evaluator maps (k, 64) genome bits to (k,) fitness, as the scorers from
     oracle_evaluator and surrogate_evaluator do; it is called once on the
-    initial population and once per generation.  seed_genomes, (k, 64) bits
-    of 0 and 1 with k <= population, replace the first k random genomes.
-    history_* hold one entry for the initial population and one per
-    generation; elitism makes history_best nondecreasing.
+    initial population and once per generation.  history_* hold one entry
+    for the initial population and one per generation; elitism makes
+    history_best nondecreasing.
     """
     rng = CounterRng(cfg.seed)
     pop = rng.u64(cfg.population)
-    if seed_genomes is not None:
-        planted = np.atleast_2d(np.asarray(seed_genomes))
-        if planted.ndim != 2 or planted.shape[0] > cfg.population or planted.shape[1] != 64:
-            raise ValueError("seed genomes must be (k <= population, 64) bits")
-        if not np.isin(planted, (0, 1)).all():
-            raise ValueError("seed genomes must hold only the bits 0 and 1")
-        pop[: len(planted)] = bits_to_u64(planted)
 
     fit = evaluator(u64_to_bits(pop))
     hist_best = [float(fit.max())]

@@ -80,9 +80,9 @@ def bits_to_u64(bits: np.ndarray) -> np.ndarray:
 class CounterRng:
     """Stateful façade over stream_u64: one seed, a moving counter."""
 
-    def __init__(self, seed: int, start: int = 0):
+    def __init__(self, seed: int):
         self.seed = _check_seed(seed)
-        self.counter = int(start)
+        self.counter = 0
 
     def u64(self, n: int) -> np.ndarray:
         out = stream_u64(self.seed, self.counter, n)

@@ -30,8 +30,7 @@ DEFAULT_HIDDEN = (256, 256, 256)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-PREDICT_BATCH = 4096  # rows per forward pass in predict_s22
-MAE_BATCH = 8192  # rows per forward pass in mae
+PREDICT_BATCH = 4096  # rows per forward pass in predict_s22 and mae
 GRAD_CHECK_EPS = 1e-5  # central-difference half step of grad_check
 _NORMAL_MIN = np.finfo(np.float64).tiny  # 2**-1022, the smallest normal float64
 # Adam steps between zeroings of subnormal first moments: a zeroing costs
@@ -249,9 +248,14 @@ class _Adam:
 
 
 def mae(mlp: Mlp, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean absolute error of the network's outputs for x against y.
+
+    The forward passes take PREDICT_BATCH rows at a time, as predict_s22's
+    do, and the batches' error sums are added in order.
+    """
     total = 0.0
-    for i in range(0, len(x), MAE_BATCH):
-        xb, yb = x[i : i + MAE_BATCH], y[i : i + MAE_BATCH]
+    for i in range(0, len(x), PREDICT_BATCH):
+        xb, yb = x[i : i + PREDICT_BATCH], y[i : i + PREDICT_BATCH]
         total += float(np.abs(mlp.predict(xb) - yb).sum())
     return total / y.size
 

@@ -4,11 +4,12 @@ import re
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metapix import arraysim, cli, dataset, surrogate
+from metapix import arraysim, cli, dataset, inverse, surrogate
 from metapix.cli import main
 from metapix.surrogate import init_mlp, save_checkpoint
 
@@ -426,6 +427,24 @@ def test_array_writes_codes_for_a_non_square_array(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("array, flags", [
+    ({"spacing": 1e308}, ["--design", "d.json", "--sweep"]),
+    ({"spacing": 1e100}, ["--freq", "1e300"]),
+    ({"feed_xyz": [0, 0, 1e200]}, []),
+], ids=["spacing-1e308-sweep", "spacing-1e100-freq-1e300", "feed-1e200"])
+def test_array_refuses_a_far_field_that_is_not_finite(tmp_path, capsys, monkeypatch,
+                                                      array, flags):
+    monkeypatch.chdir(tmp_path)
+    Path("d.json").write_text(json.dumps(_design_doc()))
+    Path("cfg.json").write_text(json.dumps({"array": array}))
+    code, stdout, err = run(capsys, "array", "--steer", "30:0", "--config", "cfg.json",
+                            "--outdir", "o", *flags)
+    assert code == 1 and stdout == ""
+    assert _one_error_line(err) and "overflow" in err
+    assert not Path("o").exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_array_hemisphere_with_no_power_renders_the_floor(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(arraysim, "far_field_gammas",
                         lambda cfg, gammas, f, thetas, phi=0.0:
@@ -785,6 +804,8 @@ def test_array_bad_number_is_one_error_line_and_writes_nothing(tmp_path, capsys,
     ("target", "--band", "5.3e9:6.3e9", "--anchor", "5.0e9:nan:0"),
     ("target", "--band", "5.3e9:6.3e9", "--anchor", "nan:-0.1:0"),
     ("target", "--band", "5.3e9:6.3e9", "--anchor", "5.0e9:-0.1:inf"),
+    ("array", "--steer", "nan:0"),
+    ("array", "--steer", "30:inf"),
 ])
 def test_non_finite_flag_values_are_refused(tmp_path, capsys, argv):
     extra = ["--out", str(tmp_path / "t.json")] if argv[0] == "target" else []
@@ -793,6 +814,24 @@ def test_non_finite_flag_values_are_refused(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_a_refused_allocation_is_one_error_line_and_writes_nothing(tmp_path, capsys,
+                                                                  monkeypatch):
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+
+    def ga_run(cfg, evaluator):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000000,) and data type uint64")
+
+    monkeypatch.setattr(inverse, "ga_run", ga_run)
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, "design", "--target", str(target), "--evaluator", "oracle",
+                            "--population", "10000000000", "--outdir", str(out))
+    assert code == 1 and stdout == ""
+    assert _one_error_line(err) and "Unable to allocate 74.5 GiB" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -167,9 +167,10 @@ def test_load_rejects_wrong_constants(tmp_path):
     path = str(tmp_path / "set.bin")
     ds.save(path, 4, seed=1)
     with pytest.raises(ValueError, match="fingerprint"):
-        ds.load(path, consts=OracleConstants(c_b=200e-15))
+        ds.FileBlocks(path, OracleConstants(c_b=200e-15))
     # explicit opt-out still works
-    _, got = ds.load(path, consts=OracleConstants(c_b=200e-15), check_fingerprint=False)
+    with ds.FileBlocks(path, OracleConstants(c_b=200e-15), check_fingerprint=False) as blocks:
+        _, got = ds.load(path, opened=blocks)
     assert len(got) == 4
 
 
@@ -226,7 +227,7 @@ def test_load_rejects_another_frequency_grid(tmp_path, fields):
     _edit_header(path, **fields)
     for check in (True, False):
         with pytest.raises(ValueError, match=f"{path}: frequency grid"):
-            ds.load(path, check_fingerprint=check)
+            ds.FileBlocks(path, check_fingerprint=check)
 
 
 @pytest.mark.parametrize("fields", [
@@ -301,7 +302,7 @@ def test_generate_rejects_bad_n():
 
 def test_summary_statistics():
     recs = ds.generate(512, seed=7)
-    s = ds.summarize(recs)
+    s = ds.summarize([recs])
     assert s["n"] == 512
     assert len(s["re_mean"]) == 61 and len(s["im_std"]) == 61
     assert 0.0 < s["mag_min"] <= s["mag_max"] < 1.0
@@ -361,12 +362,12 @@ def test_summarize_is_bit_equal_to_whole_array_formulas(monkeypatch, summary_rec
     if block is not None:
         monkeypatch.setattr(ds, "ROW_BLOCK", block)
     recs = summary_records[source][:n]
-    assert json.dumps(ds.summarize(recs)) == json.dumps(_reference_summary(recs))
+    assert json.dumps(ds.summarize([recs])) == json.dumps(_reference_summary(recs))
 
 
 def test_summarize_refuses_no_records():
     with pytest.raises(ValueError, match="empty"):
-        ds.summarize(ds.generate(1, seed=1)[:0])
+        ds.summarize([ds.generate(1, seed=1)[:0]])
 
 
 def test_summarize_refuses_blocks_it_cannot_walk_twice():
@@ -400,7 +401,7 @@ def test_each_stage_holds_the_records_once(tmp_path, capsys):
     peak, (_, got) = _peak_bytes(ds.load, path)
     assert peak <= 1.05 * size, f"load {peak / size:.2f}x the records"
     assert got.tobytes() == recs.tobytes()
-    peak, _ = _peak_bytes(ds.summarize, got)
+    peak, _ = _peak_bytes(ds.summarize, [got])
     assert peak <= 0.6 * size, f"summarize {peak / size:.2f}x the records"
 
     # gen and stats stream the file, never holding the whole set: gen holds

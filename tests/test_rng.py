@@ -136,7 +136,8 @@ BELOW_P = [1.0, 0.5, 1 / 64, 0.3, 2.0**-53, 1e-300, float(np.nextafter(1.0, 0.0)
 def test_below_is_random_below_p(p):
     """below(n, p) gives random(n) < p bit for bit from the same counter and
     leaves the counter where random leaves it."""
-    a, b = CounterRng(9, 1234), CounterRng(9, 1234)
+    a, b = CounterRng(9), CounterRng(9)
+    a.u64(1234), b.u64(1234)
     got = a.below(50_000, p)
     assert got.dtype == bool
     np.testing.assert_array_equal(got, b.random(50_000) < p)

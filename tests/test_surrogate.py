@@ -72,7 +72,7 @@ def test_records_to_xy_fills_the_split_of_a_file_block_by_block(tmp_path):
     np.testing.assert_array_equal(x[:100].astype(np.float64), bits.astype(np.float64) * 2.0 - 1.0)
 
 
-@pytest.mark.parametrize("rows", [1, 64, 1000, sg.MAE_BATCH + 5])
+@pytest.mark.parametrize("rows", [1, 64, 1000, 2 * sg.PREDICT_BATCH + 5])
 def test_predict_is_bit_equal_to_the_last_forward_activation(rows):
     mlp = sg.init_mlp(4)
     mlp.params += CounterRng(6).uniform(mlp.params.size, -0.01, 0.01)  # nonzero biases
