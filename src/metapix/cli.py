@@ -395,6 +395,9 @@ def cmd_array(args, cfg: RunConfig) -> int:
             k = inverse._grid_index(f)
         except ValueError as exc:
             raise CliError(f"--freq with --design: {exc}")
+        if abs(f - oracle.freq_grid()[k]) > 1.0:  # _load_target's grid tolerance
+            raise CliError(f"--freq with --design: {f} Hz is not a grid frequency "
+                           f"(nearest {oracle.freq_grid()[k]} Hz)")
 
     with _outputs("array", args.force, [outdir / name for name in names], inputs) as stage:
         if args.design:

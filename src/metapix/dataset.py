@@ -10,9 +10,9 @@ the file is a pure function of (n, seed, constants, geometry).  The "resp"
 field has the layout of 61 little-endian complex128 values, so the oracle
 writes into it through a complex view.
 
-Files are made and read in blocks of BLOCK records.  `save` fills windows of
-up to one block per CPU on one thread pool, and writes and hashes each window
-on one writer thread while the next one fills.  `FileBlocks` opens a file,
+Files are made and read in blocks of BLOCK records.  `save` fills them on one
+thread pool into a ring of buffers one longer than the pool, and writes and
+hashes them in order on the calling thread.  `FileBlocks` opens a file,
 checks its header once and yields its blocks; `load` reads any record range.
 """
 
@@ -22,8 +22,9 @@ import contextlib
 import hashlib
 import json
 import os
+from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,10 @@ SPLIT_NUM, SPLIT_DEN = 10, 11  # split trains on 10 of every 11 records
 
 RECORD_DTYPE = np.dtype([("genome", ">u8"), ("resp", "<f8", (RESP_WIDTH,))])
 
-# Records per block: one fill task of `generate`, one fill thread's share of
-# a `save` window, and one block of a file that `FileBlocks` yields.  A fill
-# task's temporaries, about 1.2 MB at this size (1 MB of it the s22 kernel's
-# scratch), come once per fill thread on top of the two windows `save` holds.
+# Records per block: one fill task of `save`, one buffer of its ring, and one
+# block of a file that `FileBlocks` yields.  A fill task's temporaries, about
+# 1.2 MB at this size (1 MB of it the s22 kernel's scratch), come once per
+# fill thread on top of the ring's buffers of about 1 MB each.
 BLOCK = 1024
 # Records per block when load and summarize walk a record array, so their
 # temporaries stay one block's size.
@@ -79,31 +80,21 @@ def _fill(part: np.ndarray, seed: int, start: int, consts: OracleConstants,
 
 
 def generate(n: int, seed: int, consts: OracleConstants = OracleConstants(),
-             geom: GeometryMeta = GeometryMeta(), executor: Executor | None = None,
-             start: int = 0) -> np.ndarray:
-    """Records start..start+n-1 of (seed, constants); bit-identical for any executor.
-
-    The records are allocated on the calling thread, whose heap gets them
-    back when they are freed (a pool thread's malloc arena would keep them),
-    and every BLOCK-record block is computed straight into its slice, so they
-    are held once.  With
-    no executor the blocks fill in order on the calling thread; otherwise each
-    block is one task of `executor`, and the tasks write disjoint slices.  The
-    kernel's numpy loops release the GIL, so pool threads run side by side.
+             geom: GeometryMeta = GeometryMeta(), start: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Records start..start+n-1 of (seed, constants), filled one BLOCK-record
+    block at a time straight into their slice of the first n records of `out`,
+    or of records allocated here.  `save` passes buffers allocated on its
+    calling thread, whose heap gets them back when they are freed (a pool
+    thread's malloc arena would keep them).
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    records = np.empty(n, dtype=RECORD_DTYPE)
-
-    def fill(i: int) -> None:
+    records = np.empty(n, dtype=RECORD_DTYPE) if out is None else out[:n]
+    if len(records) < n:
+        raise ValueError(f"out holds {len(records)} records, fewer than n = {n}")
+    for i in range(0, n, BLOCK):
         _fill(records[i:i + BLOCK], seed, start + i, consts, geom)
-
-    offsets = range(0, n, BLOCK)
-    if executor is None:
-        for i in offsets:
-            fill(i)
-    else:
-        list(executor.map(fill, offsets))
     return records
 
 
@@ -119,12 +110,13 @@ def save(path: str, n: int, seed: int, consts: OracleConstants = OracleConstants
     """Generate records 0..n-1 of (seed, constants) into a dataset file at
     path; return the file's sha256.
 
-    The records are made in windows of w blocks, w = min(jobs, CPUs this
-    process may run on, blocks of n); with w > 1 one pool of w threads fills
-    every window, one block per thread, else the calling thread does.  One
-    writer thread writes and hashes each window straight from its buffer
-    while the next one fills, so at most two windows are alive.  The file is
-    byte-identical for any `jobs`; the caller makes the write atomic.
+    Each BLOCK-record block is one `generate` task of one pool of w threads,
+    w = min(jobs, CPUs this process may run on, blocks of n), filling one of
+    w + 1 block buffers allocated on the calling thread.  The calling thread
+    writes and hashes the blocks in counter order, straight from their
+    buffers, and waits for the oldest block only when every buffer is taken.
+    The file is byte-identical for any `jobs`; the caller makes the write
+    atomic.
     """
     header = DatasetHeader(
         version=DATASET_VERSION,
@@ -136,21 +128,22 @@ def save(path: str, n: int, seed: int, consts: OracleConstants = OracleConstants
         n_freq=N_FREQ,
     )
     workers = max(1, min(jobs, _cpus(), -(-n // BLOCK)))
-    step = workers * BLOCK
+    ring = [np.empty(BLOCK, dtype=RECORD_DTYPE) for _ in range(workers + 1)]
+    filling = deque()
     digest = hashlib.sha256()
-    with (open(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as writer,
-          ThreadPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext() as pool):
+    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=workers) as pool:
         def put(data) -> None:
             fh.write(data)
             digest.update(data)
 
-        pending = writer.submit(put, (json.dumps(header.__dict__, sort_keys=True) + "\n").encode())
-        for s in range(0, n, step):
-            window = generate(min(step, n - s), seed, consts, geom, executor=pool, start=s)
-            pending.result()
-            pending = writer.submit(put, window.view(np.uint8))
-        pending.result()
+        put((json.dumps(header.__dict__, sort_keys=True) + "\n").encode())
+        for k, s in enumerate(range(0, n, BLOCK)):
+            if len(filling) == len(ring):
+                put(filling.popleft().result().view(np.uint8))
+            filling.append(pool.submit(generate, min(BLOCK, n - s), seed, consts, geom,
+                                       start=s, out=ring[k % len(ring)]))
+        for block in filling:
+            put(block.result().view(np.uint8))
     return digest.hexdigest()
 
 

@@ -118,12 +118,12 @@ class CounterRng:
         """n unbiased integers in [0, bound) via rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        threshold = ((1 << 64) // bound) * bound
+        top = np.uint64((1 << 64) // bound * bound - 1)  # the largest word kept
         out = self.u64(n)
-        bad = out >= np.uint64(threshold & ((1 << 64) - 1)) if threshold < (1 << 64) else np.zeros(n, bool)
+        bad = out > top
         while bad.any():
             out[bad] = self.u64(int(bad.sum()))
-            bad = out >= np.uint64(threshold)
+            bad = out > top
         return (out % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:

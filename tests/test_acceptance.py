@@ -9,7 +9,6 @@ random-search reach scan and the full-size GA) lives in session fixtures.
 import cmath
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -142,12 +141,16 @@ def test_04_antiphase_closure(acceptance):
     acceptance(4, "EQ5-CLOSURE", resid < 1e-8, f"|G1(on) + G1(off)| = {resid:.2e}")
 
 
-def test_05_oracle_passivity_and_determinism(acceptance):
+def test_05_oracle_passivity_and_determinism(acceptance, tmp_path, pin_cpus):
     run1 = dataset.generate(1000, seed=2026)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        run2 = dataset.generate(1000, seed=2026, executor=pool)
-    run3 = dataset.generate(1000, seed=2026)
-    bit_exact = run1.tobytes() == run2.tobytes() == run3.tobytes()
+    run2 = dataset.generate(1000, seed=2026)
+    # a file of more blocks than jobs, saved by one fill thread and by eight
+    pin_cpus(8)
+    n = 8 * dataset.BLOCK + 1000
+    digests = {dataset.save(str(tmp_path / f"jobs{jobs}.bin"), n, 2026, jobs=jobs)
+               for jobs in (1, 8)}
+    run3 = dataset.load(str(tmp_path / "jobs8.bin"), count=1000)[1]
+    bit_exact = run1.tobytes() == run2.tobytes() == run3.tobytes() and len(digests) == 1
     s22 = run1["resp"].view(np.complex128)
     mag_max = float(np.abs(s22).max())
     step_max = float(np.abs(np.diff(s22, axis=1)).max())
@@ -176,8 +179,7 @@ def test_07_gradient_check(acceptance):
 
 def test_08_surrogate_learns(acceptance):
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        records = dataset.generate(11_000, seed=1, executor=pool)
+    records = dataset.generate(11_000, seed=1)
     train_recs, val_recs = dataset.split(records)
     xt, yt = surrogate.records_to_xy(train_recs)
     xv, yv = surrogate.records_to_xy(val_recs)

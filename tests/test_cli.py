@@ -109,7 +109,7 @@ def test_gen_deterministic_across_jobs(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_gen_manifest_holds_the_sha256_of_the_file_it_wrote(tmp_path, capsys, jobs):
-    """gen hashes its windows as it writes them; the last window is partial."""
+    """gen hashes its blocks as it writes them; the last block is partial."""
     n = 2 * jobs * dataset.BLOCK + 100
     code, _, _ = run(capsys, "gen", "--n", str(n), "--seed", "8", "--jobs", str(jobs),
                      "--outdir", str(tmp_path))
@@ -124,8 +124,9 @@ def test_gen_manifest_holds_the_sha256_of_the_file_it_wrote(tmp_path, capsys, jo
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_gen_fills_every_window_on_one_pool(tmp_path, capsys, monkeypatch, pin_cpus, jobs):
-    """A gen of several windows fills them all on the threads of one pool
-    with `--jobs 2`, and on the calling thread with `--jobs 1`."""
+    """A gen that goes round its ring of jobs + 1 block buffers three times
+    fills every block on the threads of one pool of `--jobs` threads, never
+    on the calling thread, which only writes."""
     fill, threads = dataset._fill, set()
 
     def recording_fill(*args):
@@ -134,15 +135,12 @@ def test_gen_fills_every_window_on_one_pool(tmp_path, capsys, monkeypatch, pin_c
 
     monkeypatch.setattr(dataset, "_fill", recording_fill)
     pin_cpus(jobs)
-    n = 3 * jobs * dataset.BLOCK + 1  # three full windows and a one-record one
+    n = 3 * (jobs + 1) * dataset.BLOCK + 1  # three full rings and a one-record block
     code, _, _ = run(capsys, "gen", "--n", str(n), "--jobs", str(jobs), "--outdir", str(tmp_path))
     assert code == 0
-    if jobs == 1:
-        assert threads == {threading.current_thread()}
-    else:
-        # a pool's threads are named <pool name>_<thread number>
-        assert len({t.name.rsplit("_", 1)[0] for t in threads}) == 1
-        assert threading.current_thread() not in threads and len(threads) <= jobs
+    # a pool's threads are named <pool name>_<thread number>
+    assert len({t.name.rsplit("_", 1)[0] for t in threads}) == 1
+    assert threading.current_thread() not in threads and len(threads) <= jobs
 
 
 def test_gen_fills_on_no_more_threads_than_the_cpus_it_may_run_on(tmp_path, capsys,
@@ -165,7 +163,7 @@ def test_gen_fills_on_no_more_threads_than_the_cpus_it_may_run_on(tmp_path, caps
 
 
 def _fail_in_window_two(monkeypatch, jobs):
-    """Make every chunk from gen's second window on raise."""
+    """Make every block from counter jobs * BLOCK on raise."""
     fill = dataset._fill
 
     def failing_fill(part, seed, start, consts, geom):
@@ -178,7 +176,8 @@ def _fail_in_window_two(monkeypatch, jobs):
 
 
 def _fail_in_the_writer(monkeypatch, jobs):
-    """Make the writer thread's second write fail, as on a full disk."""
+    """Make gen's second block write fail, as on a full disk; gen writes on
+    its calling thread."""
     main_thread = threading.current_thread()
 
     class FullDisk:
@@ -193,7 +192,7 @@ def _fail_in_the_writer(monkeypatch, jobs):
             self.fh.close()
 
         def write(self, data):
-            assert threading.current_thread() is not main_thread
+            assert threading.current_thread() is main_thread
             self.writes += 1
             if self.writes == 3:
                 raise OSError(28, "No space left on device")
@@ -216,6 +215,34 @@ def test_gen_failure_mid_stream_publishes_nothing_and_joins_its_threads(
     assert _one_error_line(err) and message in err
     assert list(tmp_path.iterdir()) == []
     assert threading.active_count() == threads
+
+
+def test_gen_writes_blocks_that_finish_out_of_order_in_counter_order(tmp_path, capsys,
+                                                                      monkeypatch, pin_cpus):
+    """Block 0 finishes only after block 1 has, yet `--jobs 2` writes the
+    bytes and manifest of `--jobs 1`."""
+    n = str(3 * dataset.BLOCK + 5)
+    code, _, _ = run(capsys, "gen", "--n", n, "--seed", "4", "--jobs", "1",
+                     "--outdir", str(tmp_path / "a"))
+    assert code == 0
+    fill, second_done, waited = dataset._fill, threading.Event(), []
+
+    def late_first_block(part, seed, start, consts, geom):
+        if start == 0:
+            waited.append(second_done.wait(timeout=30))
+        fill(part, seed, start, consts, geom)
+        if start == dataset.BLOCK:
+            second_done.set()
+
+    monkeypatch.setattr(dataset, "_fill", late_first_block)
+    pin_cpus(2)
+    code, _, _ = run(capsys, "gen", "--n", n, "--seed", "4", "--jobs", "2",
+                     "--outdir", str(tmp_path / "b"))
+    assert code == 0 and waited == [True]
+    assert sha(tmp_path / "a" / "dataset.bin") == sha(tmp_path / "b" / "dataset.bin")
+    manifests = [json.loads((tmp_path / d / "dataset.bin.manifest.json").read_text())
+                 for d in "ab"]
+    assert manifests[0]["sha256"] == manifests[1]["sha256"] == sha(tmp_path / "a" / "dataset.bin")
 
 
 def test_stats_names_a_non_finite_record_of_a_later_block(tmp_path, capsys):
@@ -487,6 +514,30 @@ def test_array_design_refuses_off_grid_freq(tmp_path, capsys):
     assert not (tmp_path / "codes.pbm").exists()
     # ideal +-1 element states have no grid to leave
     code, _, _ = run(capsys, "array", "--freq", "100e9", "--outdir", str(tmp_path))
+    assert code == 0
+
+
+def test_array_design_refuses_a_freq_between_grid_rows(tmp_path, capsys):
+    """The element's states are known on the grid only: 5.86 GHz is not
+    answered with 5.9 GHz's, while a grid frequency within 1 Hz is taken."""
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps({"genome": "00003FC000E00000"}))
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "array", "--freq", "5.86e9", "--design", str(design),
+                       "--outdir", str(out))
+    assert code == 1 and _one_error_line(err)
+    assert "5860000000.0 Hz is not a grid frequency (nearest 5900000000.0 Hz)" in err
+    assert not out.exists() or not any(out.iterdir())
+    for freq, d in (("5.9e9", "a"), ("5900000001", "b")):
+        code, _, _ = run(capsys, "array", "--freq", freq, "--design", str(design),
+                         "--outdir", str(tmp_path / d))
+        assert code == 0
+    params = [json.loads((tmp_path / d / "codes.pbm.manifest.json").read_text())["params"]
+              for d in "ab"]
+    assert [(p["gamma0"], p["gamma1"]) for p in params] == \
+        [(params[0]["gamma0"], params[0]["gamma1"])] * 2
+    # without --design the ideal +-1 states hold at any frequency
+    code, _, _ = run(capsys, "array", "--freq", "5.86e9", "--outdir", str(out))
     assert code == 0
 
 

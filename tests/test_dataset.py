@@ -69,24 +69,27 @@ def test_records_hold_the_oracle_response():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_filled_records_are_the_interleaved_oracle_response(monkeypatch, jobs):
-    """Blocks of more than two kernel blocks, written straight into the
-    records by the calling thread or a pool of two, equal the records built
-    from interleave(response_batch(...)), byte for byte."""
+def test_filled_records_are_the_interleaved_oracle_response(tmp_path, monkeypatch, pin_cpus,
+                                                            jobs):
+    """Blocks of more than two kernel blocks, written straight into the ring
+    buffers of `save` by a pool of one or two threads, equal the records
+    built from interleave(response_batch(...)), byte for byte."""
     count = 2 * KERNEL_BLOCK + 37
     monkeypatch.setattr(ds, "BLOCK", count)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        got = ds.generate(3 * count, 5, executor=pool if jobs > 1 else None)
+    pin_cpus(jobs)
+    path = str(tmp_path / "set.bin")
+    ds.save(path, 3 * count, 5, jobs=jobs)
     words = stream_u64(5, 0, 3 * count)
     expect = np.empty(3 * count, dtype=ds.RECORD_DTYPE)
     expect["genome"] = words
     expect["resp"] = interleave(response_batch(expand_genome(u64_to_bits(words))))
-    assert got.tobytes() == expect.tobytes()
+    assert ds.load(path)[1].tobytes() == expect.tobytes()
 
 
-def test_generate_propagates_chunk_errors_and_joins_its_threads(monkeypatch):
-    """A block that raises propagates out of generate, from the calling
-    thread or from a pool; generate starts no pool or thread of its own."""
+def test_generate_propagates_chunk_errors_and_joins_its_threads(tmp_path, monkeypatch, pin_cpus):
+    """A block that raises propagates out of generate, which starts no pool
+    or thread, and out of save on one fill thread or two, which joins its
+    pool's threads."""
     before = threading.active_count()
     monkeypatch.setattr(ds, "BLOCK", 100)
     monkeypatch.setattr(ds, "ThreadPoolExecutor", None)  # generate must not call it
@@ -103,28 +106,32 @@ def test_generate_propagates_chunk_errors_and_joins_its_threads(monkeypatch):
     monkeypatch.setattr(ds, "features_response_batch", fail_short_chunk)
     with pytest.raises(RuntimeError, match="chunk failed"):
         ds.generate(250, seed=9)
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    monkeypatch.setattr(ds, "ThreadPoolExecutor", ThreadPoolExecutor)
+    pin_cpus(2)
+    for jobs in (1, 2):
         with pytest.raises(RuntimeError, match="chunk failed"):
-            ds.generate(250, seed=9, executor=pool)
+            ds.save(str(tmp_path / "set.bin"), 250, 9, jobs=jobs)
     assert threading.active_count() == before
 
 
-def test_generation_is_chunk_and_worker_invariant(monkeypatch):
+def test_generation_is_chunk_and_worker_invariant(tmp_path, monkeypatch, pin_cpus):
     """The same (n, seed) must produce byte-identical records no matter how
-    the work is sliced into blocks or how many threads run it."""
+    the work is sliced into blocks or how many threads fill them."""
     assert ds.BLOCK >= 600
     base = ds.generate(600, seed=9)
+    path = str(tmp_path / "set.bin")
+    pin_cpus(16)
     for block, jobs in ((64, 1), (97, 3), (200, 2)):
         monkeypatch.setattr(ds, "BLOCK", block)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            assert base.tobytes() == ds.generate(600, seed=9, executor=pool).tobytes()
+        ds.save(path, 600, 9, jobs=jobs)
+        assert base.tobytes() == ds.load(path)[1].tobytes()
     # more threads than cores, switching as often as the interpreter allows
     monkeypatch.setattr(ds, "BLOCK", 37)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            assert base.tobytes() == ds.generate(600, seed=9, executor=pool).tobytes()
+        ds.save(path, 600, 9, jobs=16)
+        assert base.tobytes() == ds.load(path)[1].tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -132,21 +139,28 @@ def test_generation_is_chunk_and_worker_invariant(monkeypatch):
 @pytest.mark.parametrize("jobs, chunk, workers", [(64, 100, 3), (2, 100, 2), (64, 300, 1)])
 def test_generation_starts_at_most_one_worker_per_chunk(tmp_path, monkeypatch, pin_cpus, jobs,
                                                         chunk, workers):
-    """`save` fills on at most one thread per BLOCK-record chunk, up to jobs."""
-    real, started = ds.ThreadPoolExecutor, []
+    """`save` starts one pool, of at most one thread per BLOCK-record chunk,
+    up to jobs, and fills every chunk on it."""
+    real, started, threads = ds.ThreadPoolExecutor, [], set()
 
     def recording_pool(max_workers):
         started.append(max_workers)
         return real(max_workers=max_workers)
 
+    fill = ds._fill
+
+    def recording_fill(*args):
+        threads.add(threading.current_thread())
+        fill(*args)
+
     monkeypatch.setattr(ds, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(ds, "_fill", recording_fill)
     monkeypatch.setattr(ds, "BLOCK", chunk)
     pin_cpus(64)
     path = str(tmp_path / "set.bin")
     ds.save(path, 300, 9, jobs=jobs)
-    # the writer's one thread, and a fill pool only when it has two threads
-    # or more: a single worker is the calling thread itself
-    assert sorted(started) == sorted([1] + ([workers] if workers > 1 else []))
+    assert started == [workers]
+    assert threading.current_thread() not in threads and len(threads) <= workers
     assert ds.load(path)[1].tobytes() == ds.generate(300, seed=9).tobytes()
 
 
@@ -394,7 +408,7 @@ def test_each_stage_holds_the_records_once(tmp_path, capsys):
     peak, recs = _peak_bytes(ds.generate, n, 11)
     size = recs.nbytes
     assert peak <= size + 1.1 * one_block, f"generate {peak / size:.2f}x the records"
-    # save generates and writes a window of one block while the next fills
+    # save writes one block of its two-block ring while the other fills
     block = ds.BLOCK * ds.RECORD_DTYPE.itemsize
     peak, _ = _peak_bytes(ds.save, path, n, 11)
     assert peak < 4 * block, f"save {peak / block:.2f} blocks"
@@ -405,7 +419,7 @@ def test_each_stage_holds_the_records_once(tmp_path, capsys):
     assert peak <= 0.6 * size, f"summarize {peak / size:.2f}x the records"
 
     # gen and stats stream the file, never holding the whole set: gen holds
-    # two windows of jobs blocks and working space under two blocks per job,
+    # a ring of jobs + 1 blocks and working space under two blocks per job,
     # stats two blocks and working space under two blocks
     n = 40000
     for jobs in (1, 2):
@@ -492,7 +506,7 @@ def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path, mon
     digest = ds.save(str(whole), 1003, seed=4)
     assert digest == hashlib.sha256(whole.read_bytes()).hexdigest()
     assert ds.load(str(whole))[1].tobytes() == recs.tobytes()
-    # one-block windows filled on 16 threads while the writer writes,
+    # blocks filled on 16 threads while the calling thread writes them,
     # switching as often as the interpreter allows
     monkeypatch.setattr(ds, "BLOCK", 5)
     pin_cpus(16)
@@ -507,12 +521,18 @@ def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path, mon
 
 
 def test_generate_starts_at_any_counter(monkeypatch):
+    """Records start.. of a run, fresh or in the first records of `out`."""
     monkeypatch.setattr(ds, "BLOCK", 128)
     whole = ds.generate(700, seed=6)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for start, count in ((0, 1), (1, 300), (299, 401), (699, 1)):
-            part = ds.generate(count, seed=6, executor=pool, start=start)
-            assert part.tobytes() == whole[start:start + count].tobytes()
+    buf = np.empty(402, dtype=ds.RECORD_DTYPE)
+    for start, count in ((0, 1), (1, 300), (299, 401), (699, 1)):
+        part = ds.generate(count, seed=6, start=start)
+        assert part.tobytes() == whole[start:start + count].tobytes()
+        part = ds.generate(count, seed=6, start=start, out=buf)
+        assert np.shares_memory(part, buf) and len(part) == count
+        assert part.tobytes() == whole[start:start + count].tobytes()
+    with pytest.raises(ValueError, match="out holds 402 records, fewer than n = 403"):
+        ds.generate(403, seed=6, out=buf)
 
 
 def test_load_reads_a_record_range(tmp_path):
