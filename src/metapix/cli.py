@@ -365,7 +365,7 @@ def cmd_validate(args, cfg: RunConfig) -> int:
                                          cfg.geometry)
         stage(out_csv, params).write_text(inverse.report_csv(report, target, predicted))
         stage(pbm, params, ("design",)).write_text(render_pbm(expand_genome(genome)))
-    print(inverse.report_summary(report, doc["history_best"]))
+    print(inverse.report_summary(report, doc["history_best"], target, predicted))
     print(f"wrote {out_csv}")
     return 0
 

@@ -423,14 +423,21 @@ def report_csv(report: DesignReport, target: TargetSpec | None = None,
     return "\n".join(lines) + "\n"
 
 
-def report_summary(report: DesignReport, history_best=()) -> str:
-    """Genome, operating band and, from the search's `history_best`, its final fitness."""
+def report_summary(report: DesignReport, history_best=(), target: TargetSpec | None = None,
+                   predicted: np.ndarray | None = None) -> str:
+    """Genome, operating band, the target_error of the oracle response and of
+    `predicted`, the (61,) s22 the design search predicted, when `target` is
+    given, and, from the search's `history_best`, its final fitness."""
     lines = [f"genome {report.genome_hex}"]
     if report.band_segments:
         for lo, hi in report.band_segments:
             lines.append(f"operating band {lo / 1e9:.1f}-{hi / 1e9:.1f} GHz")
     else:
         lines.append("operating band empty")
+    if target is not None:
+        lines.append(f"oracle target error {target_error(report.oracle_s22, target)[0]:.6f}")
+        if predicted is not None:
+            lines.append(f"predicted target error {target_error(predicted, target)[0]:.6f}")
     if len(history_best):
         lines.append(f"final fitness {history_best[-1]:.3f}")
     return "\n".join(lines) + "\n"

@@ -25,6 +25,7 @@ singularity sits near 26.4 GHz, far above the 2.8-8.8 GHz grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -45,14 +46,15 @@ FEATURE_NAMES = ("rho", "v_conn", "e_h", "e_v", "rho_center", "q_cb")
 # Entries nearer a branch series resonance than this are re-evaluated 1 Hz up.
 _POLE_EPS = 1e-15
 
-# Rows per s22 kernel call.  The kernel computes its (rows, 61) arrays in
-# scratch reused from block to block (_kernel_scratch); what it still allocates
-# per block off the nudge path (bool masks, numpy's 64 KiB iterator buffers)
-# stays under glibc's 128 KiB mmap threshold, as does a (256, 61) float64
-# array at 124,928 bytes.  A larger allocation is a fresh mmap, page-faulted in
-# and unmapped again on free: with every temporary allocated per block,
-# 512-row blocks ran at half the speed per row of 256-row ones in a fresh
-# process.
+# Rows per s22 kernel call.  The kernel gathers and computes its (rows, 61)
+# arrays in scratch reused from block to block (_kernel_scratch), beside the
+# reactance tables the module holds (_held_tables); what it still allocates
+# per block off the nudge path (the block's counts and table rows, bool masks,
+# numpy's 64 KiB iterator buffers) stays under glibc's 128 KiB mmap threshold,
+# as does a (256, 61) float64 array at 124,928 bytes.  A larger allocation is
+# a fresh mmap, page-faulted in and unmapped again on free: with every
+# temporary allocated per block, 512-row blocks ran at half the speed per row
+# of 256-row ones in a fresh process.
 KERNEL_BLOCK = 256
 
 
@@ -197,16 +199,100 @@ def code_features(codes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The largest value of each quadrant count n, s, h, v and c, and the factor
+# that takes its feature (rho, v_conn, e_h, e_v, rho_center) back to it.
+_COUNT_MAX = np.array([GENOME_BITS, 2 * GENOME_BITS, GENOME_SIDE * (GENOME_SIDE - 1),
+                       GENOME_SIDE * (GENOME_SIDE - 1), GENOME_BITS // 4])
+_COUNT_SCALE = np.array([GRID_SIDE**2 / 4, GRID_SIDE**2 / 2, GRID_SIDE * (GRID_SIDE - 1) / 4,
+                         GRID_SIDE * (GRID_SIDE - 1) / 4, 64 / 4])
+_N_VALUES, _S_VALUES, _H_VALUES, _V_VALUES, _C_VALUES = (_COUNT_MAX + 1).tolist()
+
+
+def _build_tables(consts: OracleConstants, geom: GeometryMeta, freqs: np.ndarray) -> tuple:
+    """The s22 kernel's reactance terms of (consts, geom) at the (m,) freqs.
+
+    Five read-only float64 tables hold one row of m per value of the counts
+    their term depends on:
+    - x_series = w*l_lead - 1/(w*c_gap), row c;
+    - w*l1, row s;
+    - 1/(w*c1), row n * 57 + h;
+    - w*l2, row n * 17 + c;
+    - 1/(w*c2), row v.
+    The stub's (m,) reactance, which depends on frequency only, and the
+    (consts, geom, freqs) they hold, which the 1 Hz nudge reads, follow them.
+
+    Each entry is computed from the features of its counts by the IEEE
+    operations that the circuit of the module docstring performs on a feature
+    row, so a gathered entry has the bits of one computed per row.  The
+    (rows, m) products are taken in place in the tables, so the build
+    allocates little beside them.
+    """
+    w = 2.0 * math.pi * freqs
+    # row i: the features of count value i taken as every count at once, as
+    # each count but q_cb's pair (n, c) fixes its feature alone; s has the
+    # most values
+    i = np.arange(_S_VALUES)
+    rho, v_conn, e_h, e_v, rho_center, _ = (f[:, None] for f in _count_features(i, i, i, i, i).T)
+    n, c = np.divmod(np.arange(_N_VALUES * _C_VALUES), _C_VALUES)
+    q_cb = _count_features(n, 0 * n, 0 * n, 0 * n, c)[:, 5:]
+
+    c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center[:_C_VALUES])
+    l1 = consts.l_a + consts.l_b * (1.0 - v_conn)
+    c1 = consts.c_a + consts.c_b * rho[:_N_VALUES] + consts.c_c * e_h[:_H_VALUES].T
+    l2 = consts.l2_0 * (1.0 + q_cb)
+    c2 = consts.c2_0 * (1.0 + e_v[:_V_VALUES])
+
+    def inverse_wc(c):
+        x = np.multiply(w, c)
+        return np.divide(1.0, x, out=x)
+
+    x_series = inverse_wc(c_gap)
+    np.subtract(w * consts.l_lead, x_series, out=x_series)
+    eta_s = FREE_SPACE_ETA / math.sqrt(geom.eps_r)
+    beta_h = w * math.sqrt(geom.eps_r) * geom.substrate_h / C0
+    tables = (x_series, w * l1, inverse_wc(c1.reshape(-1, 1)), w * l2, inverse_wc(c2),
+              eta_s * np.tan(beta_h), (consts, geom, freqs))
+    for table in tables[:-1]:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=4)
+def _held_tables(consts: OracleConstants, geom: GeometryMeta, freq_bytes: bytes) -> tuple:
+    """_build_tables, built on first use and held for the next calls with
+    equal constants, geometry and float64 frequency bytes."""
+    return _build_tables(consts, geom, np.frombuffer(freq_bytes))
+
+
+def _table_rows(feats: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
+    """(k, 6) feature rows -> the five (k,) row indices of their _build_tables entries.
+
+    The counts are read off the floats (n = rho*64, s = v_conn*128, c =
+    rho_center*16, h and v by rounding e_h*60 and e_v*60) and proved by
+    _count_features giving the rows' very bytes back.  A count outside its
+    table is first bounded into it, so that every index is in range; the
+    features of the bounded count then differ from the row's.  A row that no
+    counts reproduce raises ValueError naming it by its index plus `first`.
+    """
+    k = np.rint(feats[:, :5] * _COUNT_SCALE)
+    n, s, h, v, c = np.clip(k, 0, _COUNT_MAX, out=k).T.astype(np.int64)
+    bad = (_count_features(n, s, h, v, c).view(np.uint64) != feats.view(np.uint64)).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"feature row {first + row} is not the features of any genome's "
+                         f"quadrant counts: {feats[row].tolist()}")
+    return c, s, n * _H_VALUES + h, n * _C_VALUES + c, v
+
+
 def _kernel_scratch(rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The s22 kernel's scratch for blocks of up to `rows` rows x m frequencies:
     four (rows, m) float64 slabs and two (rows, m) complex128 ones."""
     return np.empty((4, rows, m)), np.empty((2, rows, m), dtype=complex)
 
 
-def _s22_kernel(feats: np.ndarray, freqs: np.ndarray, consts: OracleConstants,
-                geom: GeometryMeta, out: np.ndarray | None = None,
+def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray | None = None,
                 scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """(n, 6) features x (n, m) or (m,) freqs -> (n, m) s22, written into out.
+    """_table_rows of n rows x _build_tables at m frequencies -> (n, m) s22 in out.
 
     Every element but the 1/eta shunt is lossless, so the series arm, both
     branches and the stub are each one real reactance X and their shunt sum
@@ -216,62 +302,50 @@ def _s22_kernel(feats: np.ndarray, freqs: np.ndarray, consts: OracleConstants,
     (+-0, -(1/b)), so the reactances and the susceptance are the IEEE
     operations the complex cascade of the module docstring performs on its
     (0, X) impedances, and the spectra have that cascade's bits (the oracle
-    tests keep it as the reference).  The (n, m) arrays are
-    computed in place in out and in the slabs of scratch (_kernel_scratch of
-    >= n rows), which the caller reuses from block to block and which are
-    allocated here when not given.
+    tests keep it as the reference).  X_series is gathered whole from the
+    tables and each branch X = w*L - 1/(w*C) as one subtraction of two
+    gathered rows.  The (n, m) arrays are gathered and computed in place in
+    out and in the slabs of scratch (_kernel_scratch of >= n rows), which the
+    caller reuses from block to block and which are allocated here when not
+    given.
     """
-    n = len(feats)
+    by_c, by_s, by_nh, by_nc, by_v = rows
+    series, wl1, inv_wc1, wl2, inv_wc2, x_stub, source = tables
+    n = len(by_c)
     if out is None:
-        out = np.empty(np.broadcast_shapes((n, 1), np.shape(freqs)), dtype=complex)
+        out = np.empty((n, len(x_stub)), dtype=complex)
     if scratch is None:
         scratch = _kernel_scratch(*out.shape)
     x_series, x1, x2, tmp = scratch[0][:, :n]
     y, den = scratch[1][:, :n]
-    rho = feats[:, 0:1]
-    v_conn = feats[:, 1:2]
-    e_h = feats[:, 2:3]
-    e_v = feats[:, 3:4]
-    rho_center = feats[:, 4:5]
-    q_cb = feats[:, 5:6]
-
-    w = 2.0 * math.pi * freqs
+    # every row index is in range (_table_rows), so "clip" moves none; it
+    # spares np.take the buffered copy that its default mode makes of out
+    np.take(series, by_c, axis=0, out=x_series, mode="clip")
+    np.subtract(np.take(wl1, by_s, axis=0, out=x1, mode="clip"),
+                np.take(inv_wc1, by_nh, axis=0, out=tmp, mode="clip"), out=x1)
+    np.subtract(np.take(wl2, by_nc, axis=0, out=x2, mode="clip"),
+                np.take(inv_wc2, by_v, axis=0, out=tmp, mode="clip"), out=x2)
     eta = FREE_SPACE_ETA
-
-    c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center)
-    _series_lc(w, consts.l_lead, c_gap, x_series, tmp)
-
-    l1 = consts.l_a + consts.l_b * (1.0 - v_conn)
-    c1 = consts.c_a + consts.c_b * rho + consts.c_c * e_h
-    _series_lc(w, l1, c1, x1, tmp)
-
-    l2 = consts.l2_0 * (1.0 + q_cb)
-    c2 = consts.c2_0 * (1.0 + e_v)
-    _series_lc(w, l2, c2, x2, tmp)
-
-    eta_s = eta / math.sqrt(geom.eps_r)
-    beta_h = w * math.sqrt(geom.eps_r) * geom.substrate_h / C0
-    x_stub = eta_s * np.tan(beta_h)  # frequency only: (m,) or (n, m)
 
     # |X| into tmp keeps the check's temporaries to (n, m) bool masks
     singular = np.abs(x1, out=tmp) < _POLE_EPS
     singular |= np.abs(x2, out=tmp) < _POLE_EPS
     singular |= np.abs(x_stub) < _POLE_EPS
     if np.any(singular):
-        # exact branch resonance on a sample: deterministic 1 Hz nudge
-        f_adj = np.broadcast_to(freqs, singular.shape) + 1.0
-        nudged = _s22_kernel(feats, np.where(singular, f_adj, freqs), consts, geom)
+        # exact branch resonance on a sample: deterministic 1 Hz nudge.  The
+        # rows and frequencies holding one are evaluated at f + 1 Hz through
+        # tables built for those frequencies alone; the held ones stay.
+        consts, geom, freqs = source
+        r = np.flatnonzero(singular.any(axis=1))
+        k = np.flatnonzero(singular.any(axis=0))
+        nudged = _s22_kernel(tuple(by[r] for by in rows),
+                             _build_tables(consts, geom, freqs[k] + 1.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             _finish(x_series, x1, x2, x_stub, eta, y, den, out)
-        np.copyto(out, nudged, where=singular)
+        hit = np.ix_(r, k)
+        out[hit] = np.where(singular[hit], nudged, out[hit])
         return out
     return _finish(x_series, x1, x2, x_stub, eta, y, den, out)
-
-
-def _series_lc(w, l, c, x, tmp) -> None:
-    """x = w*l - 1/(w*c), the reactance of a series LC branch."""
-    np.divide(1.0, np.multiply(w, c, out=tmp), out=tmp)
-    np.subtract(np.multiply(w, l, out=x), tmp, out=x)
 
 
 def _finish(x_series, x1, x2, x_stub, eta, y, den, out):
@@ -302,12 +376,18 @@ def features_response_batch(feats, consts: OracleConstants = OracleConstants(),
 
     The m frequencies (Hz) default to the 61-point grid of freq_grid().  `out`
     may be any (n, m) complex128 array, a strided view such as the "resp"
-    field of dataset records viewed as complex included; it is returned.  The
-    kernel fills the output KERNEL_BLOCK rows at a time, so its temporaries
-    stay a block's size whatever n is.  The kernel is elementwise per row, so
-    every output row has the same bits as a one-row call; callers that meet
-    repeated genomes deduplicate them first (the oracle GA scores each
-    word_codes value once).
+    field of dataset records viewed as complex included; it is returned.
+
+    Every row must be the features of some genome's quadrant counts, as
+    features_batch and code_features give them: the kernel gathers each
+    reactance from tables per count value (_build_tables), which the module builds
+    on first use and holds per (constants, geometry, frequencies).  A row
+    that no counts reproduce byte for byte raises ValueError naming it.
+    The kernel fills the output KERNEL_BLOCK rows at a time, so its
+    temporaries stay a block's size whatever n is.  It is elementwise per
+    row, so every output row has the same bits as a one-row call; callers
+    that meet repeated genomes deduplicate them first (the oracle GA scores
+    each word_codes value once).
     """
     return _response(feats, consts, geom, freqs, out)
 
@@ -345,9 +425,10 @@ def _response(feats, consts, geom, freqs, out) -> np.ndarray:
     # response it makes non-finite passes through inf/inf or inf - inf
     try:
         with np.errstate(over="ignore", invalid="raise"):
+            tables = _held_tables(consts, geom, f.tobytes())
             for i in range(0, len(feats), KERNEL_BLOCK):
-                _s22_kernel(feats[i:i + KERNEL_BLOCK], f, consts, geom, out[i:i + KERNEL_BLOCK],
-                            scratch)
+                _s22_kernel(_table_rows(feats[i:i + KERNEL_BLOCK], i), tables,
+                            out[i:i + KERNEL_BLOCK], scratch)
     except FloatingPointError as exc:
         raise ValueError(f"the oracle response is not finite under {consts} and {geom}") from exc
     return out

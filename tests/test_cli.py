@@ -429,6 +429,35 @@ def test_validate_writes_report_and_pbm(tmp_path, capsys):
     assert "genome" in out
 
 
+def test_validate_prints_the_oracle_and_predicted_target_errors(tmp_path, capsys):
+    """After the band lines, validate prints the target error of the oracle
+    response at the winner and of the design's prediction: equal for an
+    oracle design, apart for a design that an untrained surrogate predicted."""
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--band", "5.3e9:6.3e9", "--out", str(target))
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, init_mlp(1, (4,)))
+    errors = {}
+    for evaluator in ("oracle", "surrogate"):
+        design = tmp_path / f"{evaluator}.json"
+        code, _, _ = run(capsys, "design", "--target", str(target), "--evaluator", evaluator,
+                         "--ckpt", str(ckpt), "--population", "8", "--generations", "1",
+                         "--out", str(design), "--outdir", str(tmp_path))
+        assert code == 0
+        code, out, _ = run(capsys, "validate", "--design", str(design), "--target",
+                           str(target), "--outdir", str(tmp_path / evaluator))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("genome ") and lines[1].startswith("operating band ")
+        at = next(k for k in range(1, len(lines)) if not lines[k].startswith("operating band "))
+        assert re.fullmatch(r"oracle target error \d+\.\d{6}", lines[at])
+        assert re.fullmatch(r"predicted target error \d+\.\d{6}", lines[at + 1])
+        assert lines[at + 2].startswith("final fitness ")
+        errors[evaluator] = [float(line.split()[-1]) for line in lines[at:at + 2]]
+    assert errors["oracle"][0] == errors["oracle"][1]
+    assert errors["surrogate"][0] != errors["surrogate"][1]
+
+
 def test_array_pattern_peak_at_steer(tmp_path, capsys):
     code, out, _ = run(capsys, "array", "--steer", "30:0", "--freq", "5.8e9",
                        "--outdir", str(tmp_path))

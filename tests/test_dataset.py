@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from metapix import dataset as ds
+from metapix import oracle
 from metapix.cli import main
 from metapix.dataset import ROW_BLOCK
 from metapix.oracle import (
@@ -518,6 +519,31 @@ def test_save_writes_its_windows_in_order_and_returns_their_sha256(tmp_path, mon
             assert parts.read_bytes() == whole.read_bytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_two_fill_threads_that_find_the_tables_cold_build_equal_tables(tmp_path, monkeypatch,
+                                                                      pin_cpus):
+    """With the oracle's held tables cleared, both fill threads of `save`
+    find them cold and build their own (a barrier keeps the first build
+    waiting until the second starts); the file holds the bytes of jobs=1."""
+    monkeypatch.setattr(ds, "BLOCK", 300)
+    whole = tmp_path / "whole.bin"
+    parts = tmp_path / "parts.bin"
+    digest = ds.save(str(whole), 600, seed=4, jobs=1)
+    build, builders = oracle._build_tables, []
+    barrier = threading.Barrier(2, timeout=30)
+
+    def build_together(*args):
+        builders.append(threading.current_thread())
+        barrier.wait()
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_build_tables", build_together)
+    oracle._held_tables.cache_clear()
+    pin_cpus(2)
+    assert ds.save(str(parts), 600, seed=4, jobs=2) == digest
+    assert parts.read_bytes() == whole.read_bytes()
+    assert len(set(builders)) == 2 and threading.current_thread() not in builders
 
 
 def test_generate_starts_at_any_counter(monkeypatch):

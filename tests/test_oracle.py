@@ -291,37 +291,85 @@ def test_blocks_equal_one_row_calls():
 
 def test_kernel_block_temporaries_stay_under_the_mmap_threshold():
     """glibc serves an allocation of 128 KiB or more from a fresh mmap that
-    is page-faulted in and unmapped again on free.  The kernel's largest
-    per-block temporary, a (KERNEL_BLOCK, 61) float64 array (the stub's
-    reactance on the nudge path), stays under that size and is reused from
-    the heap; an mmap per temporary made a fresh process evaluate the kernel
-    about half as fast per row."""
+    is page-faulted in and unmapped again on free.  A (KERNEL_BLOCK, 61)
+    float64 array, such as a scratch slab of the kernel call the nudge path
+    makes, stays under that size and is reused from the heap; an mmap per
+    temporary made a fresh process evaluate the kernel about half as fast per
+    row."""
     assert oc.KERNEL_BLOCK * oc.N_FREQ * np.dtype(np.float64).itemsize < 128 * 1024
+
+
+def _table_bytes(tables):
+    return sum(a.nbytes for a in tables if isinstance(a, np.ndarray))
 
 
 def test_kernel_allocates_nothing_mmap_sized_beside_its_scratch():
     """A 10,000-row call into a preallocated out peaks under its scratch plus
-    128 KiB of traced memory, so no array allocated beside the scratch reaches
-    glibc's mmap threshold, whatever the number of blocks.  numpy's iterator
-    buffers a broadcast operand in np.getbufsize() elements, 64 KiB of float64
-    by default and so under the threshold too; the buffers are shrunk while
-    measuring so that the peak counts arrays alone."""
+    128 KiB of traced memory once the reactance tables are held, and a call
+    that finds them cold under that plus the tables, so no array allocated
+    beside the scratch and the tables reaches glibc's mmap threshold, whatever
+    the number of blocks.  numpy's iterator buffers a broadcast operand in
+    np.getbufsize() elements, 64 KiB of float64 by default and so under the
+    threshold too; the buffers are shrunk while measuring so that the peak
+    counts arrays alone."""
     assert np.getbufsize() * np.dtype(np.float64).itemsize < 128 * 1024
     feats = oc.code_features(oc.word_codes(CounterRng(8).u64(10_000)))
     out = np.empty((len(feats), oc.N_FREQ), dtype=complex)
     scratch = sum(a.nbytes for a in oc._kernel_scratch(oc.KERNEL_BLOCK, oc.N_FREQ))
+    tables = _table_bytes(oc._build_tables(oc.OracleConstants(), GeometryMeta(), oc.freq_grid()))
     assert len(feats) > 30 * oc.KERNEL_BLOCK
+    oc._held_tables.cache_clear()
     bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        oc.features_response_batch(feats, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            oc.features_response_batch(feats, out=out)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
         np.setbufsize(bufsize)
-    assert peak - before - scratch < 128 * 1024
+    assert peaks[0] - scratch - tables < 128 * 1024
+    assert peaks[1] - scratch < 128 * 1024
     assert np.isfinite(out).all()
+
+
+def test_tables_are_built_once_per_constants_geometry_and_frequencies():
+    """The held tables of the 61-point grid take 2,446,832 bytes: five tables
+    of 17 + 129 + 65*57 + 65*17 + 57 rows and the stub's row, of 61 float64
+    each.  Equal but distinct constants, geometry and frequencies share one
+    build; other constants or frequencies get their own, and the 1 Hz nudge
+    builds tables of its own without holding them."""
+    oc._held_tables.cache_clear()
+    row = np.zeros((1, 6))
+    oc.features_response_batch(row)
+    tables = oc._held_tables(oc.OracleConstants(), GeometryMeta(), oc.freq_grid().tobytes())
+    assert _table_bytes(tables) == 2_446_832 == (17 + 129 + 65 * 57 + 65 * 17 + 57 + 1) * 61 * 8
+    assert not any(a.flags.writeable for a in tables if isinstance(a, np.ndarray))
+    oc.features_response_batch(row, oc.OracleConstants(), GeometryMeta(), oc.freq_grid().copy())
+    assert oc._held_tables.cache_info().misses == 1
+    oc.features_response_batch(row, oc.OracleConstants(c_b=200e-15))
+    oc.features_response_batch(row, freqs=oc.freq_grid()[:-1])
+    assert oc._held_tables.cache_info().misses == 3
+    consts = oc.OracleConstants()
+    f_res = 1.0 / (2 * math.pi * math.sqrt((consts.l_a + consts.l_b) * consts.c_a))
+    assert np.isfinite(oc.features_response_batch(row, freqs=[f_res])).all()  # nudged
+    info = oc._held_tables.cache_info()
+    assert info.misses == info.currsize == 4
+    assert oc._held_tables(consts, GeometryMeta(), oc.freq_grid().tobytes()) is tables
+
+
+@pytest.mark.parametrize("column, value", [(0, 0.3), (1, 1.5)])
+def test_refuses_feature_rows_off_the_count_lattice(column, value):
+    """A row that is not the features of any quadrant counts ends in one
+    ValueError naming it, whether it lies between them (rho = 0.3 is not a
+    multiple of 1/64) or beyond them (v_conn = 1.5 needs s = 192 > 128)."""
+    rows = oc.code_features(oc.word_codes(CounterRng(2).u64(300)))
+    rows[280, column] = value
+    with pytest.raises(ValueError, match=r"^feature row 280 is not the features of any genome"):
+        oc.features_response_batch(rows)
 
 
 def test_real_kernel_equals_the_complex_cascade():
