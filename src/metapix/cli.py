@@ -424,13 +424,13 @@ def cmd_array(args, cfg: RunConfig) -> int:
         if args.sweep:
             sweep = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
                                                   report.gamma1_state1, steer,
-                                                  f0=cfg.geometry.f0, ref_phase=args.ref_phase)
+                                                  f0=f, ref_phase=args.ref_phase)
             lines = ["freq_hz,power_db"]
             lines += [f"{sweep.freqs[i]:.6e},{sweep.power_db[i]:.6f}" for i in range(len(sweep.freqs))]
             path = outdir / "sweep.csv"
             stage(path, params).write_text("\n".join(lines) + "\n")
             if sweep.band is None:
-                print(f"no 3-dB band around {cfg.geometry.f0:.3e} Hz -> {path}")
+                print(f"no 3-dB band around {f:.3e} Hz -> {path}")
             else:
                 print(f"3-dB band {sweep.band[0]:.3e}..{sweep.band[1]:.3e} Hz "
                       f"({sweep.bandwidth_pct:.1f}%) -> {path}")

@@ -243,8 +243,10 @@ class GAConfig:
             raise ValueError("population must be at least 2")
         if not 0 < self.crossover_p <= 1 or not 0 < self.mutation_p <= 1:
             raise ValueError("probabilities must lie in (0, 1]")
-        if self.tournament < 1 or self.generations < 0:
-            raise ValueError("tournament and generations must be positive")
+        if self.tournament < 1:
+            raise ValueError(f"tournament must be at least 1, got {self.tournament}")
+        if self.generations < 0:
+            raise ValueError(f"generations must be nonnegative, got {self.generations}")
         if not 0 <= self.elitism < self.population:
             raise ValueError("elitism must be smaller than the population")
 

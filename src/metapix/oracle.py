@@ -258,10 +258,10 @@ def _build_tables(consts: OracleConstants, geom: GeometryMeta, freqs: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
-def _held_tables(consts: OracleConstants, geom: GeometryMeta, freq_bytes: bytes) -> tuple:
-    """_build_tables, built on first use and held for the next calls with
-    equal constants, geometry and float64 frequency bytes."""
-    return _build_tables(consts, geom, np.frombuffer(freq_bytes))
+def _held_tables(consts: OracleConstants, geom: GeometryMeta) -> tuple:
+    """_build_tables on freq_grid(), built on first use and held for the next
+    calls with equal constants and geometry."""
+    return _build_tables(consts, geom, freq_grid())
 
 
 def _table_rows(feats: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
@@ -370,62 +370,55 @@ def _finish(x_series, x1, x2, x_stub, eta, y, den, out):
 
 def features_response_batch(feats, consts: OracleConstants = OracleConstants(),
                             geom: GeometryMeta = GeometryMeta(),
-                            freqs: np.ndarray | None = None,
                             out: np.ndarray | None = None) -> np.ndarray:
-    """(n, 6) feature rows -> (n, m) complex s22, written into `out` when given.
+    """(n, 6) feature rows -> (n, 61) complex s22 on freq_grid(), written into
+    `out` when given.
 
-    The m frequencies (Hz) default to the 61-point grid of freq_grid().  `out`
-    may be any (n, m) complex128 array, a strided view such as the "resp"
-    field of dataset records viewed as complex included; it is returned.
+    `out` may be any (n, 61) complex128 array, a strided view such as the
+    "resp" field of dataset records viewed as complex included; it is returned.
 
     Every row must be the features of some genome's quadrant counts, as
     features_batch and code_features give them: the kernel gathers each
     reactance from tables per count value (_build_tables), which the module builds
-    on first use and holds per (constants, geometry, frequencies).  A row
-    that no counts reproduce byte for byte raises ValueError naming it.
+    on first use and holds per (constants, geometry).  A row that no counts
+    reproduce byte for byte raises ValueError naming it.
     The kernel fills the output KERNEL_BLOCK rows at a time, so its
     temporaries stay a block's size whatever n is.  It is elementwise per
     row, so every output row has the same bits as a one-row call; callers
     that meet repeated genomes deduplicate them first (the oracle GA scores
     each word_codes value once).
     """
-    return _response(feats, consts, geom, freqs, out)
+    return _response(feats, consts, geom, out)
 
 
 def response_batch(grids, consts: OracleConstants = OracleConstants(),
-                   geom: GeometryMeta = GeometryMeta(),
-                   freqs: np.ndarray | None = None) -> np.ndarray:
-    """(n, 16, 16) or (16, 16) mirrored grids -> (n, m) complex s22.
+                   geom: GeometryMeta = GeometryMeta()) -> np.ndarray:
+    """(n, 16, 16) or (16, 16) mirrored grids -> (n, 61) complex s22 on freq_grid().
 
     features_response_batch of the grids' features_batch rows.
     """
     # through _response, so that a traced run (perfbench/spans.py) counts
     # one oracle response per call rather than two nested ones
-    return _response(features_batch(grids), consts, geom, freqs, None)
+    return _response(features_batch(grids), consts, geom, None)
 
 
-def _response(feats, consts, geom, freqs, out) -> np.ndarray:
-    f = freq_grid() if freqs is None else np.atleast_1d(np.asarray(freqs, dtype=float))
-    if f.ndim != 1:
-        raise ValueError(f"expected a 1-D array of frequencies, got shape {f.shape}")
-    if not np.all(np.isfinite(f) & (f > 0)):
-        raise ValueError("frequencies must be finite and positive")
+def _response(feats, consts, geom, out) -> np.ndarray:
     feats = np.asarray(feats, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != len(FEATURE_NAMES):
         raise ValueError(f"expected (n, {len(FEATURE_NAMES)}) feature rows, got {feats.shape}")
     if not np.isfinite(feats).all():
         raise ValueError("feature rows must be finite")
     if out is None:
-        out = np.empty((len(feats), len(f)), dtype=complex)
-    elif out.shape != (len(feats), len(f)) or out.dtype != np.complex128:
-        raise ValueError(f"out must be a ({len(feats)}, {len(f)}) complex128 array, "
+        out = np.empty((len(feats), N_FREQ), dtype=complex)
+    elif out.shape != (len(feats), N_FREQ) or out.dtype != np.complex128:
+        raise ValueError(f"out must be a ({len(feats)}, {N_FREQ}) complex128 array, "
                          f"got {out.shape} {out.dtype}")
-    scratch = _kernel_scratch(min(KERNEL_BLOCK, len(feats)), len(f))
+    scratch = _kernel_scratch(min(KERNEL_BLOCK, len(feats)), N_FREQ)
     # a reactance may overflow to infinity and still give a finite s22; a
     # response it makes non-finite passes through inf/inf or inf - inf
     try:
         with np.errstate(over="ignore", invalid="raise"):
-            tables = _held_tables(consts, geom, f.tobytes())
+            tables = _held_tables(consts, geom)
             for i in range(0, len(feats), KERNEL_BLOCK):
                 _s22_kernel(_table_rows(feats[i:i + KERNEL_BLOCK], i), tables,
                             out[i:i + KERNEL_BLOCK], scratch)

@@ -192,8 +192,10 @@ class TrainSettings:
             raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if not 0 <= self.min_delta < np.inf:  # NaN or < 0 corrupts the best snapshot
             raise ValueError(f"min_delta must be finite and nonnegative, got {self.min_delta}")
-        if self.patience < 1 or self.lr_drops < 0:
-            raise ValueError("bad training settings")
+        if self.patience < 1:
+            raise ValueError(f"patience must be at least 1, got {self.patience}")
+        if self.lr_drops < 0:
+            raise ValueError(f"lr_drops must be nonnegative, got {self.lr_drops}")
 
 
 @dataclass

@@ -11,6 +11,7 @@ import pytest
 
 from metapix import arraysim, cli, dataset, inverse, surrogate
 from metapix.cli import main
+from metapix.pattern import render_pbm, unpack_genome
 from metapix.surrogate import init_mlp, save_checkpoint
 
 
@@ -570,6 +571,38 @@ def test_array_design_refuses_a_freq_between_grid_rows(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("freq, config", [("6.0e9", {}), ("8.8e9", {"geometry": {"f0": 9.5e9}})],
+                         ids=["freq-6GHz", "freq-8.8GHz-f0-9.5GHz"])
+def test_array_sweep_freezes_the_codes_it_writes(tmp_path, capsys, freq, config):
+    """sweep.csv comes from the coding matrix that codes.pbm holds, computed
+    at --freq whatever the geometry's f0, and its band is taken around --freq."""
+    genome = "00003FC000E00000"
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps({"genome": genome}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    code, stdout, _ = run(capsys, "array", "--design", str(design), "--sweep", "--steer", "30:0",
+                          "--freq", freq, "--config", str(cfg), "--outdir", str(out))
+    assert code == 0
+    f = float(freq)
+    acfg, steer = arraysim.ArrayConfig(), arraysim.SteerTarget(30.0, 0.0)
+    codes = arraysim.quantize_1bit(arraysim.ideal_phase(acfg, steer, f, 0.0))
+    f0 = config.get("geometry", {}).get("f0", 5.8e9)
+    assert (codes != arraysim.quantize_1bit(arraysim.ideal_phase(acfg, steer, f0, 0.0))).any()
+    assert (out / "codes.pbm").read_text() == render_pbm(codes)
+    report = inverse.validate_design(unpack_genome(genome))
+    want = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
+                                         report.gamma1_state1, steer, f0=f)
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    np.testing.assert_allclose([float(r.split(",")[1]) for r in rows], want.power_db, atol=5e-7)
+    if want.band is None:
+        assert f"no 3-dB band around {f:.3e} Hz" in stdout
+    else:
+        assert want.band[0] <= f <= want.band[1]
+        assert f"3-dB band {want.band[0]:.3e}..{want.band[1]:.3e} Hz" in stdout
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ga": {"population": 24}, "outdir": str(tmp_path)}))
@@ -914,16 +947,24 @@ def test_a_refused_allocation_is_one_error_line_and_writes_nothing(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["train"], "missing dataset artifact"),
-    (["design", "--target", "t.json"], "missing surrogate checkpoint"),
-    (["array", "--design", "bad.json"], "bad design file bad.json"),
-], ids=["train-without-dataset", "design-without-checkpoint", "array-design-without-genome"])
-def test_input_error_creates_no_outdir(tmp_path, capsys, monkeypatch, argv, message):
+@pytest.mark.parametrize("argv, config, message", [
+    (["train"], {}, "missing dataset artifact"),
+    (["design", "--target", "t.json"], {}, "missing surrogate checkpoint"),
+    (["array", "--design", "bad.json"], {}, "bad design file bad.json"),
+    (["design", "--target", "t.json", "--evaluator", "oracle"], {"ga": {"tournament": 0}},
+     "tournament must be at least 1, got 0"),
+    (["design", "--target", "t.json", "--evaluator", "oracle", "--generations", "-1"], {},
+     "generations must be nonnegative, got -1"),
+    (["train"], {"train": {"patience": 0}}, "patience must be at least 1, got 0"),
+    (["train"], {"train": {"lr_drops": -1}}, "lr_drops must be nonnegative, got -1"),
+], ids=["train-without-dataset", "design-without-checkpoint", "array-design-without-genome",
+        "tournament-0", "generations-flag-negative", "patience-0", "lr_drops-negative"])
+def test_input_error_creates_no_outdir(tmp_path, capsys, monkeypatch, argv, config, message):
     monkeypatch.chdir(tmp_path)
     run(capsys, "target", "--freq", "5.8e9", "--out", "t.json")
     (tmp_path / "bad.json").write_text("{}")
-    code, _, err = run(capsys, *argv, "--outdir", "o")
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, _, err = run(capsys, *argv, "--config", "cfg.json", "--outdir", "o")
     assert code == 1
     assert _one_error_line(err) and message in err
     assert not (tmp_path / "o").exists()

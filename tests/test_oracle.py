@@ -63,24 +63,21 @@ def _complex_kernel(feats, freqs, consts=None, geom=None):
     return np.where(singular, nudged, s22)
 
 
-def _exact_resonances(feats, consts):
-    """For each branch, a frequency at which the reactance w*l - 1/(w*c) of
-    one of the rows is exactly 0, found within 64 ulps of its resonance."""
-    rho, v_conn, e_h, e_v, _, q_cb = feats.T
-    branches = ((consts.l_a + consts.l_b * (1.0 - v_conn),
-                 consts.c_a + consts.c_b * rho + consts.c_c * e_h),
-                (consts.l2_0 * (1.0 + q_cb), consts.c2_0 * (1.0 + e_v)))
-    found = []
-    for ls, cs in branches:
-        for l, c in zip(ls.tolist(), cs.tolist()):
-            f0 = 1.0 / (2 * math.pi * math.sqrt(l * c))
-            hits = [f for k in range(-64, 65) for f in [f0 + k * math.ulp(f0)]
-                    if 2.0 * math.pi * f * l - 1.0 / (2.0 * math.pi * f * c) == 0.0]
-            if hits:
-                found.append(hits[0])
-                break
-    assert len(found) == 2
-    return found
+# constants that put a branch resonance of the all-zero feature row exactly
+# on grid row 30 (5.8 GHz), the others left at their defaults: this c_a makes
+# its X1 0.0 there, this c2_0 its X2, and both together both
+_X1_ZERO = {"c_a": 3.13742269998321e-13}
+_X2_ZERO = {"c2_0": 1.5059628959919406e-12}
+_RESONANT = tuple(oc.OracleConstants(**kw) for kw in (_X1_ZERO, _X2_ZERO, _X1_ZERO | _X2_ZERO))
+
+
+def _zero_row_reactances(consts):
+    """X1 and X2 = w*L - 1/(w*C) of the all-zero feature row at grid row 30."""
+    w = 2.0 * math.pi * oc.freq_grid()[30]
+    x1 = w * (consts.l_a + consts.l_b * (1.0 - 0.0)) - 1.0 / (
+        w * (consts.c_a + consts.c_b * 0.0 + consts.c_c * 0.0))
+    x2 = w * (consts.l2_0 * (1.0 + 0.0)) - 1.0 / (w * (consts.c2_0 * (1.0 + 0.0)))
+    return float(x1), float(x2)
 
 
 def _grid_features(grids):
@@ -237,13 +234,14 @@ def test_frequency_grid():
 
 
 def test_response_matches_hand_cascade_zeros():
-    zeros = np.zeros((16, 16), bool)
-    for f, expect in (
-        (2.8e9, -0.44390618710196433 - 0.8814203997833207j),
-        (5.8e9, -0.8636211947046073 - 0.1439481990442973j),
-        (8.8e9, -0.21713994673706138 + 0.2178555366072246j),
+    resp = oc.response_batch(np.zeros((16, 16), bool))[0]
+    for k, f, expect in (
+        (0, 2.8e9, -0.44390618710196433 - 0.8814203997833207j),
+        (30, 5.8e9, -0.8636211947046073 - 0.1439481990442973j),
+        (60, 8.8e9, -0.21713994673706138 + 0.2178555366072246j),
     ):
-        np.testing.assert_allclose(oc.response_batch(zeros, freqs=[f])[0, 0], expect, atol=1e-15)
+        assert oc.freq_grid()[k] == f
+        np.testing.assert_allclose(resp[k], expect, atol=1e-15)
         np.testing.assert_allclose(_hand_s22((0, 0, 0, 0, 0, 0), f), expect, atol=1e-15)
 
 
@@ -260,13 +258,6 @@ def test_response_frozen_values():
     np.testing.assert_allclose(resp[0], 0.16485526292445687 - 0.9765614082360845j, atol=1e-15)
     np.testing.assert_allclose(resp[30], 0.12002203652641277 - 0.3414082210307481j, atol=1e-15)
     np.testing.assert_allclose(resp[60], -0.7286049852301283 - 0.6848569038553993j, atol=1e-15)
-
-
-def test_scalar_equals_batch_element():
-    grid = expand_genome(unpack_genome("ABCDEF0123456789"))
-    resp = oc.response_batch(grid)[0]
-    for k in (0, 30, 60):
-        assert oc.response_batch(grid, freqs=[oc.freq_grid()[k]])[0, 0] == resp[k]
 
 
 def test_batch_is_chunk_invariant():
@@ -336,29 +327,30 @@ def test_kernel_allocates_nothing_mmap_sized_beside_its_scratch():
     assert np.isfinite(out).all()
 
 
-def test_tables_are_built_once_per_constants_geometry_and_frequencies():
+def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
     """The held tables of the 61-point grid take 2,446,832 bytes: five tables
     of 17 + 129 + 65*57 + 65*17 + 57 rows and the stub's row, of 61 float64
-    each.  Equal but distinct constants, geometry and frequencies share one
-    build; other constants or frequencies get their own, and the 1 Hz nudge
-    builds tables of its own without holding them."""
+    each.  Equal but distinct constants and geometry share one build; other
+    constants get their own, and the 1 Hz nudge builds tables of its own, at
+    the nudged frequency alone, without holding them."""
     oc._held_tables.cache_clear()
     row = np.zeros((1, 6))
     oc.features_response_batch(row)
-    tables = oc._held_tables(oc.OracleConstants(), GeometryMeta(), oc.freq_grid().tobytes())
+    tables = oc._held_tables(oc.OracleConstants(), GeometryMeta())
     assert _table_bytes(tables) == 2_446_832 == (17 + 129 + 65 * 57 + 65 * 17 + 57 + 1) * 61 * 8
     assert not any(a.flags.writeable for a in tables if isinstance(a, np.ndarray))
-    oc.features_response_batch(row, oc.OracleConstants(), GeometryMeta(), oc.freq_grid().copy())
+    oc.features_response_batch(row, oc.OracleConstants(), GeometryMeta())
     assert oc._held_tables.cache_info().misses == 1
     oc.features_response_batch(row, oc.OracleConstants(c_b=200e-15))
-    oc.features_response_batch(row, freqs=oc.freq_grid()[:-1])
-    assert oc._held_tables.cache_info().misses == 3
-    consts = oc.OracleConstants()
-    f_res = 1.0 / (2 * math.pi * math.sqrt((consts.l_a + consts.l_b) * consts.c_a))
-    assert np.isfinite(oc.features_response_batch(row, freqs=[f_res])).all()  # nudged
+    assert oc._held_tables.cache_info().misses == 2
+    built = []
+    build = oc._build_tables
+    monkeypatch.setattr(oc, "_build_tables", lambda *a: built.append(a[2]) or build(*a))
+    assert np.isfinite(oc.features_response_batch(row, _RESONANT[0])).all()  # nudged
+    assert [f.tolist() for f in built] == [oc.freq_grid().tolist(), [5.8e9 + 1.0]]
     info = oc._held_tables.cache_info()
-    assert info.misses == info.currsize == 4
-    assert oc._held_tables(consts, GeometryMeta(), oc.freq_grid().tobytes()) is tables
+    assert info.misses == info.currsize == 3
+    assert oc._held_tables(oc.OracleConstants(), GeometryMeta()) is tables
 
 
 @pytest.mark.parametrize("column, value", [(0, 0.3), (1, 1.5)])
@@ -374,24 +366,25 @@ def test_refuses_feature_rows_off_the_count_lattice(column, value):
 
 def test_real_kernel_equals_the_complex_cascade():
     """The kernel's real reactances give the bits of the complex cascade on
-    random and edge words, on the default grid and on a grid holding an exact
-    resonance of each branch (the nudge path), with out= a strided view of
+    random and edge words, under the default constants and under constants
+    that put an exact resonance of either branch or both on a grid row (the
+    nudge path; the empty edge word resonates), with out= a strided view of
     records included."""
-    consts = oc.OracleConstants()
     words = np.concatenate([CounterRng(9).u64(200_000), _EDGE_WORDS])
     feats = oc.code_features(oc.word_codes(words))
     edge = feats[-len(_EDGE_WORDS):]
-    for freqs in (oc.freq_grid(), np.append(oc.freq_grid(), _exact_resonances(edge, consts))):
+    assert edge[0].tolist() == [0.0] * 6
+    for consts in (oc.OracleConstants(), *_RESONANT):
         for i in range(0, len(feats), 20_000):
             rows = feats[i:i + 20_000]
-            got = oc.features_response_batch(rows, consts, freqs=freqs)
-            want = _complex_kernel(rows, freqs)
+            got = oc.features_response_batch(rows, consts)
+            want = _complex_kernel(rows, oc.freq_grid(), consts)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         rows = np.concatenate([feats[:2 * oc.KERNEL_BLOCK], edge])  # across blocks
-        records = np.zeros(len(rows), dtype=[("genome", ">u8"), ("resp", "<f8", (2 * len(freqs),))])
+        records = np.zeros(len(rows), dtype=[("genome", ">u8"), ("resp", "<f8", (2 * oc.N_FREQ,))])
         out = records["resp"].view(np.complex128)
-        oc.features_response_batch(rows, consts, freqs=freqs, out=out)
-        want = _complex_kernel(rows, freqs)
+        oc.features_response_batch(rows, consts, out=out)
+        want = _complex_kernel(rows, oc.freq_grid(), consts)
         assert np.isfinite(want).all()
         np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
 
@@ -399,18 +392,16 @@ def test_real_kernel_equals_the_complex_cascade():
 def test_features_response_fills_a_strided_view_of_records():
     """out= writes a strided complex view of record responses bit-equal to
     out=None, across kernel blocks and at a branch resonance, and returns it."""
-    consts = oc.OracleConstants()
-    f_res = 1.0 / (2 * math.pi * math.sqrt((consts.l_a + consts.l_b) * consts.c_a))
     n = 2 * oc.KERNEL_BLOCK + 37
     feats = oc.features_batch(_grids(99, n))
-    feats[5] = feats[n - 1] = 0.0  # all-zero grids resonate at f_res
+    feats[5] = feats[n - 1] = 0.0  # all-zero grids resonate under _RESONANT
     records = np.zeros(n, dtype=[("genome", ">u8"), ("resp", "<f8", (2 * oc.N_FREQ,))])
-    for freqs in (None, np.append(oc.freq_grid()[:-1], f_res)):
+    for consts in (oc.OracleConstants(), *_RESONANT):
         out = records["resp"].view(np.complex128)
         assert not out.flags.c_contiguous
-        got = oc.features_response_batch(feats, consts, freqs=freqs, out=out)
+        got = oc.features_response_batch(feats, consts, out=out)
         assert got is out
-        expect = oc.features_response_batch(feats, consts, freqs=freqs)
+        expect = oc.features_response_batch(feats, consts)
         assert np.isfinite(expect).all()
         assert out.tobytes() == expect.tobytes()
         assert (records["genome"] == 0).all()
@@ -461,52 +452,37 @@ def test_constants_validation_and_fingerprint():
     assert oc.fingerprint(oc.OracleConstants(c_b=200e-15), GeometryMeta()) != fp
 
 
-def test_rejects_nonpositive_frequency():
-    with pytest.raises(ValueError):
-        oc.response_batch(np.zeros((16, 16), bool), freqs=[0.0])
-
-
-@pytest.mark.parametrize("freqs, feats", [([math.nan], None), ([math.inf], None),
-                                          ([oc.FREQ_START, -math.inf], None),
-                                          (None, [math.nan] + [0.0] * 5),
-                                          (None, [0.0] * 5 + [math.inf])])
-def test_rejects_non_finite_inputs(freqs, feats):
-    """A NaN or infinite frequency or feature is refused, not turned into NaN spectra."""
+@pytest.mark.parametrize("feats", [[math.nan] + [0.0] * 5, [0.0] * 5 + [math.inf]],
+                         ids=["nan-rho", "inf-q_cb"])
+def test_rejects_non_finite_inputs(feats):
+    """A NaN or infinite feature is refused, not turned into NaN spectra."""
     with pytest.raises(ValueError, match="finite"):
-        if feats is None:
-            oc.response_batch(np.zeros((16, 16), bool), freqs=freqs)
-        else:
-            oc.features_response_batch(np.array([[0.0] * 6, feats]), freqs=freqs)
-
-
-def test_rejects_frequencies_that_are_not_1d():
-    with pytest.raises(ValueError, match="1-D"):
-        oc.response_batch(np.zeros((16, 16), bool), freqs=[[oc.FREQ_START]])
+        oc.features_response_batch(np.array([[0.0] * 6, feats]))
 
 
 def test_pole_nudge_is_deterministic():
-    """A frequency parked exactly on a branch resonance re-evaluates 1 Hz up
-    instead of dividing by zero, and does so reproducibly."""
-    consts = oc.OracleConstants()
-    # put branch 1 of the all-zeros pattern exactly at resonance
-    l1 = consts.l_a + consts.l_b
-    c1 = consts.c_a
-    f_res = 1.0 / (2 * math.pi * math.sqrt(l1 * c1))
+    """A grid row parked exactly on a branch resonance re-evaluates 1 Hz up
+    instead of dividing by zero, and does so reproducibly.  The nudged entry
+    is the cascade's at 5.8 GHz + 1 Hz, where the branch all but shorts the
+    shunt and |s22| rounds to 1 within an ulp; the other rows stay passive."""
     zeros = np.zeros((16, 16), bool)
     assert oc.features_batch(zeros).tolist() == [[0.0] * 6]
-    a = oc.response_batch(zeros, consts, freqs=[f_res])
-    b = oc.response_batch(zeros, consts, freqs=[f_res])
-    assert np.isfinite(a).all()
-    np.testing.assert_array_equal(a.view(np.float64), b.view(np.float64))
-    assert np.abs(a) < 1.0
+    assert 0.0 not in _zero_row_reactances(oc.OracleConstants())
+    for consts, zero in zip(_RESONANT, ([True, False], [False, True], [True, True])):
+        assert [x == 0.0 for x in _zero_row_reactances(consts)] == zero
+        a = oc.response_batch(zeros, consts)
+        b = oc.response_batch(zeros, consts)
+        assert np.isfinite(a).all()
+        np.testing.assert_array_equal(a.view(np.float64), b.view(np.float64))
+        want = _complex_kernel(np.zeros((1, 6)), oc.freq_grid(), consts)
+        np.testing.assert_array_equal(a.view(np.uint64), want.view(np.uint64))
+        assert (np.abs(np.delete(a[0], 30)) < 1.0).all()
 
 
 def test_duplicate_feature_rows_give_bit_equal_rows():
     """Rows evaluated in one batch with repeats, a shuffle, two different
     genomes that share a feature row, and duplicated all-zero grids at a
     branch resonance each equal a one-row call, byte for byte."""
-    consts = oc.OracleConstants()
-    f_res = 1.0 / (2 * math.pi * math.sqrt((consts.l_a + consts.l_b) * consts.c_a))
     words = np.array([0x033011D280E05D12, 0x2278711904689003], dtype=np.uint64)
     pair = expand_genome(u64_to_bits(words))
     assert not np.array_equal(pair[0], pair[1])
@@ -516,11 +492,11 @@ def test_duplicate_feature_rows_give_bit_equal_rows():
     zeros = np.zeros((3, 16, 16), bool)
     shuffled = base[np.random.default_rng(0).permutation(40)]
     grids = np.concatenate([base, pair, zeros, shuffled, base[:7], pair[::-1], zeros])
-    for freqs in (None, np.append(oc.freq_grid()[::12], f_res)):
-        batch = oc.response_batch(grids, consts, freqs=freqs)
+    for consts in (oc.OracleConstants(), *_RESONANT):
+        batch = oc.response_batch(grids, consts)
         assert np.isfinite(batch).all()
         for k, grid in enumerate(grids):
-            one = oc.response_batch(grid, consts, freqs=freqs)[0]
+            one = oc.response_batch(grid, consts)[0]
             assert batch[k].view(np.float64).tobytes() == one.view(np.float64).tobytes()
 
 
