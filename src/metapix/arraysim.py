@@ -213,13 +213,12 @@ class SweepResult:
 
 def spectral_power_sweep(cfg: ArrayConfig, freqs: np.ndarray,
                          gamma0_spec: np.ndarray, gamma1_spec: np.ndarray,
-                         steer: SteerTarget, f0: float = 5.8e9,
-                         ref_phase: float = 0.0) -> SweepResult:
-    """Power toward the steer direction vs frequency, codes frozen at f0.
+                         codes: np.ndarray, steer: SteerTarget, f0: float) -> SweepResult:
+    """Power toward the steer direction vs frequency, the coding matrix frozen.
 
-    The coding matrix is computed once at f0 (a hardware-static pattern) and
-    per frequency the two element states take the supplied reflection
-    spectra.  Output is normalized to its own peak; the reported band is the
+    The (n_y, n_x) 1-bit `codes` are a hardware-static pattern, and per
+    frequency the two element states take the supplied reflection spectra.
+    Output is normalized to its own peak; the reported band is the
     contiguous run of grid frequencies around f0 staying within 3 dB of the
     peak, as (lo, hi) and as a percentage of the band center.  With no power
     at any frequency every row sits at the floor and no band is reported.
@@ -231,7 +230,6 @@ def spectral_power_sweep(cfg: ArrayConfig, freqs: np.ndarray,
         raise ValueError("freqs and reflection spectra must share one length")
     _check_reflections(g0, g1)
     k0_idx = int(np.argmin(np.abs(freqs - f0)))
-    codes = quantize_1bit(ideal_phase(cfg, steer, f0, ref_phase))
 
     power = np.empty(len(freqs))
     theta = np.array([steer.theta_deg])

@@ -423,8 +423,7 @@ def cmd_array(args, cfg: RunConfig) -> int:
 
         if args.sweep:
             sweep = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
-                                                  report.gamma1_state1, steer,
-                                                  f0=f, ref_phase=args.ref_phase)
+                                                  report.gamma1_state1, codes, steer, f)
             lines = ["freq_hz,power_db"]
             lines += [f"{sweep.freqs[i]:.6e},{sweep.power_db[i]:.6f}" for i in range(len(sweep.freqs))]
             path = outdir / "sweep.csv"

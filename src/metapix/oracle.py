@@ -4,8 +4,8 @@ This is openly a lumped-element model, not electromagnetics: the 16x16 metal
 grid is reduced to six geometry features and those features steer a fixed
 one-port circuit.  It exists so the full pipeline (dataset, surrogate, GA,
 validation) can run desk-scale with a reproducible ground truth that has the
-right qualitative behavior: multi-resonant, strictly passive, smooth in
-frequency, and factoring exactly through the features.
+right qualitative behavior: multi-resonant, passive, smooth in frequency,
+and factoring exactly through the features.
 
 Circuit seen from the port (reference impedance eta = 377 ohm):
 
@@ -19,8 +19,11 @@ Circuit seen from the port (reference impedance eta = 377 ohm):
     s22 = (z_in - eta)/(z_in + eta)
 
 Every reactive element is lossless; the only real conductance is the 1/eta
-radiation shunt, which keeps |s22| < 1 strictly.  The stub's quarter-wave
-singularity sits near 26.4 GHz, far above the 2.8-8.8 GHz grid.
+radiation shunt, which keeps |s22| < 1 off resonance.  At an exact branch
+series resonance on a grid row the branch shorts the shunt, and s22 is the
+lossless series arm's total reflection, |s22| = 1 to within rounding.  The
+stub's quarter-wave singularity sits near 26.4 GHz, far above the 2.8-8.8 GHz
+grid.
 """
 
 from __future__ import annotations
@@ -43,18 +46,15 @@ N_FREQ = 61
 
 FEATURE_NAMES = ("rho", "v_conn", "e_h", "e_v", "rho_center", "q_cb")
 
-# Entries nearer a branch series resonance than this are re-evaluated 1 Hz up.
-_POLE_EPS = 1e-15
-
 # Rows per s22 kernel call.  The kernel gathers and computes its (rows, 61)
 # arrays in scratch reused from block to block (_kernel_scratch), beside the
 # reactance tables the module holds (_held_tables); what it still allocates
-# per block off the nudge path (the block's counts and table rows, bool masks,
-# numpy's 64 KiB iterator buffers) stays under glibc's 128 KiB mmap threshold,
-# as does a (256, 61) float64 array at 124,928 bytes.  A larger allocation is
-# a fresh mmap, page-faulted in and unmapped again on free: with every
-# temporary allocated per block, 512-row blocks ran at half the speed per row
-# of 256-row ones in a fresh process.
+# per block (the block's counts and table rows, bool masks, numpy's 64 KiB
+# iterator buffers) stays under glibc's 128 KiB mmap threshold, as does a
+# (256, 61) float64 array at 124,928 bytes.  A larger allocation is a fresh
+# mmap, page-faulted in and unmapped again on free: with every temporary
+# allocated per block, 512-row blocks ran at half the speed per row of
+# 256-row ones in a fresh process.
 KERNEL_BLOCK = 256
 
 
@@ -208,26 +208,26 @@ _COUNT_SCALE = np.array([GRID_SIDE**2 / 4, GRID_SIDE**2 / 2, GRID_SIDE * (GRID_S
 _N_VALUES, _S_VALUES, _H_VALUES, _V_VALUES, _C_VALUES = (_COUNT_MAX + 1).tolist()
 
 
-def _build_tables(consts: OracleConstants, geom: GeometryMeta, freqs: np.ndarray) -> tuple:
-    """The s22 kernel's reactance terms of (consts, geom) at the (m,) freqs.
+def _build_tables(consts: OracleConstants, geom: GeometryMeta) -> tuple:
+    """The s22 kernel's reactance terms of (consts, geom) on freq_grid().
 
-    Five read-only float64 tables hold one row of m per value of the counts
-    their term depends on:
+    Five read-only float64 tables hold one row of N_FREQ per value of the
+    counts their term depends on:
     - x_series = w*l_lead - 1/(w*c_gap), row c;
     - w*l1, row s;
     - 1/(w*c1), row n * 57 + h;
     - w*l2, row n * 17 + c;
     - 1/(w*c2), row v.
-    The stub's (m,) reactance, which depends on frequency only, and the
-    (consts, geom, freqs) they hold, which the 1 Hz nudge reads, follow them.
+    The stub's (N_FREQ,) reactance, which depends on frequency only, follows
+    them.
 
     Each entry is computed from the features of its counts by the IEEE
     operations that the circuit of the module docstring performs on a feature
     row, so a gathered entry has the bits of one computed per row.  The
-    (rows, m) products are taken in place in the tables, so the build
+    (rows, N_FREQ) products are taken in place in the tables, so the build
     allocates little beside them.
     """
-    w = 2.0 * math.pi * freqs
+    w = 2.0 * math.pi * freq_grid()
     # row i: the features of count value i taken as every count at once, as
     # each count but q_cb's pair (n, c) fixes its feature alone; s has the
     # most values
@@ -251,17 +251,17 @@ def _build_tables(consts: OracleConstants, geom: GeometryMeta, freqs: np.ndarray
     eta_s = FREE_SPACE_ETA / math.sqrt(geom.eps_r)
     beta_h = w * math.sqrt(geom.eps_r) * geom.substrate_h / C0
     tables = (x_series, w * l1, inverse_wc(c1.reshape(-1, 1)), w * l2, inverse_wc(c2),
-              eta_s * np.tan(beta_h), (consts, geom, freqs))
-    for table in tables[:-1]:
+              eta_s * np.tan(beta_h))
+    for table in tables:
         table.flags.writeable = False
     return tables
 
 
 @functools.lru_cache(maxsize=4)
 def _held_tables(consts: OracleConstants, geom: GeometryMeta) -> tuple:
-    """_build_tables on freq_grid(), built on first use and held for the next
-    calls with equal constants and geometry."""
-    return _build_tables(consts, geom, freq_grid())
+    """_build_tables, built on first use and held for the next calls with
+    equal constants and geometry."""
+    return _build_tables(consts, geom)
 
 
 def _table_rows(feats: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
@@ -290,9 +290,9 @@ def _kernel_scratch(rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((4, rows, m)), np.empty((2, rows, m), dtype=complex)
 
 
-def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray | None = None,
-                scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """_table_rows of n rows x _build_tables at m frequencies -> (n, m) s22 in out.
+def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray,
+                scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """_table_rows of n rows x _build_tables -> (n, N_FREQ) s22 in out.
 
     Every element but the 1/eta shunt is lossless, so the series arm, both
     branches and the stub are each one real reactance X and their shunt sum
@@ -304,18 +304,19 @@ def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray | N
     (0, X) impedances, and the spectra have that cascade's bits (the oracle
     tests keep it as the reference).  X_series is gathered whole from the
     tables and each branch X = w*L - 1/(w*C) as one subtraction of two
-    gathered rows.  The (n, m) arrays are gathered and computed in place in
-    out and in the slabs of scratch (_kernel_scratch of >= n rows), which the
-    caller reuses from block to block and which are allocated here when not
-    given.
+    gathered rows.  The (n, N_FREQ) arrays are gathered and computed in place
+    in out and in the slabs of scratch (_kernel_scratch of >= n rows), which
+    the caller reuses from block to block.
+
+    An exact branch resonance on a grid row subtracts to X = +0, so -1/X =
+    -inf, y = (1/eta, -inf) and numpy's 1/y = (-0, +0): the branch shorts the
+    shunt and s22 is the series arm's reflection (j*X_series - eta) /
+    (j*X_series + eta), the circuit's limit there, with no special case.  The
+    caller ignores the division by zero that gives -inf.
     """
     by_c, by_s, by_nh, by_nc, by_v = rows
-    series, wl1, inv_wc1, wl2, inv_wc2, x_stub, source = tables
+    series, wl1, inv_wc1, wl2, inv_wc2, x_stub = tables
     n = len(by_c)
-    if out is None:
-        out = np.empty((n, len(x_stub)), dtype=complex)
-    if scratch is None:
-        scratch = _kernel_scratch(*out.shape)
     x_series, x1, x2, tmp = scratch[0][:, :n]
     y, den = scratch[1][:, :n]
     # every row index is in range (_table_rows), so "clip" moves none; it
@@ -325,27 +326,7 @@ def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray | N
                 np.take(inv_wc1, by_nh, axis=0, out=tmp, mode="clip"), out=x1)
     np.subtract(np.take(wl2, by_nc, axis=0, out=x2, mode="clip"),
                 np.take(inv_wc2, by_v, axis=0, out=tmp, mode="clip"), out=x2)
-    eta = FREE_SPACE_ETA
-
-    # |X| into tmp keeps the check's temporaries to (n, m) bool masks
-    singular = np.abs(x1, out=tmp) < _POLE_EPS
-    singular |= np.abs(x2, out=tmp) < _POLE_EPS
-    singular |= np.abs(x_stub) < _POLE_EPS
-    if np.any(singular):
-        # exact branch resonance on a sample: deterministic 1 Hz nudge.  The
-        # rows and frequencies holding one are evaluated at f + 1 Hz through
-        # tables built for those frequencies alone; the held ones stay.
-        consts, geom, freqs = source
-        r = np.flatnonzero(singular.any(axis=1))
-        k = np.flatnonzero(singular.any(axis=0))
-        nudged = _s22_kernel(tuple(by[r] for by in rows),
-                             _build_tables(consts, geom, freqs[k] + 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _finish(x_series, x1, x2, x_stub, eta, y, den, out)
-        hit = np.ix_(r, k)
-        out[hit] = np.where(singular[hit], nudged, out[hit])
-        return out
-    return _finish(x_series, x1, x2, x_stub, eta, y, den, out)
+    return _finish(x_series, x1, x2, x_stub, FREE_SPACE_ETA, y, den, out)
 
 
 def _finish(x_series, x1, x2, x_stub, eta, y, den, out):
@@ -414,10 +395,11 @@ def _response(feats, consts, geom, out) -> np.ndarray:
         raise ValueError(f"out must be a ({len(feats)}, {N_FREQ}) complex128 array, "
                          f"got {out.shape} {out.dtype}")
     scratch = _kernel_scratch(min(KERNEL_BLOCK, len(feats)), N_FREQ)
-    # a reactance may overflow to infinity and still give a finite s22; a
-    # response it makes non-finite passes through inf/inf or inf - inf
+    # a reactance may overflow to infinity, or a branch resonance make a
+    # susceptance -inf (_s22_kernel), and still give a finite s22; a response
+    # made non-finite passes through inf/inf or inf - inf
     try:
-        with np.errstate(over="ignore", invalid="raise"):
+        with np.errstate(divide="ignore", over="ignore", invalid="raise"):
             tables = _held_tables(consts, geom)
             for i in range(0, len(feats), KERNEL_BLOCK):
                 _s22_kernel(_table_rows(feats[i:i + KERNEL_BLOCK], i), tables,

@@ -23,6 +23,11 @@ from metapix.netcalc import C0
 F0 = 5.8e9
 
 
+def _codes_at_f0(steer: SteerTarget) -> np.ndarray:
+    """The default array's 1-bit coding matrix for `steer` at F0."""
+    return quantize_1bit(ideal_phase(ArrayConfig(), steer, F0))
+
+
 def _direct_far_field(cfg: ArrayConfig, gammas: np.ndarray, f: float,
                       thetas_deg: np.ndarray, phi_deg: float) -> np.ndarray:
     """Independent reference: one exponential per element and direction."""
@@ -276,7 +281,8 @@ def test_spectral_sweep_band_around_center():
     n = len(freqs)
     g0 = np.full(n, 0.98 + 0j)
     g1 = -0.97 * np.exp(1j * 0.1 * (freqs - F0) / 1e9) * np.ones(n)
-    res = spectral_power_sweep(cfg, freqs, g0, g1, SteerTarget(30.0, 0.0))
+    steer = SteerTarget(30.0, 0.0)
+    res = spectral_power_sweep(cfg, freqs, g0, g1, _codes_at_f0(steer), steer, F0)
     assert res.power_db.max() == 0.0
     assert res.band is not None
     lo, hi = res.band
@@ -292,7 +298,8 @@ def test_spectral_sweep_degenerate_center_reports_no_band():
     g0 = np.ones(len(freqs), dtype=complex)
     g1 = -np.ones(len(freqs), dtype=complex)
     g1[2] = g0[2]  # kill the contrast exactly at 5.8 GHz
-    res = spectral_power_sweep(cfg, freqs, g0, g1, SteerTarget(30.0, 0.0))
+    steer = SteerTarget(30.0, 0.0)
+    res = spectral_power_sweep(cfg, freqs, g0, g1, _codes_at_f0(steer), steer, F0)
     assert freqs[2] == F0
     assert res.band is None
     assert res.bandwidth_pct == 0.0
@@ -303,7 +310,8 @@ def test_spectral_sweep_zero_power_sits_at_floor():
     cfg = ArrayConfig()
     freqs = np.arange(5.6e9, 6.001e9, 0.1e9)
     zeros = np.zeros(len(freqs), dtype=complex)
-    res = spectral_power_sweep(cfg, freqs, zeros, zeros, SteerTarget(30.0, 0.0))
+    steer = SteerTarget(30.0, 0.0)
+    res = spectral_power_sweep(cfg, freqs, zeros, zeros, _codes_at_f0(steer), steer, F0)
     np.testing.assert_array_equal(res.power_db, np.full(len(freqs), -300.0))
     assert res.band is None
     assert res.bandwidth_pct == 0.0
@@ -312,9 +320,9 @@ def test_spectral_sweep_zero_power_sits_at_floor():
 def test_spectral_sweep_length_mismatch():
     cfg = ArrayConfig()
     with pytest.raises(ValueError):
-        spectral_power_sweep(
-            cfg, np.array([5.8e9]), np.ones(2), np.ones(1), SteerTarget(0.0, 0.0)
-        )
+        steer = SteerTarget(0.0, 0.0)
+        spectral_power_sweep(cfg, np.array([5.8e9]), np.ones(2), np.ones(1),
+                             _codes_at_f0(steer), steer, F0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
@@ -323,10 +331,12 @@ def test_spectral_sweep_refuses_non_finite_spectra(bad):
     g0 = np.ones(len(freqs), dtype=complex)
     g1 = -np.ones(len(freqs), dtype=complex)
     g1[1] = bad
+    steer = SteerTarget(30.0, 0.0)
+    codes = _codes_at_f0(steer)
     with pytest.raises(ValueError, match="finite"):
-        spectral_power_sweep(ArrayConfig(), freqs, g0, g1, SteerTarget(30.0, 0.0))
+        spectral_power_sweep(ArrayConfig(), freqs, g0, g1, codes, steer, F0)
     with pytest.raises(ValueError, match="finite"):
-        spectral_power_sweep(ArrayConfig(), freqs, g1, g0, SteerTarget(30.0, 0.0))
+        spectral_power_sweep(ArrayConfig(), freqs, g1, g0, codes, steer, F0)
 
 
 def test_sweep_and_far_field_refuse_gain_alike():
@@ -335,13 +345,16 @@ def test_sweep_and_far_field_refuse_gain_alike():
     freqs = np.arange(5.6e9, 6.001e9, 0.1e9)
     g0 = np.ones(len(freqs), dtype=complex)
     steer = SteerTarget(30.0, 0.0)
+    codes = _codes_at_f0(steer)
     for g1 in (-3.0, complex(0.0, 1.0 + 1e-6)):
         with pytest.raises(ValueError, match="magnitude at most 1"):
-            spectral_power_sweep(ArrayConfig(), freqs, g0, np.full(len(freqs), g1), steer)
+            spectral_power_sweep(ArrayConfig(), freqs, g0, np.full(len(freqs), g1), codes, steer,
+                                 F0)
         with pytest.raises(ValueError, match="magnitude at most 1"):
             far_field(ArrayConfig(), np.zeros((16, 16)), 1.0, g1, F0, np.array([0.0]))
     edge = -(1.0 + 1e-10)
-    res = spectral_power_sweep(ArrayConfig(), freqs, g0, np.full(len(freqs), edge), steer)
+    res = spectral_power_sweep(ArrayConfig(), freqs, g0, np.full(len(freqs), edge), codes, steer,
+                               F0)
     assert res.band is not None
     assert far_field(ArrayConfig(), np.zeros((16, 16)), 1.0, edge, F0, np.array([0.0]))[0] == 0.0
 

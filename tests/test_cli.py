@@ -287,6 +287,59 @@ def test_a_non_finite_oracle_response_is_one_error_line_and_writes_nothing(tmp_p
     assert sorted(tmp_path.iterdir()) == before
 
 
+_THIN_SUBSTRATE = {"geometry": {"substrate_h": 1e-20}}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("gen", _THIN_SUBSTRATE),
+    ("gen", {"geometry": {"eps_r": 1e300}}),
+    ("gen", {"constants": {"l_a": 1e-300, "l_b": 1e-300, "c_a": 1e300}}),
+    ("design", _THIN_SUBSTRATE),
+    ("validate", _THIN_SUBSTRATE),
+    ("array", _THIN_SUBSTRATE),
+], ids=["gen-substrate_h-1e-20", "gen-eps_r-1e300", "gen-l_a-l_b-1e-300-c_a-1e300",
+        "design-substrate_h-1e-20", "validate-substrate_h-1e-20", "array-substrate_h-1e-20"])
+def test_a_reactance_near_zero_on_every_grid_row_gives_finite_spectra(tmp_path, capsys,
+                                                                      command, config):
+    """A config that keeps the stub's or a branch's reactance under 1e-15 ohm
+    at every grid frequency still runs every command that evaluates the
+    oracle to finite spectra, without a floating-point warning."""
+    target = tmp_path / "t.json"
+    run(capsys, "target", "--freq", "5.8e9", "--out", str(target))
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps(_design_doc()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    argv = {"gen": ["gen", "--n", "10"],
+            "design": ["design", "--evaluator", "oracle", "--target", str(target),
+                       "--population", "8", "--generations", "1"],
+            "validate": ["validate", "--design", str(design), "--target", str(target)],
+            "array": ["array", "--design", str(design), "--sweep"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, "--config", str(cfg), "--outdir", str(out))
+    assert code == 0 and err == ""
+    if command == "gen":
+        body = (out / "dataset.bin").read_bytes().split(b"\n", 1)[1]
+        records = np.frombuffer(body, dtype=dataset.RECORD_DTYPE)
+        assert len(records) == 10 and np.isfinite(records["resp"]).all()
+        assert (out / "dataset.bin.manifest.json").exists()
+    elif command == "design":
+        doc = json.loads((out / "design.json").read_text())
+        assert np.isfinite(doc["predicted_re"] + doc["predicted_im"]).all()
+    elif command == "validate":
+        rows = (out / "validation.csv").read_text().splitlines()[1:]
+        assert len(rows) == 61
+        assert np.isfinite([float(v) for r in rows for v in r.split(",")[5:13]]).all()
+        assert (out / "genome.pbm").exists()
+    else:
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 61 and np.isfinite([float(r.split(",")[1]) for r in rows]).all()
+        assert {"pattern_phi0.csv", "pattern_phi90.csv", "codes.pbm"} <= {
+            p.name for p in out.iterdir()}
+
+
 def test_stats_reads_dataset(tmp_path, capsys):
     run(capsys, "gen", "--n", "44", "--seed", "3", "--outdir", str(tmp_path))
     code, out, _ = run(capsys, "stats", "--data", str(tmp_path / "dataset.bin"))
@@ -593,7 +646,7 @@ def test_array_sweep_freezes_the_codes_it_writes(tmp_path, capsys, freq, config)
     assert (out / "codes.pbm").read_text() == render_pbm(codes)
     report = inverse.validate_design(unpack_genome(genome))
     want = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
-                                         report.gamma1_state1, steer, f0=f)
+                                         report.gamma1_state1, codes, steer, f)
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     np.testing.assert_allclose([float(r.split(",")[1]) for r in rows], want.power_db, atol=5e-7)
     if want.band is None:

@@ -36,8 +36,9 @@ def _hand_s22(feat, f, consts=None, geom=None):
 
 def _complex_kernel(feats, freqs, consts=None, geom=None):
     """The cascade of the module docstring in complex128 numpy on (n, 6)
-    feature rows x (m,) or (n, m) frequencies, with the kernel's 1 Hz nudge at
-    a branch resonance; kept as the independent reference for the kernel's
+    feature rows x (m,) frequencies, with the circuit's limit
+    (z_series - eta)/(z_series + eta) where a branch or the stub is exactly 0
+    and shorts the shunt; kept as the independent reference for the kernel's
     real-reactance arithmetic, which must give the same bits."""
     consts = consts or oc.OracleConstants()
     geom = geom or GeometryMeta()
@@ -51,16 +52,11 @@ def _complex_kernel(feats, freqs, consts=None, geom=None):
     zb2 = jw * (consts.l2_0 * (1.0 + q_cb)) + 1.0 / (jw * (consts.c2_0 * (1.0 + e_v)))
     eta_s = ETA / math.sqrt(geom.eps_r)
     z_stub = 1j * eta_s * np.tan(w * math.sqrt(geom.eps_r) * geom.substrate_h / C0)
-    singular = ((np.abs(zb1) < oc._POLE_EPS) | (np.abs(zb2) < oc._POLE_EPS)
-                | (np.abs(z_stub) < oc._POLE_EPS))
+    shorted = (zb1 == 0) | (zb2 == 0) | (z_stub == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         z_in = z_series + 1.0 / (1.0 / zb1 + 1.0 / zb2 + 1.0 / z_stub + 1.0 / ETA)
         s22 = (z_in - ETA) / (z_in + ETA)
-    if not singular.any():
-        return s22
-    f = np.broadcast_to(freqs, singular.shape)
-    nudged = _complex_kernel(feats, np.where(singular, f + 1.0, f), consts, geom)
-    return np.where(singular, nudged, s22)
+    return np.where(shorted, (z_series - ETA) / (z_series + ETA), s22)
 
 
 # constants that put a branch resonance of the all-zero feature row exactly
@@ -72,12 +68,14 @@ _RESONANT = tuple(oc.OracleConstants(**kw) for kw in (_X1_ZERO, _X2_ZERO, _X1_ZE
 
 
 def _zero_row_reactances(consts):
-    """X1 and X2 = w*L - 1/(w*C) of the all-zero feature row at grid row 30."""
+    """X_series, X1 and X2 = w*L - 1/(w*C) of the all-zero feature row at grid
+    row 30."""
     w = 2.0 * math.pi * oc.freq_grid()[30]
+    x_series = w * consts.l_lead - 1.0 / (w * (consts.c_gap0 + consts.c_gap1 * (1.0 - 0.0)))
     x1 = w * (consts.l_a + consts.l_b * (1.0 - 0.0)) - 1.0 / (
         w * (consts.c_a + consts.c_b * 0.0 + consts.c_c * 0.0))
     x2 = w * (consts.l2_0 * (1.0 + 0.0)) - 1.0 / (w * (consts.c2_0 * (1.0 + 0.0)))
-    return float(x1), float(x2)
+    return float(x_series), float(x1), float(x2)
 
 
 def _grid_features(grids):
@@ -283,10 +281,9 @@ def test_blocks_equal_one_row_calls():
 def test_kernel_block_temporaries_stay_under_the_mmap_threshold():
     """glibc serves an allocation of 128 KiB or more from a fresh mmap that
     is page-faulted in and unmapped again on free.  A (KERNEL_BLOCK, 61)
-    float64 array, such as a scratch slab of the kernel call the nudge path
-    makes, stays under that size and is reused from the heap; an mmap per
-    temporary made a fresh process evaluate the kernel about half as fast per
-    row."""
+    float64 array, such as a scratch slab of the kernel, stays under that
+    size and is reused from the heap; an mmap per temporary made a fresh
+    process evaluate the kernel about half as fast per row."""
     assert oc.KERNEL_BLOCK * oc.N_FREQ * np.dtype(np.float64).itemsize < 128 * 1024
 
 
@@ -307,7 +304,7 @@ def test_kernel_allocates_nothing_mmap_sized_beside_its_scratch():
     feats = oc.code_features(oc.word_codes(CounterRng(8).u64(10_000)))
     out = np.empty((len(feats), oc.N_FREQ), dtype=complex)
     scratch = sum(a.nbytes for a in oc._kernel_scratch(oc.KERNEL_BLOCK, oc.N_FREQ))
-    tables = _table_bytes(oc._build_tables(oc.OracleConstants(), GeometryMeta(), oc.freq_grid()))
+    tables = _table_bytes(oc._build_tables(oc.OracleConstants(), GeometryMeta()))
     assert len(feats) > 30 * oc.KERNEL_BLOCK
     oc._held_tables.cache_clear()
     bufsize = np.setbufsize(16)
@@ -331,8 +328,8 @@ def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
     """The held tables of the 61-point grid take 2,446,832 bytes: five tables
     of 17 + 129 + 65*57 + 65*17 + 57 rows and the stub's row, of 61 float64
     each.  Equal but distinct constants and geometry share one build; other
-    constants get their own, and the 1 Hz nudge builds tables of its own, at
-    the nudged frequency alone, without holding them."""
+    constants get their own, and constants that put a branch resonance on a
+    grid row build theirs once too."""
     oc._held_tables.cache_clear()
     row = np.zeros((1, 6))
     oc.features_response_batch(row)
@@ -345,9 +342,9 @@ def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
     assert oc._held_tables.cache_info().misses == 2
     built = []
     build = oc._build_tables
-    monkeypatch.setattr(oc, "_build_tables", lambda *a: built.append(a[2]) or build(*a))
-    assert np.isfinite(oc.features_response_batch(row, _RESONANT[0])).all()  # nudged
-    assert [f.tolist() for f in built] == [oc.freq_grid().tolist(), [5.8e9 + 1.0]]
+    monkeypatch.setattr(oc, "_build_tables", lambda *a: built.append(a) or build(*a))
+    assert np.isfinite(oc.features_response_batch(row, _RESONANT[0])).all()
+    assert built == [(_RESONANT[0], GeometryMeta())]
     info = oc._held_tables.cache_info()
     assert info.misses == info.currsize == 3
     assert oc._held_tables(oc.OracleConstants(), GeometryMeta()) is tables
@@ -368,8 +365,8 @@ def test_real_kernel_equals_the_complex_cascade():
     """The kernel's real reactances give the bits of the complex cascade on
     random and edge words, under the default constants and under constants
     that put an exact resonance of either branch or both on a grid row (the
-    nudge path; the empty edge word resonates), with out= a strided view of
-    records included."""
+    short-circuit limit; the empty edge word resonates), with out= a strided
+    view of records included."""
     words = np.concatenate([CounterRng(9).u64(200_000), _EDGE_WORDS])
     feats = oc.code_features(oc.word_codes(words))
     edge = feats[-len(_EDGE_WORDS):]
@@ -460,22 +457,28 @@ def test_rejects_non_finite_inputs(feats):
         oc.features_response_batch(np.array([[0.0] * 6, feats]))
 
 
-def test_pole_nudge_is_deterministic():
-    """A grid row parked exactly on a branch resonance re-evaluates 1 Hz up
-    instead of dividing by zero, and does so reproducibly.  The nudged entry
-    is the cascade's at 5.8 GHz + 1 Hz, where the branch all but shorts the
-    shunt and |s22| rounds to 1 within an ulp; the other rows stay passive."""
+def test_branch_resonance_gives_the_series_arm_reflection():
+    """A grid row parked exactly on a branch resonance takes the circuit's
+    limit there: the branch shorts the 1/eta shunt, so s22 is the lossless
+    series arm's reflection (j*X_series - eta)/(j*X_series + eta), bit for bit
+    numpy's complex division, and |s22| is 1 within an ulp.  The other rows
+    stay strictly passive, and repeated calls give the same bits.  The limit
+    rests on numpy's division of 1 by (1/eta, -inf) giving (-0, +0)."""
     zeros = np.zeros((16, 16), bool)
     assert oc.features_batch(zeros).tolist() == [[0.0] * 6]
-    assert 0.0 not in _zero_row_reactances(oc.OracleConstants())
+    assert 0.0 not in _zero_row_reactances(oc.OracleConstants())[1:]
+    # the array loops the kernel runs, not numpy's scalar arithmetic
+    inverse = np.divide(1.0, np.array([complex(1.0 / ETA, -math.inf)]))
+    assert inverse.tobytes() == np.array([complex(-0.0, 0.0)]).tobytes()
     for consts, zero in zip(_RESONANT, ([True, False], [False, True], [True, True])):
-        assert [x == 0.0 for x in _zero_row_reactances(consts)] == zero
+        x_series, *branches = _zero_row_reactances(consts)
+        assert [x == 0.0 for x in branches] == zero
         a = oc.response_batch(zeros, consts)
         b = oc.response_batch(zeros, consts)
-        assert np.isfinite(a).all()
-        np.testing.assert_array_equal(a.view(np.float64), b.view(np.float64))
-        want = _complex_kernel(np.zeros((1, 6)), oc.freq_grid(), consts)
-        np.testing.assert_array_equal(a.view(np.uint64), want.view(np.uint64))
+        assert a.tobytes() == b.tobytes()
+        want = np.divide(np.array([complex(-ETA, x_series)]), np.array([complex(ETA, x_series)]))
+        assert a[0, 30:31].tobytes() == want.tobytes()
+        assert abs(a[0, 30]) <= 1.0 + 2.0**-52
         assert (np.abs(np.delete(a[0], 30)) < 1.0).all()
 
 
