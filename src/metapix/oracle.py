@@ -38,7 +38,6 @@ import numpy as np
 
 from .netcalc import C0, FREE_SPACE_ETA
 from .pattern import GENOME_BITS, GENOME_SIDE, GRID_SIDE, GeometryMeta, is_mirror_symmetric
-from .rng import bits_to_u64
 
 FREQ_START = 2.8e9  # Hz
 FREQ_STEP = 0.1e9  # Hz
@@ -145,16 +144,21 @@ def features_batch(grids) -> np.ndarray:
     rho_center the fill of the central 8x8 block, q_cb |rho_center - rho_border|.
     They are computed from the quadrant counts that word_codes packs (the
     grid's are 4x those, 2x for s); an unmirrored grid raises ValueError.
+
+    is_mirror_symmetric checks the grids; the quadrant's genome words are then
+    bytes 0, 2, ..., 14 of the 32 that np.packbits makes of each grid, its
+    rows 0-7 left of the vertical seam, read big-endian.
     """
-    g = np.asarray(grids).astype(bool, copy=False)
+    g = np.ascontiguousarray(grids, dtype=bool)
     if g.ndim == 2:
         g = g[None, :, :]
     if g.shape[1:] != (GRID_SIDE, GRID_SIDE):
         raise ValueError(f"expected (n, {GRID_SIDE}, {GRID_SIDE}) grids, got {g.shape}")
     if not is_mirror_symmetric(g):
         raise ValueError("grids must have the four-fold mirror symmetry of expand_genome")
-    quadrant = g[:, :GENOME_SIDE, :GENOME_SIDE].reshape(-1, GENOME_BITS)
-    return _count_features(*_quadrant_counts(bits_to_u64(quadrant)))
+    rows = np.packbits(g.reshape(-1)).reshape(len(g), GRID_SIDE, GRID_SIDE // 8)
+    words = np.ascontiguousarray(rows[:, :GENOME_SIDE, 0]).view(">u8")[:, 0]
+    return _count_features(*_quadrant_counts(words.astype(np.uint64)))
 
 
 def _count_features(n, s, h, v, c) -> np.ndarray:
@@ -208,6 +212,27 @@ _COUNT_SCALE = np.array([GRID_SIDE**2 / 4, GRID_SIDE**2 / 2, GRID_SIDE * (GRID_S
 _N_VALUES, _S_VALUES, _H_VALUES, _V_VALUES, _C_VALUES = (_COUNT_MAX + 1).tolist()
 
 
+@functools.cache
+def _feature_tables() -> tuple[np.ndarray, ...]:
+    """The feature that each count value gives, as _count_features computes
+    it: rho by n, v_conn by s, e_h by h, e_v by v, rho_center by c and q_cb by
+    n * 17 + c, six read-only float64 arrays of 1,430 entries in all.  Built
+    on first use and held."""
+    # row i: the features of count value i taken as every count at once, as
+    # each count but q_cb's pair (n, c) fixes its feature alone; s has the
+    # most values
+    i = np.arange(_S_VALUES)
+    rho, v_conn, e_h, e_v, rho_center, _ = _count_features(i, i, i, i, i).T
+    n, c = np.divmod(np.arange(_N_VALUES * _C_VALUES), _C_VALUES)
+    q_cb = _count_features(n, 0 * n, 0 * n, 0 * n, c)[:, 5]
+    tables = tuple(np.ascontiguousarray(f[:size]) for f, size in zip(
+        (rho, v_conn, e_h, e_v, rho_center, q_cb),
+        (_N_VALUES, _S_VALUES, _H_VALUES, _V_VALUES, _C_VALUES, _N_VALUES * _C_VALUES)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _build_tables(consts: OracleConstants, geom: GeometryMeta) -> tuple:
     """The s22 kernel's reactance terms of (consts, geom) on freq_grid().
 
@@ -221,26 +246,19 @@ def _build_tables(consts: OracleConstants, geom: GeometryMeta) -> tuple:
     The stub's (N_FREQ,) reactance, which depends on frequency only, follows
     them.
 
-    Each entry is computed from the features of its counts by the IEEE
-    operations that the circuit of the module docstring performs on a feature
-    row, so a gathered entry has the bits of one computed per row.  The
-    (rows, N_FREQ) products are taken in place in the tables, so the build
-    allocates little beside them.
+    Each entry is computed from the features of its counts (_feature_tables)
+    by the IEEE operations that the circuit of the module docstring performs
+    on a feature row, so a gathered entry has the bits of one computed per
+    row.  The (rows, N_FREQ) products are taken in place in the tables, so
+    the build allocates little beside them.
     """
     w = 2.0 * math.pi * freq_grid()
-    # row i: the features of count value i taken as every count at once, as
-    # each count but q_cb's pair (n, c) fixes its feature alone; s has the
-    # most values
-    i = np.arange(_S_VALUES)
-    rho, v_conn, e_h, e_v, rho_center, _ = (f[:, None] for f in _count_features(i, i, i, i, i).T)
-    n, c = np.divmod(np.arange(_N_VALUES * _C_VALUES), _C_VALUES)
-    q_cb = _count_features(n, 0 * n, 0 * n, 0 * n, c)[:, 5:]
-
-    c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center[:_C_VALUES])
+    rho, v_conn, e_h, e_v, rho_center, q_cb = (f[:, None] for f in _feature_tables())
+    c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center)
     l1 = consts.l_a + consts.l_b * (1.0 - v_conn)
-    c1 = consts.c_a + consts.c_b * rho[:_N_VALUES] + consts.c_c * e_h[:_H_VALUES].T
+    c1 = consts.c_a + consts.c_b * rho + consts.c_c * e_h.T
     l2 = consts.l2_0 * (1.0 + q_cb)
-    c2 = consts.c2_0 * (1.0 + e_v[:_V_VALUES])
+    c2 = consts.c2_0 * (1.0 + e_v)
 
     def inverse_wc(c):
         x = np.multiply(w, c)
@@ -268,20 +286,25 @@ def _table_rows(feats: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
     """(k, 6) feature rows -> the five (k,) row indices of their _build_tables entries.
 
     The counts are read off the floats (n = rho*64, s = v_conn*128, c =
-    rho_center*16, h and v by rounding e_h*60 and e_v*60) and proved by
-    _count_features giving the rows' very bytes back.  A count outside its
-    table is first bounded into it, so that every index is in range; the
-    features of the bounded count then differ from the row's.  A row that no
-    counts reproduce raises ValueError naming it by its index plus `first`.
+    rho_center*16, h and v by rounding e_h*60 and e_v*60) and proved by the
+    bits of each of a row's six floats equalling those of the feature its
+    counts give, gathered from _feature_tables.  A count outside its table is
+    first bounded into it, so that every index is in range; the features of
+    the bounded count then differ from the row's.  A row that no counts
+    reproduce raises ValueError naming it by its index plus `first`.
     """
     k = np.rint(feats[:, :5] * _COUNT_SCALE)
     n, s, h, v, c = np.clip(k, 0, _COUNT_MAX, out=k).T.astype(np.int64)
-    bad = (_count_features(n, s, h, v, c).view(np.uint64) != feats.view(np.uint64)).any(axis=1)
+    nc = n * _C_VALUES + c
+    bits = feats.view(np.uint64)
+    bad = np.zeros(len(feats), dtype=bool)
+    for j, (table, index) in enumerate(zip(_feature_tables(), (n, s, h, v, c, nc))):
+        bad |= table.view(np.uint64)[index] != bits[:, j]
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"feature row {first + row} is not the features of any genome's "
                          f"quadrant counts: {feats[row].tolist()}")
-    return c, s, n * _H_VALUES + h, n * _C_VALUES + c, v
+    return c, s, n * _H_VALUES + h, nc, v
 
 
 def _kernel_scratch(rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -54,6 +54,12 @@ def expand_genome(bits) -> np.ndarray:
     One genome, (64,) or (8, 8), gives a (16, 16) grid; a batch, (n, 64) or
     (n, 8, 8), gives (n, 16, 16).  Bit (r, c) lands on (r, c), (r, 15-c),
     (15-r, c) and (15-r, 15-c).
+
+    The grid is built from words: a row's 8 bool cells are one uint64, and
+    that word's byteswap is the row mirrored left-right.  Each genome row
+    gives the left and right words of its grid row, and the bottom 8 rows
+    take them in reverse order.  The result is a bool view of the (n, 16, 2)
+    words.
     """
     arr = np.asarray(bits)
     if arr.ndim in (1, 2) and arr.shape[-1] == GENOME_BITS:
@@ -61,9 +67,16 @@ def expand_genome(bits) -> np.ndarray:
     if arr.ndim not in (2, 3) or arr.shape[-2:] != (GENOME_SIDE, GENOME_SIDE):
         raise ValueError(
             f"expected genome shape (64,), (8, 8), (n, 64) or (n, 8, 8), got {arr.shape}")
-    g = arr.astype(bool)
-    top = np.concatenate([g, g[..., ::-1]], axis=-1)
-    return np.concatenate([top, top[..., ::-1, :]], axis=-2)
+    left = np.ascontiguousarray(arr, dtype=bool).view(np.uint64)[..., 0]
+    right = left.byteswap()
+    words = np.empty(left.shape[:-1] + (GRID_SIDE, 2), dtype=np.uint64)
+    # written from left and right, not from the top rows: numpy would copy a
+    # source that shares memory with the destination into a temporary first
+    words[..., :GENOME_SIDE, 0] = left
+    words[..., :GENOME_SIDE, 1] = right
+    words[..., GENOME_SIDE:, 0] = left[..., ::-1]
+    words[..., GENOME_SIDE:, 1] = right[..., ::-1]
+    return words.view(bool)
 
 
 def pack_genome(word: int) -> str:
@@ -94,6 +107,21 @@ def render_pbm(grid) -> str:
 
 
 def is_mirror_symmetric(grid) -> bool:
-    """True when a 16x16 grid, or each of a batch, has expand_genome's four-fold symmetry."""
-    arr = np.asarray(grid).astype(bool, copy=False)
-    return bool(np.array_equal(arr, arr[..., ::-1]) and np.array_equal(arr, arr[..., ::-1, :]))
+    """True when a 16x16 grid, or each of a batch, has expand_genome's four-fold symmetry.
+
+    The check runs on rows as expand_genome builds them, two uint64 words of
+    8 bool cells each: the left words of rows 0-7 equal those of rows 15-8,
+    and on every row the right word is the byteswap of the left.  Any other
+    shape raises ValueError.
+    """
+    arr = np.ascontiguousarray(grid, dtype=bool)
+    if arr.shape[-2:] != (GRID_SIDE, GRID_SIDE):
+        raise ValueError(f"expected (..., {GRID_SIDE}, {GRID_SIDE}) grids, got {arr.shape}")
+    words = arr.view(np.uint64)
+    top, bottom = words[..., :GENOME_SIDE, :], words[..., GENOME_SIDE:, :]
+    # byteswapped 8 rows at a time, so that for a batch of 1024 grids (a
+    # dataset block) the temporary takes 64 KiB, under glibc's 128 KiB mmap
+    # threshold
+    return bool(np.array_equal(top[..., 0], bottom[..., ::-1, 0])
+                and all(np.array_equal(half[..., 1], half[..., 0].byteswap())
+                        for half in (top, bottom)))

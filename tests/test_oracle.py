@@ -350,15 +350,72 @@ def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
     assert oc._held_tables(oc.OracleConstants(), GeometryMeta()) is tables
 
 
-@pytest.mark.parametrize("column, value", [(0, 0.3), (1, 1.5)])
+# a one-ulp step up or down from the row's value, for the columns whose values
+# are not binary fractions: e_h and e_v are multiples of 1/60, and q_cb
+# divides by 192
+_ULP_STEPS = {"ulp-up": np.inf, "ulp-down": -np.inf}
+
+
+@pytest.mark.parametrize("column, value", [(0, 0.3), (1, 1.5)]
+                         + [(column, step) for column in (2, 3, 5) for step in _ULP_STEPS])
 def test_refuses_feature_rows_off_the_count_lattice(column, value):
     """A row that is not the features of any quadrant counts ends in one
     ValueError naming it, whether it lies between them (rho = 0.3 is not a
-    multiple of 1/64) or beyond them (v_conn = 1.5 needs s = 192 > 128)."""
+    multiple of 1/64, nor a value one ulp from a count's feature) or beyond
+    them (v_conn = 1.5 needs s = 192 > 128)."""
     rows = oc.code_features(oc.word_codes(CounterRng(2).u64(300)))
+    if value in _ULP_STEPS:
+        assert rows[280, column] != 0
+        value = np.nextafter(rows[280, column], _ULP_STEPS[value])
     rows[280, column] = value
     with pytest.raises(ValueError, match=r"^feature row 280 is not the features of any genome"):
         oc.features_response_batch(rows)
+
+
+def _arithmetic_table_rows(feats):
+    """_table_rows's indices and refused rows, proved by recomputing
+    _count_features of the counts read off the floats: the reference for the
+    proof by bits gathered from _feature_tables."""
+    k = np.rint(feats[:, :5] * oc._COUNT_SCALE)
+    n, s, h, v, c = np.clip(k, 0, oc._COUNT_MAX, out=k).T.astype(np.int64)
+    bad = (oc._count_features(n, s, h, v, c).view(np.uint64) != feats.view(np.uint64)).any(axis=1)
+    return (c, s, n * oc._H_VALUES + h, n * oc._C_VALUES + c, v), bad
+
+
+def test_gathered_proof_equals_the_arithmetic_one():
+    """Each count over its whole range and one past it, the others random:
+    the gathered proof gives the arithmetic proof's row indices and refuses
+    the rows it refuses, naming the first: among them every row stepped one
+    ulp in any column, and a zero feature written as -0.0, which equals 0.0
+    as a float but not in its bits."""
+    rng = np.random.default_rng(30)
+    for j, top in enumerate(oc._COUNT_MAX.tolist()):
+        counts = [rng.integers(0, m + 1, top + 2) for m in oc._COUNT_MAX.tolist()]
+        counts[j] = np.arange(top + 2)
+        feats = oc._count_features(*counts)
+        want, bad = _arithmetic_table_rows(feats)
+        assert bad.tolist() == [False] * (top + 1) + [True]
+        for got, expect in zip(oc._table_rows(feats[:-1], 0), want):
+            np.testing.assert_array_equal(got, expect[:-1])
+        with pytest.raises(ValueError, match=f"^feature row {top + 5} is not"):
+            oc._table_rows(feats, 4)
+        negative_zero = feats[:-1].copy()
+        assert negative_zero[0, j] == 0
+        negative_zero[0, j] = -0.0
+        assert _arithmetic_table_rows(negative_zero)[1].nonzero()[0].tolist() == [0]
+        with pytest.raises(ValueError, match="^feature row 4 is not"):
+            oc._table_rows(negative_zero, 4)
+        for column in range(6):
+            for step in _ULP_STEPS.values():
+                off = feats.copy()
+                off[:, column] = np.nextafter(off[:, column], step)
+                assert _arithmetic_table_rows(off)[1].all()
+                for row in rng.choice(top + 1, 3, replace=False).tolist():
+                    one = feats[:-1].copy()
+                    one[row] = off[row]
+                    assert _arithmetic_table_rows(one)[1].nonzero()[0].tolist() == [row]
+                    with pytest.raises(ValueError, match=f"^feature row {row + 4} is not"):
+                        oc._table_rows(one, 4)
 
 
 def test_real_kernel_equals_the_complex_cascade():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from metapix import pattern as pt
-from metapix.rng import bits_to_u64, u64_to_bits
+from metapix.oracle import features_batch
+from metapix.rng import bits_to_u64, stream_u64, u64_to_bits
 
 
 def test_expand_single_bit_mirrors_four_ways():
@@ -39,6 +40,65 @@ def test_expand_is_always_mirror_symmetric():
         broken = grids.copy()
         broken[3, 0, 0] = broken[3][other] = not grids[3, 0, 0]
         assert not pt.is_mirror_symmetric(broken)
+
+
+def _concat_expand(bits):
+    """The mirror as two concatenations over reversed strides, kept as the
+    reference for expand_genome's word-wide one."""
+    arr = np.asarray(bits)
+    if arr.ndim in (1, 2) and arr.shape[-1] == 64:
+        arr = arr.reshape(arr.shape[:-1] + (8, 8))
+    g = arr.astype(bool)
+    top = np.concatenate([g, g[..., ::-1]], axis=-1)
+    return np.concatenate([top, top[..., ::-1, :]], axis=-2)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+@pytest.mark.parametrize("n", [0, 1, 7, 1024])
+def test_expand_equals_the_concatenated_mirror(n, dtype):
+    """Every genome shape, batch size (none included) and dtype, and a
+    non-contiguous batch, give the reference's shape, dtype and bytes."""
+    bits = u64_to_bits(stream_u64(n + 3, 0, n)).astype(dtype)
+    cases = [bits, bits.reshape(n, 8, 8), bits[:, ::-1], bits.reshape(n, 8, 8).transpose(0, 2, 1)]
+    if n:
+        cases += [bits[0], bits[0].reshape(8, 8), bits[-1, ::-1]]
+    for case in cases:
+        got, want = pt.expand_genome(case), _concat_expand(case)
+        assert got.shape == want.shape and got.dtype == want.dtype == bool
+        assert got.tobytes() == want.tobytes()
+        assert pt.is_mirror_symmetric(got)
+
+
+def test_expand_takes_any_nonzero_cell_as_metal():
+    bits = np.zeros((2, 64), dtype=np.int64)
+    bits[0, 5], bits[1, 63] = 7, -1
+    np.testing.assert_array_equal(pt.expand_genome(bits), _concat_expand(bits))
+    assert pt.expand_genome(bits).sum() == 8
+
+
+def test_one_flipped_cell_breaks_the_symmetry():
+    """Flipping any one of the 256 cells of a mirrored grid breaks its
+    symmetry and makes features_batch refuse it; flipping the cell's whole
+    mirror quadruple keeps it."""
+    grid = pt.expand_genome(pt.unpack_genome("15780B2E0C2EC716"))
+    for r in range(16):
+        for c in range(16):
+            broken = grid.copy()
+            broken[r, c] ^= True
+            assert not pt.is_mirror_symmetric(broken), (r, c)
+            assert not pt.is_mirror_symmetric(np.stack([grid, broken])), (r, c)
+            with pytest.raises(ValueError, match="four-fold mirror symmetry"):
+                features_batch(broken)
+            quad = (np.array([r, r, 15 - r, 15 - r]), np.array([c, 15 - c, c, 15 - c]))
+            broken[quad] = not grid[r, c]
+            assert pt.is_mirror_symmetric(broken), (r, c)
+            features_batch(broken)
+
+
+def test_symmetry_check_refuses_other_shapes():
+    for shape in ((16,), (8, 8), (16, 15), (2, 15, 16)):
+        with pytest.raises(ValueError, match="16, 16"):
+            pt.is_mirror_symmetric(np.zeros(shape, dtype=bool))
 
 
 def test_pack_is_canonical_hex():
