@@ -22,7 +22,6 @@ from .oracle import (
     FREQ_STEP,
     GeometryMeta,
     OracleConstants,
-    code_features,
     features_response_batch,
     freq_grid,
     response_batch,
@@ -164,31 +163,57 @@ def _cached_scorer(key_of, score):
 
     The scorer packs the bits to genome words once; key_of maps the words to
     the (k,) integer keys fitness depends on alone, and score(keys) scores
-    the call's new keys, sorted, as one batch.  The scorer keeps a sorted
-    array of the keys seen, in their own dtype, and their float64 fitness.
+    the call's new keys, sorted and distinct, as one batch.  The scorer keeps
+    a sorted array of the keys seen, in their own dtype, and their float64
+    fitness.  A call looks its k keys up in that array with one searchsorted,
+    in sorted order, and merges the new keys and their fitness into both
+    arrays at one shared set of positions.
     """
     keys = values = None
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
         nonlocal keys, values
-        batch, inverse = np.unique(key_of(bits_to_u64(bits)), return_inverse=True)
+        batch = key_of(bits_to_u64(bits))
         if keys is None:
             keys, values = batch[:0], np.empty(0)
+        # searchsorted is about 3x faster on sorted needles, as each search
+        # starts where the last one ended
+        order = np.argsort(batch)
+        batch = batch[order]
         pos = np.searchsorted(keys, batch)
-        # every key value can occur (the all-ones genome word included), so
-        # positions past the end are masked rather than caught by a sentinel
-        seen = pos < len(keys)
-        seen[seen] = keys[pos[seen]] == batch[seen]
-        fit = np.empty(len(batch))
-        fit[seen] = values[pos[seen]]
-        miss = ~seen
+        if len(keys):
+            # every key value can occur (the all-ones genome word included),
+            # so a position past the end is clipped onto the last key rather
+            # than caught by a sentinel
+            last = np.minimum(pos, len(keys) - 1)
+            fit, miss = values[last], keys[last] != batch
+        else:
+            fit, miss = np.empty(len(batch)), np.ones(len(batch), dtype=bool)
         if miss.any():
-            fit[miss] = score(batch[miss])
-            keys = np.insert(keys, pos[miss], batch[miss])
-            values = np.insert(values, pos[miss], fit[miss])
-        return fit[inverse]
+            new, inverse = np.unique(batch[miss], return_inverse=True)
+            fresh = score(new)
+            fit[miss] = fresh[inverse]
+            # new key j lands after the j new keys below it
+            at = np.empty(len(new), dtype=np.intp)
+            at[inverse] = pos[miss]
+            at += np.arange(len(new))
+            kept = np.ones(len(keys) + len(new), dtype=bool)
+            kept[at] = False
+            keys, values = _merged(keys, new, at, kept), _merged(values, fresh, at, kept)
+        out = np.empty(len(batch))
+        out[order] = fit
+        return out
 
     return evaluate
+
+
+def _merged(old: np.ndarray, new: np.ndarray, at: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """old with new[j] inserted at position at[j] of the result; kept marks
+    the result's other positions."""
+    out = np.empty(len(kept), dtype=old.dtype)
+    out[at] = new
+    out[kept] = old
+    return out
 
 
 def oracle_evaluator(target: TargetSpec, consts: OracleConstants = OracleConstants(),
@@ -196,13 +221,14 @@ def oracle_evaluator(target: TargetSpec, consts: OracleConstants = OracleConstan
     """Scorer mapping (k, 64) genome bits to (k,) oracle fitness against target.
 
     Fitness depends on a genome only through its feature code, so the scorer
-    runs the oracle once per code for its whole life, on the feature row the
-    code fixes (code_features), without mirroring the genome.  The kernel and
-    fitness_of are exact row by row, so every value has the bits of a
-    one-genome fitness_of(response_batch(...)) call.
+    runs the oracle once per code for its whole life, handing the new codes
+    to features_response_batch as they are: the kernel reads its table rows
+    off the packed counts, without mirroring the genome or a feature row in
+    between.  The kernel and fitness_of are exact row by row, so every value
+    has the bits of a one-genome fitness_of(response_batch(...)) call.
     """
     def score(codes):
-        return fitness_of(features_response_batch(code_features(codes), consts, geom), target)
+        return fitness_of(features_response_batch(codes, consts, geom), target)
 
     return _cached_scorer(word_codes, score)
 
@@ -251,6 +277,36 @@ class GAConfig:
             raise ValueError("elitism must be smaller than the population")
 
 
+def _elites(fit: np.ndarray, e: int) -> np.ndarray:
+    """argsort(-fit, kind="stable")[:e]: the indices of the e largest values,
+    largest first, equal values by index.  Every value at or above the e-th
+    largest is a candidate, in index order, so a stable sort of the
+    candidates keeps the full sort's order."""
+    if e == 0:
+        return np.empty(0, dtype=np.intp)
+    cut = len(fit) - e
+    candidates = np.flatnonzero(fit >= np.partition(fit, cut)[cut])
+    return candidates[np.argsort(-fit[candidates], kind="stable")[:e]]
+
+
+def _tournament_winners(fit: np.ndarray, contest: np.ndarray) -> np.ndarray:
+    """(m, t) contestant indices -> (m,) winners: per row, the first
+    contestant of the highest fitness, contest[i, argmax(fit[contest[i]])]."""
+    contest_fit = fit[contest]
+    winners, best = contest[:, 0], contest_fit[:, 0]
+    for j in range(1, contest.shape[1]):
+        winners = np.where(contest_fit[:, j] > best, contest[:, j], winners)
+        best = np.maximum(best, contest_fit[:, j])
+    return winners
+
+
+def _median(fit: np.ndarray) -> float:
+    """np.median(fit): (a + b) / 2 of the middle two values, a = b for odd n."""
+    lo, hi = (len(fit) - 1) // 2, len(fit) // 2
+    part = np.partition(fit, (lo, hi))
+    return float((part[lo] + part[hi]) / 2)
+
+
 @dataclass
 class GaResult:
     best_word: int
@@ -272,13 +328,17 @@ def ga_run(cfg: GAConfig, evaluator) -> GaResult:
     initial population and once per generation.  history_* hold one entry
     for the initial population and one per generation; elitism makes
     history_best nondecreasing.
+
+    Selection takes no full sort: the elites, the tournament winners and
+    history_median come from np.partition and running comparisons, with the
+    bits of argsort(-fit, kind="stable"), argmax and np.median.
     """
     rng = CounterRng(cfg.seed)
     pop = rng.u64(cfg.population)
 
     fit = evaluator(u64_to_bits(pop))
     hist_best = [float(fit.max())]
-    hist_median = [float(np.median(fit))]
+    hist_median = [_median(fit)]
 
     n_children = cfg.population - cfg.elitism
 
@@ -286,22 +346,18 @@ def ga_run(cfg: GAConfig, evaluator) -> GaResult:
         return bits_to_u64(rng.below(n_children * 64, p).reshape(n_children, 64))
 
     for _ in range(cfg.generations):
-        order = np.argsort(-fit, kind="stable")
-        elites = pop[order[: cfg.elitism]]
+        elites = pop[_elites(fit, cfg.elitism)]
 
         draws = rng.integers(n_children * 2 * cfg.tournament, cfg.population)
-        contest = draws.reshape(n_children, 2, cfg.tournament)
-        winners = contest[
-            np.arange(n_children)[:, None], [0, 1], np.argmax(fit[contest], axis=2)
-        ]
+        winners = _tournament_winners(fit, draws.reshape(n_children * 2, cfg.tournament))
         take_a = mask(cfg.crossover_p)
-        children = (pop[winners[:, 0]] & take_a) | (pop[winners[:, 1]] & ~take_a)
+        children = (pop[winners[0::2]] & take_a) | (pop[winners[1::2]] & ~take_a)
         children ^= mask(cfg.mutation_p)
 
         pop = np.concatenate([elites, children])
         fit = evaluator(u64_to_bits(pop))
         hist_best.append(float(fit.max()))
-        hist_median.append(float(np.median(fit)))
+        hist_median.append(_median(fit))
 
     k = int(np.argmax(fit))
     return GaResult(

@@ -193,9 +193,20 @@ def code_features(codes) -> np.ndarray:
     The rows are computed from the same five integers by the same arithmetic,
     so they are byte-equal to features_batch(expand_genome(...)).
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    return _count_features(codes & 0x7F, codes >> 7 & 0x1FF, codes >> 16 & 0xFF,
-                           codes >> 24 & 0xFF, codes >> 32)
+    return _count_features(*_code_fields(np.asarray(codes, dtype=np.int64)).T)
+
+
+# word_codes' fields n, s, h, v and c as (shift, mask); c's mask keeps every
+# bit above it, so a stray high bit or a negative code gives an out-of-range c
+_CODE_SHIFTS = np.array([0, 7, 16, 24, 32])
+_CODE_MASKS = np.array([0x7F, 0x1FF, 0xFF, 0xFF, -1])
+
+
+def _code_fields(codes: np.ndarray) -> np.ndarray:
+    """(k,) int64 word_codes -> (k, 5) int64 fields n, s, h, v, c."""
+    fields = codes[:, None] >> _CODE_SHIFTS
+    fields &= _CODE_MASKS
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +318,27 @@ def _table_rows(feats: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
     return c, s, n * _H_VALUES + h, nc, v
 
 
+_COUNT_MAX_U64 = _COUNT_MAX.astype(np.uint64)
+
+
+def _code_rows(codes: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
+    """(k,) int64 word_codes -> the five (k,) row indices of their _build_tables entries.
+
+    The counts are the code's packed fields, so they need no proof; a field
+    above its count's largest value (a negative code included) raises
+    ValueError naming the code by its index plus `first`.
+    """
+    fields = _code_fields(codes)
+    # a negative c is a huge unsigned one
+    bad = fields.view(np.uint64) > _COUNT_MAX_U64
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(f"feature code {first + row} has a count beyond its range: "
+                         f"{int(codes[row])}")
+    n, s, h, v, c = fields.T
+    return c, s, n * _H_VALUES + h, n * _C_VALUES + c, v
+
+
 def _kernel_scratch(rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The s22 kernel's scratch for blocks of up to `rows` rows x m frequencies:
     four (rows, m) float64 slabs and two (rows, m) complex128 ones."""
@@ -315,7 +347,7 @@ def _kernel_scratch(rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray,
                 scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """_table_rows of n rows x _build_tables -> (n, N_FREQ) s22 in out.
+    """_table_rows or _code_rows of n rows x _build_tables -> (n, N_FREQ) s22 in out.
 
     Every element but the 1/eta shunt is lossless, so the series arm, both
     branches and the stub are each one real reactance X and their shunt sum
@@ -342,7 +374,7 @@ def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray,
     n = len(by_c)
     x_series, x1, x2, tmp = scratch[0][:, :n]
     y, den = scratch[1][:, :n]
-    # every row index is in range (_table_rows), so "clip" moves none; it
+    # every row index is in range (_table_rows, _code_rows), so "clip" moves none; it
     # spares np.take the buffered copy that its default mode makes of out
     np.take(series, by_c, axis=0, out=x_series, mode="clip")
     np.subtract(np.take(wl1, by_s, axis=0, out=x1, mode="clip"),
@@ -375,17 +407,21 @@ def _finish(x_series, x1, x2, x_stub, eta, y, den, out):
 def features_response_batch(feats, consts: OracleConstants = OracleConstants(),
                             geom: GeometryMeta = GeometryMeta(),
                             out: np.ndarray | None = None) -> np.ndarray:
-    """(n, 6) feature rows -> (n, 61) complex s22 on freq_grid(), written into
-    `out` when given.
+    """(n, 6) feature rows or (n,) int64 word_codes -> (n, 61) complex s22 on
+    freq_grid(), written into `out` when given.
 
     `out` may be any (n, 61) complex128 array, a strided view such as the
     "resp" field of dataset records viewed as complex included; it is returned.
 
-    Every row must be the features of some genome's quadrant counts, as
-    features_batch and code_features give them: the kernel gathers each
-    reactance from tables per count value (_build_tables), which the module builds
-    on first use and holds per (constants, geometry).  A row that no counts
-    reproduce byte for byte raises ValueError naming it.
+    The kernel gathers each reactance from tables per count value
+    (_build_tables), which the module builds on first use and holds per
+    (constants, geometry).  Codes give it the counts as they are; a code
+    with a field beyond its count's range raises ValueError naming it.  A
+    float row must be the features of some genome's quadrant counts, as
+    features_batch and code_features give them, and the counts are read off
+    it and proved; a row that no counts reproduce byte for byte raises
+    ValueError naming it.  A code and its code_features row give byte-equal
+    spectra.  An integer array of any other shape is refused.
     The kernel fills the output KERNEL_BLOCK rows at a time, so its
     temporaries stay a block's size whatever n is.  It is elementwise per
     row, so every output row has the same bits as a one-row call; callers
@@ -407,11 +443,17 @@ def response_batch(grids, consts: OracleConstants = OracleConstants(),
 
 
 def _response(feats, consts, geom, out) -> np.ndarray:
-    feats = np.asarray(feats, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != len(FEATURE_NAMES):
-        raise ValueError(f"expected (n, {len(FEATURE_NAMES)}) feature rows, got {feats.shape}")
-    if not np.isfinite(feats).all():
-        raise ValueError("feature rows must be finite")
+    feats = np.asarray(feats)
+    if feats.dtype.kind in "iu":
+        if feats.ndim != 1:
+            raise ValueError(f"expected (n,) feature codes, got integers of shape {feats.shape}")
+        feats, rows_of = feats.astype(np.int64, copy=False), _code_rows
+    else:
+        feats, rows_of = feats.astype(float, copy=False), _table_rows
+        if feats.ndim != 2 or feats.shape[1] != len(FEATURE_NAMES):
+            raise ValueError(f"expected (n, {len(FEATURE_NAMES)}) feature rows, got {feats.shape}")
+        if not np.isfinite(feats).all():
+            raise ValueError("feature rows must be finite")
     if out is None:
         out = np.empty((len(feats), N_FREQ), dtype=complex)
     elif out.shape != (len(feats), N_FREQ) or out.dtype != np.complex128:
@@ -425,7 +467,7 @@ def _response(feats, consts, geom, out) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore", invalid="raise"):
             tables = _held_tables(consts, geom)
             for i in range(0, len(feats), KERNEL_BLOCK):
-                _s22_kernel(_table_rows(feats[i:i + KERNEL_BLOCK], i), tables,
+                _s22_kernel(rows_of(feats[i:i + KERNEL_BLOCK], i), tables,
                             out[i:i + KERNEL_BLOCK], scratch)
     except FloatingPointError as exc:
         raise ValueError(f"the oracle response is not finite under {consts} and {geom}") from exc

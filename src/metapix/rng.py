@@ -72,8 +72,13 @@ def u64_to_bits(words: np.ndarray) -> np.ndarray:
 
 
 def bits_to_u64(bits: np.ndarray) -> np.ndarray:
-    """(n, 64) 0/1 -> (n,) uint64, inverse of u64_to_bits."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1)
+    """(n, 64) 0/1 -> (n,) uint64, inverse of u64_to_bits.
+
+    np.packbits takes bool bits as they are; other dtypes are cast to uint8
+    first.
+    """
+    bits = np.asarray(bits)
+    packed = np.packbits(bits if bits.dtype == bool else bits.astype(np.uint8, copy=False), axis=1)
     return packed.view(">u8").reshape(-1).astype(np.uint64)
 
 
@@ -115,7 +120,11 @@ class CounterRng:
         return low + (high - low) * self.random(n)
 
     def integers(self, n: int, bound: int) -> np.ndarray:
-        """n unbiased integers in [0, bound) via rejection sampling."""
+        """n unbiased integers in [0, bound) via rejection sampling.
+
+        Each kept word w gives w mod bound, taken as w - (w // bound) * bound:
+        numpy divides uint64 by a scalar much faster than it takes `%`.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
         top = np.uint64((1 << 64) // bound * bound - 1)  # the largest word kept
@@ -124,7 +133,11 @@ class CounterRng:
         while bad.any():
             out[bad] = self.u64(int(bad.sum()))
             bad = out > top
-        return (out % np.uint64(bound)).astype(np.int64)
+        b = np.uint64(bound)
+        q = out // b
+        q *= b
+        out -= q
+        return out.astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) (stable argsort of u64 keys)."""

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from metapix import inverse as iv
 from metapix import netcalc as nc
 from metapix.oracle import freq_grid, response_batch
 from metapix.pattern import expand_genome
-from metapix.rng import stream_u64, u64_to_bits
+from metapix.rng import CounterRng, stream_u64, u64_to_bits
 
 
 def _tiny_cfg(**kw):
@@ -246,6 +247,64 @@ def test_elitism_keeps_a_planted_perfect_genome():
     assert res.best_fitness == 1e6
     assert res.best_word == word
     assert (res.history_best == 1e6).all()
+
+
+# fitness with heavy ties: few distinct values, odd and even lengths
+_TIED_FITNESS = st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 3.0, 1e6]),
+                         min_size=2, max_size=41).map(np.array)
+
+
+@given(_TIED_FITNESS, st.data())
+def test_selection_equals_the_full_sorts(fit, data):
+    """The elites, tournament winners and median taken without full sorts
+    equal argsort(-fit, kind="stable")'s prefix, argmax's first maximum and
+    np.median, bit for bit, for elitism 0 to n - 1 and tournaments of 1 to 8."""
+    n = len(fit)
+    e = data.draw(st.integers(0, n - 1))
+    np.testing.assert_array_equal(iv._elites(fit, e), np.argsort(-fit, kind="stable")[:e])
+    t = data.draw(st.integers(1, 8))
+    contest = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=3 * t,
+                                          max_size=3 * t))).reshape(3, t)
+    np.testing.assert_array_equal(iv._tournament_winners(fit, contest),
+                                  contest[np.arange(3), np.argmax(fit[contest], axis=1)])
+    assert np.float64(iv._median(fit)).tobytes() == np.median(fit).tobytes()
+
+
+def test_selection_equals_the_full_sorts_on_ga_sized_populations():
+    """As above on 1000 and 999 fitness values of the oracle GA's kind, with
+    a run of ties at the top, for every elitism the GA uses in tests."""
+    for n in (1000, 999):
+        fit = 1.0 / (CounterRng(n).random(n) + 1e-6)
+        fit[::97] = fit.max()
+        for e in (0, 1, 2, 5, 11, 12, n - 1):
+            np.testing.assert_array_equal(iv._elites(fit, e), np.argsort(-fit, kind="stable")[:e])
+        contest = CounterRng(1).integers(2 * 998 * 4, n).reshape(-1, 4)
+        np.testing.assert_array_equal(iv._tournament_winners(fit, contest),
+                                      contest[np.arange(len(contest)), np.argmax(fit[contest], axis=1)])
+        assert np.float64(iv._median(fit)).tobytes() == np.median(fit).tobytes()
+
+
+def test_cached_scorer_scores_exactly_the_sorted_new_keys():
+    """Each call hands score the keys not seen before, sorted and distinct,
+    once: on the empty cache, with the keys 0 and 2**64 - 1 at both ends,
+    and not at all when every key was seen; each key keeps its first value."""
+    top = 2**64 - 1
+    calls = [[5, top, 0, 5, 7, top], [top, 3, 0, 3, 9, top - 1, 7], [0, top, 9, 3], [1 << 63, 2, 4]]
+    batches, first = [], {}
+
+    def score(keys):
+        assert keys.dtype == np.uint64
+        batches.append(keys.tolist())
+        return 10.0 * len(batches) + np.arange(len(keys))
+
+    ev = iv._cached_scorer(lambda words: words, score)
+    for words in calls:
+        got = ev(u64_to_bits(np.array(words, dtype=np.uint64)))
+        assert got.dtype == np.float64 and got.shape == (len(words),)
+        new = sorted(set(words) - set(first))
+        first.update((key, 10.0 * len(batches) + i) for i, key in enumerate(new))
+        assert got.tolist() == [first[w] for w in words]
+    assert batches == [[0, 5, 7, top], [3, 9, top - 1], [2, 4, 1 << 63]]
 
 
 def test_oracle_evaluator_cache_is_exact():

@@ -292,36 +292,39 @@ def _table_bytes(tables):
 
 
 def test_kernel_allocates_nothing_mmap_sized_beside_its_scratch():
-    """A 10,000-row call into a preallocated out peaks under its scratch plus
-    128 KiB of traced memory once the reactance tables are held, and a call
-    that finds them cold under that plus the tables, so no array allocated
+    """A 10,000-row call into a preallocated out, of feature rows or of their
+    codes, peaks under its scratch plus 128 KiB of traced memory once the
+    reactance tables are held, and a call that finds them cold under that
+    plus the tables, so no array allocated
     beside the scratch and the tables reaches glibc's mmap threshold, whatever
     the number of blocks.  numpy's iterator buffers a broadcast operand in
     np.getbufsize() elements, 64 KiB of float64 by default and so under the
     threshold too; the buffers are shrunk while measuring so that the peak
     counts arrays alone."""
     assert np.getbufsize() * np.dtype(np.float64).itemsize < 128 * 1024
-    feats = oc.code_features(oc.word_codes(CounterRng(8).u64(10_000)))
+    codes = oc.word_codes(CounterRng(8).u64(10_000))
+    feats = oc.code_features(codes)
     out = np.empty((len(feats), oc.N_FREQ), dtype=complex)
     scratch = sum(a.nbytes for a in oc._kernel_scratch(oc.KERNEL_BLOCK, oc.N_FREQ))
     tables = _table_bytes(oc._build_tables(oc.OracleConstants(), GeometryMeta()))
     assert len(feats) > 30 * oc.KERNEL_BLOCK
-    oc._held_tables.cache_clear()
-    bufsize = np.setbufsize(16)
-    tracemalloc.start()
-    try:
-        peaks = []
-        for _ in ("cold", "warm"):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            oc.features_response_batch(feats, out=out)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(bufsize)
-    assert peaks[0] - scratch - tables < 128 * 1024
-    assert peaks[1] - scratch < 128 * 1024
-    assert np.isfinite(out).all()
+    for rows in (feats, codes):
+        oc._held_tables.cache_clear()
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            peaks = []
+            for _ in ("cold", "warm"):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                oc.features_response_batch(rows, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peaks[0] - scratch - tables < 128 * 1024
+        assert peaks[1] - scratch < 128 * 1024
+        assert np.isfinite(out).all()
 
 
 def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
@@ -572,3 +575,69 @@ def test_feature_code_determines_the_feature_row():
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     np.testing.assert_array_equal(rows, rows[first][inverse])
     assert len(np.unique(rows, axis=0)) == len(first)
+
+
+# --- feature codes into the kernel -------------------------------------------
+
+
+def _code_test_words(n):
+    """n words: random, sparse (AND of four draws), dense (OR of four) and the
+    words 0 and 2**64 - 1, interleaved."""
+    r = CounterRng(21)
+    draws = r.u64(4 * n).reshape(4, n)
+    sparse = draws[0] & draws[1] & draws[2] & draws[3]
+    dense = draws[0] | draws[1] | draws[2] | draws[3]
+    mixed = np.stack([draws[0], sparse, dense]).T.reshape(-1)
+    mixed[::7] = 0
+    mixed[3::11] = 2**64 - 1
+    return mixed[:n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
+def test_codes_give_the_spectra_of_their_feature_rows(n):
+    """word_codes fed to the kernel give byte-equal spectra to their
+    code_features rows, across kernel blocks, with and without out=, into a
+    strided view of record responses too."""
+    codes = oc.word_codes(_code_test_words(n))
+    if n >= 7:
+        assert {0, oc.word_codes(np.array([2**64 - 1], np.uint64))[0]} <= set(codes.tolist())
+    expect = oc.features_response_batch(oc.code_features(codes))
+    assert expect.shape == (n, oc.N_FREQ)
+    assert oc.features_response_batch(codes).tobytes() == expect.tobytes()
+    out = np.empty((n, oc.N_FREQ), dtype=complex)
+    assert oc.features_response_batch(codes, out=out) is out
+    assert out.tobytes() == expect.tobytes()
+    records = np.zeros(n, dtype=[("genome", ">u8"), ("resp", "<f8", (2 * oc.N_FREQ,))])
+    view = records["resp"].view(np.complex128)
+    assert oc.features_response_batch(codes, out=view) is view
+    assert view.tobytes() == expect.tobytes()
+    assert (records["genome"] == 0).all()
+
+
+# each word_codes field's shift and largest count
+_CODE_FIELDS = {"n": (0, 64), "s": (7, 128), "h": (16, 56), "v": (24, 56), "c": (32, 16)}
+_ONE_PAST = {k: largest + 1 << shift for k, (shift, largest) in _CODE_FIELDS.items()}
+
+
+@pytest.mark.parametrize("bad", [-1, -(1 << 40), *_ONE_PAST.values(), 1 << 37, 1 << 62],
+                         ids=["minus-one", "negative", *(f"{k}-one-past" for k in _ONE_PAST),
+                              "bit-37", "bit-62"])
+def test_refuses_codes_off_the_count_ranges(bad):
+    """A negative code, a field one past its count's largest value and a
+    stray bit above c's field each raise one ValueError naming the code,
+    which np.take's "clip" would otherwise have clamped into the tables;
+    every field at its largest value passes."""
+    largest = sum(value << shift for shift, value in _CODE_FIELDS.values())
+    codes = np.full(300, largest)
+    assert np.isfinite(oc.features_response_batch(codes)).all()
+    codes[270] = bad
+    with pytest.raises(ValueError, match=f"feature code 270 .*: {bad}$"):
+        oc.features_response_batch(codes)
+
+
+def test_refuses_integer_arrays_that_are_not_codes():
+    """An integer array of feature-row shape is refused, not read as floats."""
+    for ints in (np.zeros((2, 6), dtype=np.int64), np.zeros((3, 1), dtype=np.int64),
+                 np.int64(0)):
+        with pytest.raises(ValueError, match="feature codes"):
+            oc.features_response_batch(ints)

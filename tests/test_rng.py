@@ -186,6 +186,38 @@ def test_integers_range_and_bias():
         r.integers(1, 0)
 
 
+def _integers_by_mod(rng, n, bound):
+    """CounterRng.integers with the remainder taken by `%`, as a reference."""
+    top = np.uint64((1 << 64) // bound * bound - 1)
+    out = rng.u64(n)
+    bad = out > top
+    while bad.any():
+        out[bad] = rng.u64(int(bad.sum()))
+        bad = out > top
+    return (out % np.uint64(bound)).astype(np.int64)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 6, 1000, 2**32 + 1, 2**63, 2**63 + 1, 2**64 - 1])
+def test_integers_equal_the_mod_remainder(bound):
+    """w - (w // bound) * bound is w % bound, so the draws and the counter
+    after them are those of the `%` reference; at 2**63 + 1 about half the
+    words are rejected and redrawn."""
+    for seed in (0, 11):
+        r, ref = CounterRng(seed), CounterRng(seed)
+        for n in (0, 1, 5000):
+            assert r.integers(n, bound).tobytes() == _integers_by_mod(ref, n, bound).tobytes()
+            assert r.counter == ref.counter
+
+
+def test_bits_to_u64_packs_bool_uint8_and_int64_bits_alike():
+    words = np.concatenate([CounterRng(4).u64(500), np.array([0, _M64], dtype=np.uint64)])
+    bits = u64_to_bits(words)
+    for dtype in (bool, np.uint8, np.int64):
+        packed = bits_to_u64(bits.astype(dtype))
+        assert packed.dtype == np.uint64
+        np.testing.assert_array_equal(packed, words)
+
+
 def test_permutation_is_a_permutation():
     p = CounterRng(5).permutation(100)
     np.testing.assert_array_equal(np.sort(p), np.arange(100))
