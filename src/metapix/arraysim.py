@@ -45,10 +45,13 @@ class ArrayConfig:
     q_feed: float = 6.0
     q_elem: float = 1.0
     plane_wave_feed: bool = False
+    f0: float = 5.8e9  # design center frequency, Hz: array --freq's default
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1 or self.spacing <= 0:
             raise ValueError("array dimensions must be positive")
+        if not 0 < self.f0 < math.inf:  # also false for NaN
+            raise ValueError(f"f0 must be finite and positive, got {self.f0}")
         if self.feed_xyz[2] <= 0:
             raise ValueError("feed must sit above the array plane")
         if self.q_feed < 0 or self.q_elem < 0:

@@ -195,11 +195,11 @@ def cmd_target(args, cfg: RunConfig) -> int:
             spec = inverse.build_target(lo, hi, switch=cfg.switch, anchors=tuple(args.anchor))
         except (NoSolutionError, SingularityError, NoContrastError, ValueError) as exc:
             raise CliError(str(exc))
-        for k in range(len(spec.freqs)):
+        for k, f in enumerate(oracle.freq_grid()):
             if spec.weight[k] == 0.0:
                 continue
-            kind = "band" if lo <= spec.freqs[k] <= hi else "anchor"
-            print(f"{spec.freqs[k]:.4e} Hz  re {spec.re[k]:+.6f}  im {spec.im[k]:+.6f}  [{kind}]")
+            kind = "band" if lo <= f <= hi else "anchor"
+            print(f"{f:.4e} Hz  re {spec.re[k]:+.6f}  im {spec.im[k]:+.6f}  [{kind}]")
         if out:
             stage(out, {"band": [lo, hi], "anchors": [list(a) for a in args.anchor]}
                   ).write_text(json.dumps(spec.to_json(), indent=2) + "\n")
@@ -275,11 +275,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def _load_target(path: Path) -> TargetSpec:
     _require(path, "target artifact (run `target --out` first)")
     try:
-        spec = TargetSpec.from_json(loads(path.read_text()))
-        grid = oracle.freq_grid()
-        if len(spec.freqs) != len(grid) or not np.all(np.abs(spec.freqs - grid) <= 1.0):
-            raise ValueError(f"freqs are not the {len(grid)}-point evaluation grid")
-        return spec
+        return TargetSpec.from_json(loads(path.read_text()))
     except ValueError as exc:
         raise CliError(f"bad target file {path}: {exc}")
 
@@ -381,7 +377,7 @@ def cmd_array(args, cfg: RunConfig) -> int:
         raise CliError(f"--step: {exc}")
     acfg = cfg.array
     steer = args.steer
-    f = args.freq if args.freq is not None else cfg.geometry.f0
+    f = args.freq if args.freq is not None else acfg.f0
     names = ["pattern_phi0.csv", "pattern_phi90.csv", "codes.pbm"]
     if args.sweep:
         names.append("sweep.csv")
@@ -392,10 +388,10 @@ def cmd_array(args, cfg: RunConfig) -> int:
     if args.design:
         _, genome = _load_design(inputs["design"], {"genome": str})
         try:
-            k = inverse._grid_index(f)
+            k = oracle.grid_row(f)
         except ValueError as exc:
             raise CliError(f"--freq with --design: {exc}")
-        if abs(f - oracle.freq_grid()[k]) > 1.0:  # _load_target's grid tolerance
+        if abs(f - oracle.freq_grid()[k]) > oracle.GRID_TOLERANCE_HZ:
             raise CliError(f"--freq with --design: {f} Hz is not a grid frequency "
                            f"(nearest {oracle.freq_grid()[k]} Hz)")
 
@@ -422,7 +418,7 @@ def cmd_array(args, cfg: RunConfig) -> int:
         stage(outdir / "codes.pbm", params).write_text(render_pbm(codes))
 
         if args.sweep:
-            sweep = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
+            sweep = arraysim.spectral_power_sweep(acfg, oracle.freq_grid(), report.gamma1_state0,
                                                   report.gamma1_state1, codes, steer, f)
             lines = ["freq_hz,power_db"]
             lines += [f"{sweep.freqs[i]:.6e},{sweep.power_db[i]:.6f}" for i in range(len(sweep.freqs))]
@@ -522,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("array", parents=[shared], help="reflectarray pattern and sweep")
     p.add_argument("--steer", type=_parse_steer, default=arraysim.SteerTarget(0.0, 0.0),
                    metavar="THETA:PHI", help="beam direction in degrees (default 0:0)")
-    p.add_argument("--freq", type=_parse_freq, help="pattern frequency in Hz (default 5.8e9)")
+    p.add_argument("--freq", type=_parse_freq,
+                   help="pattern frequency in Hz (default from config array.f0)")
     p.add_argument("--ref-phase", type=float, default=0.0, help="reference phase in radians")
     p.add_argument("--step", type=float, default=0.25,
                    help="cut resolution in degrees, 0.001 to 90")

@@ -18,12 +18,13 @@ from . import netcalc as nc
 from .jsontypes import read_object
 from .netcalc import PIN_SWITCH, SwitchModel
 from .oracle import (
-    FREQ_START,
-    FREQ_STEP,
+    GRID_TOLERANCE_HZ,
+    N_FREQ,
     GeometryMeta,
     OracleConstants,
     features_response_batch,
     freq_grid,
+    grid_row,
     response_batch,
     word_codes,
 )
@@ -46,22 +47,20 @@ class NoSolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Required reflection per grid frequency; weight 0 marks don't-care."""
+    """Required reflection at each freq_grid() row; weight 0 marks don't-care."""
 
-    freqs: np.ndarray
     re: np.ndarray
     im: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        for name in ("freqs", "re", "im", "weight"):
+        for name in ("re", "im", "weight"):
             value = np.asarray(getattr(self, name), dtype=float)
             if not np.isfinite(value).all():
                 raise ValueError(f"target {name} must be finite")
             object.__setattr__(self, name, value)
-        n = len(self.freqs)
-        if not (len(self.re) == len(self.im) == len(self.weight) == n):
-            raise ValueError("target arrays must share one length")
+        if not (len(self.re) == len(self.im) == len(self.weight) == N_FREQ):
+            raise ValueError(f"target arrays must hold {N_FREQ} values each")
         if not (self.weight >= 0).all():
             raise ValueError("weights must be nonnegative")
         if not (self.weight > 0).any():
@@ -75,7 +74,7 @@ class TargetSpec:
 
     def to_json(self) -> dict:
         return {
-            "freqs": self.freqs.tolist(),
+            "freqs": freq_grid().tolist(),
             "re": self.re.tolist(),
             "im": self.im.tolist(),
             "weight": self.weight.tolist(),
@@ -83,17 +82,14 @@ class TargetSpec:
 
     @classmethod
     def from_json(cls, obj) -> "TargetSpec":
-        """Exactly the four fields, each a list of finite numbers."""
+        """Exactly the four fields, each a list of finite numbers; freqs must
+        be freq_grid(), each within GRID_TOLERANCE_HZ."""
         fields = dict.fromkeys(("freqs", "re", "im", "weight"), tuple[float, ...])
-        return cls(**read_object(fields, obj, "target"))
-
-
-def _grid_index(f: float) -> int:
-    """Nearest grid index; an exact half step rounds toward lower frequency."""
-    idx = math.ceil((f - FREQ_START) / FREQ_STEP - 0.5)
-    if not 0 <= idx < len(freq_grid()):
-        raise ValueError(f"frequency {f} Hz is off the evaluation grid")
-    return idx
+        values = read_object(fields, obj, "target")
+        freqs = np.array(values.pop("freqs"))
+        if freqs.shape != (N_FREQ,) or np.abs(freqs - freq_grid()).max() > GRID_TOLERANCE_HZ:
+            raise ValueError(f"freqs are not the {N_FREQ}-point evaluation grid")
+        return cls(**values)
 
 
 def build_target(f_lo: float, f_hi: float, switch: SwitchModel = PIN_SWITCH,
@@ -127,12 +123,12 @@ def build_target(f_lo: float, f_hi: float, switch: SwitchModel = PIN_SWITCH,
         s22 = sol.a22 * complex(math.cos(sol.theta22), math.sin(sol.theta22))
         re[k], im[k], weight[k] = s22.real, s22.imag, 1.0
     for f, a_re, a_im in anchors:
-        k = _grid_index(float(f))
+        k = grid_row(float(f))
         if weight[k]:
             kind = "in-band" if in_band[k] else "already anchored"
             raise ValueError(f"anchor at {f} Hz snaps to {kind} grid frequency {freqs[k]} Hz")
         re[k], im[k], weight[k] = float(a_re), float(a_im), 1.0
-    return TargetSpec(freqs, re, im, weight)
+    return TargetSpec(re, im, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +139,8 @@ def build_target(f_lo: float, f_hi: float, switch: SwitchModel = PIN_SWITCH,
 def target_error(s22: np.ndarray, target: TargetSpec) -> np.ndarray:
     """Weighted mean of (|dRe| + |dIm|)/2 over nonzero-weight frequencies."""
     s22 = np.atleast_2d(np.asarray(s22))
-    if s22.shape[1] != len(target.freqs):
-        raise ValueError(f"response has {s22.shape[1]} points, target {len(target.freqs)}")
+    if s22.shape[1] != N_FREQ:
+        raise ValueError(f"response has {s22.shape[1]} points, target {N_FREQ}")
     err = 0.5 * (np.abs(s22.real - target.re) + np.abs(s22.imag - target.im))
     return (err * target.weight).sum(axis=1) / target.weight.sum()
 
@@ -381,7 +377,6 @@ class DesignReport:
     and the operating band as a per-frequency mask and as segments."""
 
     genome_word: int
-    freqs: np.ndarray
     oracle_s22: np.ndarray
     gamma1_state0: np.ndarray
     gamma1_state1: np.ndarray
@@ -396,18 +391,11 @@ class DesignReport:
         return pack_genome(self.genome_word)
 
 
-def _segments(freqs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float], ...]:
-    out = []
-    start = None
-    for k, ok in enumerate(mask):
-        if ok and start is None:
-            start = k
-        elif not ok and start is not None:
-            out.append((float(freqs[start]), float(freqs[k - 1])))
-            start = None
-    if start is not None:
-        out.append((float(freqs[start]), float(freqs[-1])))
-    return tuple(out)
+def _segments(mask: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """The first and last grid frequency of each run of True in mask."""
+    freqs = freq_grid()
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return tuple((float(freqs[a]), float(freqs[b - 1])) for a, b in zip(edges[::2], edges[1::2]))
 
 
 def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
@@ -438,7 +426,6 @@ def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
 
     return DesignReport(
         genome_word=int(bits_to_u64(bits)[0]),
-        freqs=freqs,
         oracle_s22=s22,
         gamma1_state0=g0,
         gamma1_state1=g1,
@@ -446,7 +433,7 @@ def validate_design(genome_bits, switch: SwitchModel = PIN_SWITCH,
         loss1_db=m.loss1_db,
         phase_diff_deg=m.phase_diff_deg,
         band_mask=mask,
-        band_segments=_segments(freqs, mask),
+        band_segments=_segments(mask),
     )
 
 
@@ -463,7 +450,7 @@ def report_csv(report: DesignReport, target: TargetSpec | None = None,
             "g1_state1_re", "g1_state1_im", "loss0_db", "loss1_db",
             "phase_diff_deg", "in_band"]
     lines = [",".join(cols)]
-    for k, f in enumerate(report.freqs):
+    for k, f in enumerate(freq_grid()):
         t_re = t_im = ""
         if target is not None and target.weight[k] > 0:
             t_re, t_im = f"{target.re[k]:.6f}", f"{target.im[k]:.6f}"

@@ -42,6 +42,7 @@ from .pattern import GENOME_BITS, GENOME_SIDE, GRID_SIDE, GeometryMeta, is_mirro
 FREQ_START = 2.8e9  # Hz
 FREQ_STEP = 0.1e9  # Hz
 N_FREQ = 61
+GRID_TOLERANCE_HZ = 1.0  # how far a file's or flag's grid frequency may be off its row
 
 FEATURE_NAMES = ("rho", "v_conn", "e_h", "e_v", "rho_center", "q_cb")
 
@@ -60,6 +61,15 @@ KERNEL_BLOCK = 256
 def freq_grid() -> np.ndarray:
     """The fixed 61-point evaluation grid, 2.8 to 8.8 GHz inclusive."""
     return FREQ_START + FREQ_STEP * np.arange(N_FREQ)
+
+
+def grid_row(f: float) -> int:
+    """Index of the grid frequency nearest f; an exact half step rounds toward
+    lower frequency.  A frequency nearest no row raises ValueError."""
+    idx = math.ceil((f - FREQ_START) / FREQ_STEP - 0.5)
+    if not 0 <= idx < N_FREQ:
+        raise ValueError(f"frequency {f} Hz is off the evaluation grid")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,16 @@ class OracleConstants:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+# The paper cell's dimensions, loss tangent and design frequency, which the model does not
+# read; fingerprint hashes them as the geometry fields they once were, keeping its digests.
+_PAPER_CELL = {"period": 25.8e-3, "pixel_side": 1.5e-3, "pixel_pitch": 1.375e-3, "gap": 0.3e-3,
+               "lead_width": 0.7e-3, "lead_length": 11.125e-3, "tan_delta": 0.0018, "f0": 5.8e9}
+
+
 def fingerprint(consts: OracleConstants, geom: GeometryMeta) -> str:
     """16-hex digest of the constants + geometry that define the model."""
     payload = json.dumps(
-        {"oracle": asdict(consts), "geometry": asdict(geom)},
+        {"oracle": asdict(consts), "geometry": _PAPER_CELL | asdict(geom)},
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -5,15 +5,15 @@ The physical pattern mirrors it about both axes, so every design is symmetric
 and the full grid never has to be stored.  Grids are boolean numpy arrays
 with True = metal.
 
-The etched gap, lead width and lead length are not rasterized onto the grid;
-they live in GeometryMeta and enter the electrical model through its lumped
-constants.
+The etched gap, lead width and lead length are not rasterized onto the grid,
+and nothing models them: the electrical model reads the grid's features and
+GeometryMeta's substrate only.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,24 +26,13 @@ GENOME_BITS = GENOME_SIDE * GENOME_SIDE
 
 @dataclass(frozen=True)
 class GeometryMeta:
-    """Physical cell geometry (SI units).  tan_delta is carried for record
-    keeping only; the electrical model is lossless."""
+    """The cell's substrate, as the oracle's stub reads it (SI units)."""
 
-    period: float = 25.8e-3  # element period P
-    pixel_side: float = 1.5e-3  # pixel square side L
-    pixel_pitch: float = 1.375e-3  # pixel center spacing
     substrate_h: float = 1.52e-3  # substrate thickness h
     eps_r: float = 3.5  # substrate relative permittivity
-    tan_delta: float = 0.0018  # substrate loss tangent (metadata only)
-    gap: float = 0.3e-3  # etched gap bridged by the switch
-    lead_width: float = 0.7e-3  # feed lead width W
-    lead_length: float = 11.125e-3  # feed lead length L1
-    f0: float = 5.8e9  # design center frequency, Hz
 
     def __post_init__(self):
-        for name in ("period", "pixel_side", "pixel_pitch", "substrate_h",
-                     "eps_r", "gap", "lead_width", "lead_length", "f0"):
-            value = getattr(self, name)
+        for name, value in asdict(self).items():
             if not 0 < value < np.inf:  # also false for NaN
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 

@@ -63,6 +63,9 @@ def test_config_validation():
         ArrayConfig(spacing=-1e-3)
     with pytest.raises(ValueError):
         ArrayConfig(feed_xyz=(0.0, 0.0, 0.0))
+    for f0 in (0.0, -5.8e9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="f0 must be finite and positive"):
+            ArrayConfig(f0=f0)
     with pytest.raises(ValueError):
         SteerTarget(90.0, 0.0)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metapix import arraysim, cli, dataset, inverse, surrogate
+from metapix import arraysim, cli, dataset, inverse, oracle, surrogate
 from metapix.cli import main
 from metapix.pattern import render_pbm, unpack_genome
 from metapix.surrogate import init_mlp, save_checkpoint
@@ -624,11 +624,11 @@ def test_array_design_refuses_a_freq_between_grid_rows(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("freq, config", [("6.0e9", {}), ("8.8e9", {"geometry": {"f0": 9.5e9}})],
+@pytest.mark.parametrize("freq, config", [("6.0e9", {}), ("8.8e9", {"array": {"f0": 9.5e9}})],
                          ids=["freq-6GHz", "freq-8.8GHz-f0-9.5GHz"])
 def test_array_sweep_freezes_the_codes_it_writes(tmp_path, capsys, freq, config):
     """sweep.csv comes from the coding matrix that codes.pbm holds, computed
-    at --freq whatever the geometry's f0, and its band is taken around --freq."""
+    at --freq whatever the config's array.f0, and its band is taken around --freq."""
     genome = "00003FC000E00000"
     design = tmp_path / "d.json"
     design.write_text(json.dumps({"genome": genome}))
@@ -641,11 +641,11 @@ def test_array_sweep_freezes_the_codes_it_writes(tmp_path, capsys, freq, config)
     f = float(freq)
     acfg, steer = arraysim.ArrayConfig(), arraysim.SteerTarget(30.0, 0.0)
     codes = arraysim.quantize_1bit(arraysim.ideal_phase(acfg, steer, f, 0.0))
-    f0 = config.get("geometry", {}).get("f0", 5.8e9)
+    f0 = config.get("array", {}).get("f0", 5.8e9)
     assert (codes != arraysim.quantize_1bit(arraysim.ideal_phase(acfg, steer, f0, 0.0))).any()
     assert (out / "codes.pbm").read_text() == render_pbm(codes)
     report = inverse.validate_design(unpack_genome(genome))
-    want = arraysim.spectral_power_sweep(acfg, report.freqs, report.gamma1_state0,
+    want = arraysim.spectral_power_sweep(acfg, oracle.freq_grid(), report.gamma1_state0,
                                          report.gamma1_state1, codes, steer, f)
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     np.testing.assert_allclose([float(r.split(",")[1]) for r in rows], want.power_db, atol=5e-7)
@@ -671,6 +671,48 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
     code, _, err = run(capsys, "config", "--config", str(bad))
     assert code == 1
     assert "unknown config key" in err
+
+
+def _leaves(doc: dict) -> int:
+    return sum(_leaves(v) if type(v) is dict else 1 for v in doc.values())
+
+
+def test_config_dump_holds_the_substrate_and_array_f0(capsys):
+    code, out, _ = run(capsys, "config")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["geometry"] == {"eps_r": 3.5, "substrate_h": 1.52e-3}
+    assert doc["array"]["f0"] == 5.8e9
+    assert _leaves(doc) == 44
+
+
+@pytest.mark.parametrize("key", ["period", "pixel_side", "pixel_pitch", "tan_delta", "gap",
+                                 "lead_width", "lead_length", "f0"])
+def test_config_naming_a_dropped_geometry_key_is_one_error_line(tmp_path, capsys, key):
+    """The geometry holds the substrate alone: a config that still names one of
+    the cell's other dimensions or f0 (now array.f0) is refused, not ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": {key: 1e-3}}))
+    code, out, err = run(capsys, "gen", "--n", "10", "--config", str(cfg),
+                         "--outdir", str(tmp_path / "o"))
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and f"unknown config key config.geometry.{key}" in err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_stats_and_train_accept_a_default_dataset_under_another_array_f0(tmp_path, capsys,
+                                                                        monkeypatch):
+    """array.f0 is no part of the oracle's fingerprint, so a dataset built
+    under the defaults is read under a config that moves it."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "--n", "44", "--seed", "3", "--out", "data.bin")
+    Path("cfg.json").write_text(json.dumps({"array": {"f0": 6e9}}))
+    code, _, err = run(capsys, "stats", "--data", "data.bin", "--config", "cfg.json")
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, "train", "--data", "data.bin", "--epochs", "1",
+                       "--config", "cfg.json", "--outdir", "o")
+    assert code == 0 and err == ""
+    assert (tmp_path / "o" / "surrogate.ckpt").exists()
 
 
 def _one_error_line(err):

@@ -103,7 +103,7 @@ def test_load_config_paths(tmp_path):
     ({"train": {"lr0": [1e-3]}}, "config.train.lr0"),
     ({"train": {"lr0": float("nan")}}, "config.train.lr0"),
     ({"constants": {"l_lead": float("inf")}}, "config.constants.l_lead"),
-    ({"geometry": {"f0": 10**400}}, "config.geometry.f0"),
+    ({"array": {"f0": 10**400}}, "config.array.f0"),
     ({"train": {"hidden": [32, "32"]}}, "config.train.hidden[1]"),
     ({"train": {"hidden": 32}}, "config.train.hidden"),
     ({"array": {"feed_xyz": [0.0, 0.3]}}, "config.array.feed_xyz"),

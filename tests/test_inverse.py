@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from metapix import inverse as iv
 from metapix import netcalc as nc
-from metapix.oracle import freq_grid, response_batch
+from metapix.oracle import GRID_TOLERANCE_HZ, freq_grid, response_batch
 from metapix.pattern import expand_genome
 from metapix.rng import CounterRng, stream_u64, u64_to_bits
 
@@ -25,7 +25,7 @@ def _tiny_cfg(**kw):
 def test_single_point_target_matches_switch_solution():
     t = iv.build_target(5.8e9, 5.8e9)
     k = int(np.flatnonzero(t.weight > 0)[0])
-    assert t.freqs[k] == 5.8e9
+    assert freq_grid()[k] == 5.8e9
     assert -0.73 <= t.re[k] <= -0.71
     assert 0.00 <= t.im[k] <= 0.02
     assert (t.weight > 0).sum() == 1
@@ -35,7 +35,7 @@ def test_wideband_target_covers_grid_band():
     t = iv.build_target(5.3e9, 6.3e9)
     live = np.flatnonzero(t.weight > 0)
     assert len(live) == 11
-    np.testing.assert_allclose(t.freqs[live], 5.3e9 + 0.1e9 * np.arange(11))
+    np.testing.assert_allclose(freq_grid()[live], 5.3e9 + 0.1e9 * np.arange(11))
     assert (t.weight[live] == 1.0).all()
     # requirements drift smoothly with frequency
     assert np.abs(np.diff(t.re[live])).max() < 0.02
@@ -60,7 +60,7 @@ def test_wideband_target_covers_grid_band():
 def test_anchor_snaps_down_on_exact_half_step():
     t = iv.build_target(5.8e9, 5.8e9, anchors=[(5.75e9, -0.1, 0.0)])
     live = np.flatnonzero(t.weight > 0)
-    assert [float(f) for f in t.freqs[live]] == [5.7e9, 5.8e9]
+    assert [float(f) for f in freq_grid()[live]] == [5.7e9, 5.8e9]
     k = live[0]
     assert (t.re[k], t.im[k]) == (-0.1, 0.0)
     assert t.weight[k] == 1.0
@@ -89,20 +89,20 @@ def test_band_without_grid_points_needs_anchors():
 
 
 def test_target_spec_validation():
-    f = freq_grid()
-    z = np.zeros_like(f)
+    z = np.zeros_like(freq_grid())
     with pytest.raises(ValueError, match="nonzero weight"):
-        iv.TargetSpec(f, z, z, z)
+        iv.TargetSpec(z, z, z)
     w = z.copy()
     w[0] = 1.0
     bad = z.copy()
     bad[0] = 1.5
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        iv.TargetSpec(f, bad, z, w)
-    with pytest.raises(ValueError, match="one length"):
-        iv.TargetSpec(f, z[:-1], z, w)
+        iv.TargetSpec(bad, z, w)
+    for short in ((z[:-1], z[:-1], w[:-1]), (z, z[:-1], w)):
+        with pytest.raises(ValueError, match="must hold 61 values each"):
+            iv.TargetSpec(*short)
     with pytest.raises(ValueError, match="nonnegative"):
-        iv.TargetSpec(f, z, z, -w)
+        iv.TargetSpec(z, z, -w)
 
 
 @pytest.mark.parametrize("name, k, value", [
@@ -111,11 +111,10 @@ def test_target_spec_validation():
     ("im", 30, -math.inf),
     ("weight", 30, math.inf),
     ("weight", 0, math.nan),
-    ("freqs", 5, math.inf),
 ])
 def test_target_spec_refuses_non_finite_values(name, k, value):
     t = _point_target(30, -0.7, 0.0)
-    arrays = {n: getattr(t, n).copy() for n in ("freqs", "re", "im", "weight")}
+    arrays = {n: getattr(t, n).copy() for n in ("re", "im", "weight")}
     arrays[name][k] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         iv.TargetSpec(**arrays)
@@ -123,11 +122,27 @@ def test_target_spec_refuses_non_finite_values(name, k, value):
 
 def test_target_json_round_trip():
     t = iv.build_target(5.7e9, 5.9e9, anchors=[(5.3e9, -0.1, 0.0)])
-    back = iv.TargetSpec.from_json(t.to_json())
-    np.testing.assert_array_equal(back.freqs, t.freqs)
+    doc = t.to_json()
+    assert list(doc) == ["freqs", "re", "im", "weight"]
+    assert doc["freqs"] == freq_grid().tolist()
+    back = iv.TargetSpec.from_json(doc)
     np.testing.assert_array_equal(back.re, t.re)
     np.testing.assert_array_equal(back.im, t.im)
     np.testing.assert_array_equal(back.weight, t.weight)
+
+
+def test_target_json_freqs_must_be_the_grid_within_tolerance():
+    doc = iv.build_target(5.8e9, 5.8e9).to_json()
+    grid = freq_grid()
+    tol = GRID_TOLERANCE_HZ
+    for freqs, ok in ((grid + tol, True), (grid - tol, True), (grid + 1.5 * tol, False),
+                      (grid[:-1], False), (grid[::-1], False)):
+        doc["freqs"] = freqs.tolist()
+        if ok:
+            assert iv.TargetSpec.from_json(doc).weight.sum() == 1.0
+        else:
+            with pytest.raises(ValueError, match="^freqs are not the 61-point evaluation grid$"):
+                iv.TargetSpec.from_json(doc)
 
 
 # --- fitness -------------------------------------------------------------------
@@ -140,7 +155,7 @@ def _point_target(k, re, im):
     w[k] = 1.0
     tre, tim = z.copy(), z.copy()
     tre[k], tim[k] = re, im
-    return iv.TargetSpec(f, tre, tim, w)
+    return iv.TargetSpec(tre, tim, w)
 
 
 def test_fitness_clamps_exact_match():
@@ -178,7 +193,7 @@ def test_fitness_weighted_mean():
     im = np.zeros_like(f)
     w = np.zeros_like(f)
     w[10], w[20] = 1.0, 3.0
-    t = iv.TargetSpec(f, re, im, w)
+    t = iv.TargetSpec(re, im, w)
     s22 = np.zeros((1, 61), dtype=complex)
     s22[0, 10] = 0.4  # error 0.2
     s22[0, 20] = 0.8j  # error 0.4
@@ -241,7 +256,7 @@ def test_elitism_keeps_a_planted_perfect_genome():
     f = freq_grid()
     w = np.zeros_like(f)
     w[25:30] = 1.0
-    target = iv.TargetSpec(f, resp.real * (w > 0), resp.imag * (w > 0), w)
+    target = iv.TargetSpec(resp.real * (w > 0), resp.imag * (w > 0), w)
 
     res = iv.ga_run(_tiny_cfg(seed=5), iv.oracle_evaluator(target))
     assert res.best_fitness == 1e6
@@ -400,8 +415,27 @@ def test_validate_design_segments_match_mask():
     rep = iv.validate_design(bits)
     covered = np.zeros(61, dtype=bool)
     for lo, hi in rep.band_segments:
-        covered |= (rep.freqs >= lo) & (rep.freqs <= hi)
+        covered |= (freq_grid() >= lo) & (freq_grid() <= hi)
     np.testing.assert_array_equal(covered, rep.band_mask)
+
+
+def _segments_by_loop(mask):
+    """The reference for inverse._segments: one pass over the mask."""
+    freqs, out, start = freq_grid(), [], None
+    for k, ok in enumerate(mask):
+        if ok and start is None:
+            start = k
+        elif not ok and start is not None:
+            out.append((float(freqs[start]), float(freqs[k - 1])))
+            start = None
+    if start is not None:
+        out.append((float(freqs[start]), float(freqs[-1])))
+    return tuple(out)
+
+
+@given(st.lists(st.booleans(), min_size=61, max_size=61))
+def test_segments_are_the_runs_of_the_mask(mask):
+    assert iv._segments(np.array(mask)) == _segments_by_loop(mask)
 
 
 def test_matching_response_gives_antiphase_states():

@@ -506,6 +506,8 @@ def test_constants_validation_and_fingerprint():
             oc.OracleConstants(c_a=value)
     fp = oc.fingerprint(oc.OracleConstants(), GeometryMeta())
     assert fp == "d7fd10d0d6447f25"
+    assert oc.fingerprint(oc.OracleConstants(),
+                          GeometryMeta(eps_r=4.4, substrate_h=0.8e-3)) == "4c4256afdb046858"
     assert oc.fingerprint(oc.OracleConstants(c_b=200e-15), GeometryMeta()) != fp
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -164,8 +166,7 @@ def test_metal_count_is_four_times_popcount():
 
 def test_geometry_defaults_and_validation():
     geom = pt.GeometryMeta()
-    assert geom.f0 == 5.8e9
-    assert geom.eps_r == 3.5
+    assert dataclasses.asdict(geom) == {"substrate_h": 1.52e-3, "eps_r": 3.5}
     with pytest.raises(ValueError):
         pt.GeometryMeta(substrate_h=0.0)
     for value in (-1.0, np.nan, np.inf):
