@@ -50,9 +50,10 @@ SPLIT_NUM, SPLIT_DEN = 10, 11  # split trains on 10 of every 11 records
 RECORD_DTYPE = np.dtype([("genome", ">u8"), ("resp", "<f8", (RESP_WIDTH,))])
 
 # Records per block: one fill task of `save`, one buffer of its ring, and one
-# block of a file that `FileBlocks` yields.  A fill task's temporaries, about
-# 1.2 MB at this size (1 MB of it the s22 kernel's scratch), come once per
-# fill thread on top of the ring's buffers of about 1 MB each.
+# block of a file that `FileBlocks` yields.  A fill task's temporaries, a
+# tracemalloc peak of 1.16 MB at this size (1 MB of it the s22 kernel's
+# scratch), come once per fill thread on top of the ring's buffers of about
+# 1 MB each.
 BLOCK = 1024
 # Records per block when load and summarize walk a record array, so their
 # temporaries stay one block's size.

@@ -152,18 +152,12 @@ def _quadrant_counts(w: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def features_batch(grids) -> np.ndarray:
-    """(n, 16, 16) or (16, 16) mirrored grids -> (n, 6) feature rows in FEATURE_NAMES order.
+    """(n, 16, 16) or (16, 16) mirrored grids -> the (n,) int64 word_codes of their quadrants.
 
-    Each feature lies in [0, 1]: rho is the overall metal fill, v_conn the
-    mean per-column longest vertical metal run / 16, e_h and e_v the
-    horizontally and vertically dissimilar neighbor pairs / (16*15),
-    rho_center the fill of the central 8x8 block, q_cb |rho_center - rho_border|.
-    They are computed from the quadrant counts that word_codes packs (the
-    grid's are 4x those, 2x for s); an unmirrored grid raises ValueError.
-
-    is_mirror_symmetric checks the grids; the quadrant's genome words are then
-    bytes 0, 2, ..., 14 of the 32 that np.packbits makes of each grid, its
-    rows 0-7 left of the vertical seam, read big-endian.
+    An unmirrored grid raises ValueError.  is_mirror_symmetric checks the
+    grids; the quadrant's genome words are then bytes 0, 2, ..., 14 of the 32
+    that np.packbits makes of each grid, its rows 0-7 left of the vertical
+    seam, read big-endian.  code_features turns the codes into feature rows.
     """
     g = np.ascontiguousarray(grids, dtype=bool)
     if g.ndim == 2:
@@ -173,8 +167,7 @@ def features_batch(grids) -> np.ndarray:
     if not is_mirror_symmetric(g):
         raise ValueError("grids must have the four-fold mirror symmetry of expand_genome")
     rows = np.packbits(g.reshape(-1)).reshape(len(g), GRID_SIDE, GRID_SIDE // 8)
-    words = np.ascontiguousarray(rows[:, :GENOME_SIDE, 0]).view(">u8")[:, 0]
-    return _count_features(*_quadrant_counts(words.astype(np.uint64)))
+    return word_codes(np.ascontiguousarray(rows[:, :GENOME_SIDE, 0]).view(">u8")[:, 0])
 
 
 def _count_features(n, s, h, v, c) -> np.ndarray:
@@ -196,18 +189,22 @@ def word_codes(words) -> np.ndarray:
     horizontally and vertically dissimilar neighbor pairs (the mirror seams add
     none), c the fill of its [4:, 4:] corner (a quarter of the central block),
     and s the sum over its columns of max(longest run, 2 x the run ending at
-    row 7, which the horizontal seam doubles).  features_batch converts these
-    same integers to its six floats, so equal codes give byte-equal rows.
+    row 7, which the horizontal seam doubles).  features_batch gives the same
+    codes for the mirrored grids of these words.
     """
     n, s, h, v, c = _quadrant_counts(np.asarray(words, dtype=np.uint64))
     return n | s << 7 | h << 16 | v << 24 | c << 32
 
 
 def code_features(codes) -> np.ndarray:
-    """(k,) int64 word_codes -> the (k, 6) rows features_batch gives their genomes.
+    """(k,) int64 word_codes -> (k, 6) feature rows in FEATURE_NAMES order.
 
-    The rows are computed from the same five integers by the same arithmetic,
-    so they are byte-equal to features_batch(expand_genome(...)).
+    Each feature lies in [0, 1] and is the full grid's: rho is the overall
+    metal fill, v_conn the mean per-column longest vertical metal run / 16,
+    e_h and e_v the horizontally and vertically dissimilar neighbor pairs /
+    (16*15), rho_center the fill of the central 8x8 block, q_cb |rho_center -
+    rho_border|.  The grid's counts are 4x the code's (2x for s).  Equal codes
+    give byte-equal rows.
     """
     return _count_features(*_code_fields(np.asarray(codes, dtype=np.int64)).T)
 
@@ -230,12 +227,10 @@ def _code_fields(codes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# The largest value of each quadrant count n, s, h, v and c, and the factor
-# that takes its feature (rho, v_conn, e_h, e_v, rho_center) back to it.
+# The largest value of each quadrant count n, s, h, v and c: a code field
+# above it is refused (_code_rows), and the tables hold a row per value up to it.
 _COUNT_MAX = np.array([GENOME_BITS, 2 * GENOME_BITS, GENOME_SIDE * (GENOME_SIDE - 1),
                        GENOME_SIDE * (GENOME_SIDE - 1), GENOME_BITS // 4])
-_COUNT_SCALE = np.array([GRID_SIDE**2 / 4, GRID_SIDE**2 / 2, GRID_SIDE * (GRID_SIDE - 1) / 4,
-                         GRID_SIDE * (GRID_SIDE - 1) / 4, 64 / 4])
 _N_VALUES, _S_VALUES, _H_VALUES, _V_VALUES, _C_VALUES = (_COUNT_MAX + 1).tolist()
 
 
@@ -309,40 +304,15 @@ def _held_tables(consts: OracleConstants, geom: GeometryMeta) -> tuple:
     return _build_tables(consts, geom)
 
 
-def _table_rows(feats: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
-    """(k, 6) feature rows -> the five (k,) row indices of their _build_tables entries.
-
-    The counts are read off the floats (n = rho*64, s = v_conn*128, c =
-    rho_center*16, h and v by rounding e_h*60 and e_v*60) and proved by the
-    bits of each of a row's six floats equalling those of the feature its
-    counts give, gathered from _feature_tables.  A count outside its table is
-    first bounded into it, so that every index is in range; the features of
-    the bounded count then differ from the row's.  A row that no counts
-    reproduce raises ValueError naming it by its index plus `first`.
-    """
-    k = np.rint(feats[:, :5] * _COUNT_SCALE)
-    n, s, h, v, c = np.clip(k, 0, _COUNT_MAX, out=k).T.astype(np.int64)
-    nc = n * _C_VALUES + c
-    bits = feats.view(np.uint64)
-    bad = np.zeros(len(feats), dtype=bool)
-    for j, (table, index) in enumerate(zip(_feature_tables(), (n, s, h, v, c, nc))):
-        bad |= table.view(np.uint64)[index] != bits[:, j]
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"feature row {first + row} is not the features of any genome's "
-                         f"quadrant counts: {feats[row].tolist()}")
-    return c, s, n * _H_VALUES + h, nc, v
-
-
 _COUNT_MAX_U64 = _COUNT_MAX.astype(np.uint64)
 
 
 def _code_rows(codes: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
     """(k,) int64 word_codes -> the five (k,) row indices of their _build_tables entries.
 
-    The counts are the code's packed fields, so they need no proof; a field
-    above its count's largest value (a negative code included) raises
-    ValueError naming the code by its index plus `first`.
+    The counts are the code's packed fields; a field above its count's
+    largest value (a negative code included) raises ValueError naming the
+    code by its index plus `first`.
     """
     fields = _code_fields(codes)
     # a negative c is a huge unsigned one
@@ -363,7 +333,7 @@ def _kernel_scratch(rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray,
                 scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """_table_rows or _code_rows of n rows x _build_tables -> (n, N_FREQ) s22 in out.
+    """_code_rows of n codes x _build_tables -> (n, N_FREQ) s22 in out.
 
     Every element but the 1/eta shunt is lossless, so the series arm, both
     branches and the stub are each one real reactance X and their shunt sum
@@ -372,12 +342,13 @@ def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray,
     zero real part are exact and its division of 1 by (0, b) returns
     (+-0, -(1/b)), so the reactances and the susceptance are the IEEE
     operations the complex cascade of the module docstring performs on its
-    (0, X) impedances, and the spectra have that cascade's bits (the oracle
-    tests keep it as the reference).  X_series is gathered whole from the
-    tables and each branch X = w*L - 1/(w*C) as one subtraction of two
-    gathered rows.  The (n, N_FREQ) arrays are gathered and computed in place
-    in out and in the slabs of scratch (_kernel_scratch of >= n rows), which
-    the caller reuses from block to block.
+    (0, X) impedances, and the spectra have the bits of that cascade on the
+    codes' code_features rows (the oracle tests keep it as the reference).
+    X_series is gathered whole from the tables and each branch X = w*L -
+    1/(w*C) as one subtraction of two gathered rows.  The (n, N_FREQ) arrays
+    are gathered and computed in place in out and in the slabs of scratch
+    (_kernel_scratch of >= n rows), which the caller reuses from block to
+    block.
 
     An exact branch resonance on a grid row subtracts to X = +0, so -1/X =
     -inf, y = (1/eta, -inf) and numpy's 1/y = (-0, +0): the branch shorts the
@@ -390,7 +361,7 @@ def _s22_kernel(rows: tuple[np.ndarray, ...], tables: tuple, out: np.ndarray,
     n = len(by_c)
     x_series, x1, x2, tmp = scratch[0][:, :n]
     y, den = scratch[1][:, :n]
-    # every row index is in range (_table_rows, _code_rows), so "clip" moves none; it
+    # every row index is in range (_code_rows), so "clip" moves none; it
     # spares np.take the buffered copy that its default mode makes of out
     np.take(series, by_c, axis=0, out=x_series, mode="clip")
     np.subtract(np.take(wl1, by_s, axis=0, out=x1, mode="clip"),
@@ -420,70 +391,60 @@ def _finish(x_series, x1, x2, x_stub, eta, y, den, out):
     return np.divide(np.subtract(z_in, eta, out=z_in), den, out=out)
 
 
-def features_response_batch(feats, consts: OracleConstants = OracleConstants(),
+def features_response_batch(codes, consts: OracleConstants = OracleConstants(),
                             geom: GeometryMeta = GeometryMeta(),
                             out: np.ndarray | None = None) -> np.ndarray:
-    """(n, 6) feature rows or (n,) int64 word_codes -> (n, 61) complex s22 on
-    freq_grid(), written into `out` when given.
+    """(n,) integer word_codes -> (n, 61) complex s22 on freq_grid(), written
+    into `out` when given.
 
     `out` may be any (n, 61) complex128 array, a strided view such as the
     "resp" field of dataset records viewed as complex included; it is returned.
 
     The kernel gathers each reactance from tables per count value
     (_build_tables), which the module builds on first use and holds per
-    (constants, geometry).  Codes give it the counts as they are; a code
-    with a field beyond its count's range raises ValueError naming it.  A
-    float row must be the features of some genome's quadrant counts, as
-    features_batch and code_features give them, and the counts are read off
-    it and proved; a row that no counts reproduce byte for byte raises
-    ValueError naming it.  A code and its code_features row give byte-equal
-    spectra.  An integer array of any other shape is refused.
+    (constants, geometry), at the row indices read off each code's packed
+    counts.  A code with a field beyond its count's range raises ValueError
+    naming it; any array that is not (n,) integers is refused.
     The kernel fills the output KERNEL_BLOCK rows at a time, so its
     temporaries stay a block's size whatever n is.  It is elementwise per
     row, so every output row has the same bits as a one-row call; callers
     that meet repeated genomes deduplicate them first (the oracle GA scores
     each word_codes value once).
     """
-    return _response(feats, consts, geom, out)
+    return _response(codes, consts, geom, out)
 
 
 def response_batch(grids, consts: OracleConstants = OracleConstants(),
                    geom: GeometryMeta = GeometryMeta()) -> np.ndarray:
     """(n, 16, 16) or (16, 16) mirrored grids -> (n, 61) complex s22 on freq_grid().
 
-    features_response_batch of the grids' features_batch rows.
+    features_response_batch of the grids' features_batch codes.
     """
     # through _response, so that a traced run (perfbench/spans.py) counts
     # one oracle response per call rather than two nested ones
     return _response(features_batch(grids), consts, geom, None)
 
 
-def _response(feats, consts, geom, out) -> np.ndarray:
-    feats = np.asarray(feats)
-    if feats.dtype.kind in "iu":
-        if feats.ndim != 1:
-            raise ValueError(f"expected (n,) feature codes, got integers of shape {feats.shape}")
-        feats, rows_of = feats.astype(np.int64, copy=False), _code_rows
-    else:
-        feats, rows_of = feats.astype(float, copy=False), _table_rows
-        if feats.ndim != 2 or feats.shape[1] != len(FEATURE_NAMES):
-            raise ValueError(f"expected (n, {len(FEATURE_NAMES)}) feature rows, got {feats.shape}")
-        if not np.isfinite(feats).all():
-            raise ValueError("feature rows must be finite")
+def _response(codes, consts, geom, out) -> np.ndarray:
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "iu" or codes.ndim != 1:
+        raise ValueError(f"expected (n,) integer feature codes, got {codes.dtype} of shape "
+                         f"{codes.shape}")
+    codes = codes.astype(np.int64, copy=False)
     if out is None:
-        out = np.empty((len(feats), N_FREQ), dtype=complex)
-    elif out.shape != (len(feats), N_FREQ) or out.dtype != np.complex128:
-        raise ValueError(f"out must be a ({len(feats)}, {N_FREQ}) complex128 array, "
+        out = np.empty((len(codes), N_FREQ), dtype=complex)
+    elif out.shape != (len(codes), N_FREQ) or out.dtype != np.complex128:
+        raise ValueError(f"out must be a ({len(codes)}, {N_FREQ}) complex128 array, "
                          f"got {out.shape} {out.dtype}")
-    scratch = _kernel_scratch(min(KERNEL_BLOCK, len(feats)), N_FREQ)
+    scratch = _kernel_scratch(min(KERNEL_BLOCK, len(codes)), N_FREQ)
     # a reactance may overflow to infinity, or a branch resonance make a
     # susceptance -inf (_s22_kernel), and still give a finite s22; a response
     # made non-finite passes through inf/inf or inf - inf
     try:
         with np.errstate(divide="ignore", over="ignore", invalid="raise"):
             tables = _held_tables(consts, geom)
-            for i in range(0, len(feats), KERNEL_BLOCK):
-                _s22_kernel(rows_of(feats[i:i + KERNEL_BLOCK], i), tables,
+            for i in range(0, len(codes), KERNEL_BLOCK):
+                _s22_kernel(_code_rows(codes[i:i + KERNEL_BLOCK], i), tables,
                             out[i:i + KERNEL_BLOCK], scratch)
     except FloatingPointError as exc:
         raise ValueError(f"the oracle response is not finite under {consts} and {geom}") from exc

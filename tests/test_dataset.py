@@ -17,6 +17,7 @@ from metapix.dataset import ROW_BLOCK
 from metapix.oracle import (
     KERNEL_BLOCK,
     OracleConstants,
+    code_features,
     features_batch,
     freq_grid,
     response_batch,
@@ -325,7 +326,7 @@ def test_summary_statistics():
     # genome bits are fair coin flips: fill concentrates near 1/2
     assert abs(s["fill_mean"] - 0.5) < 0.02
     # fill read straight from the quadrant words equals the grid feature rho
-    rho = features_batch(expand_genome(u64_to_bits(recs["genome"])))[:, 0]
+    rho = code_features(features_batch(expand_genome(u64_to_bits(recs["genome"]))))[:, 0]
     assert s["fill_mean"] == float(rho.mean())
     assert s["fill_hist"] == np.histogram(rho, bins=16, range=(0.0, 1.0))[0].tolist()
     grid_re = deinterleave(recs["resp"]).real

@@ -130,14 +130,14 @@ def _grids(seed, n):
 
 
 def _features(grid):
-    return dict(zip(oc.FEATURE_NAMES, oc.features_batch(grid)[0].tolist()))
+    return dict(zip(oc.FEATURE_NAMES, oc.code_features(oc.features_batch(grid))[0].tolist()))
 
 
 # --- features ----------------------------------------------------------------
 
 
 def test_features_of_uniform_grids():
-    assert oc.features_batch(np.zeros((16, 16), bool))[0].tolist() == [0.0] * 6
+    assert oc.code_features(oc.features_batch(np.zeros((16, 16), bool)))[0].tolist() == [0.0] * 6
     ones = _features(np.ones((16, 16), bool))
     assert ones["rho"] == 1.0
     assert ones["v_conn"] == 1.0
@@ -163,7 +163,7 @@ def test_features_of_checkerboard():
 def test_features_frozen_example():
     grid = expand_genome(unpack_genome("15780B2E0C2EC716"))
     np.testing.assert_allclose(
-        oc.features_batch(grid)[0],
+        oc.code_features(oc.features_batch(grid))[0],
         [0.4375, 0.2109375, 0.43333333333333335, 0.43333333333333335, 0.625, 0.25],
         rtol=0,
         atol=0,
@@ -175,7 +175,7 @@ def test_features_match_the_grid_scan():
     full-grid float scan, on random words and on edge words."""
     words = np.concatenate([CounterRng(3).u64(200_000), _EDGE_WORDS])
     grids = expand_genome(u64_to_bits(words))
-    got = oc.features_batch(grids).view(np.uint64)
+    got = oc.code_features(oc.features_batch(grids)).view(np.uint64)
     np.testing.assert_array_equal(got, _grid_features(grids).view(np.uint64))
 
 
@@ -205,6 +205,22 @@ def test_features_rejects_bad_shapes():
         oc.features_batch(np.zeros((8, 8)))
     with pytest.raises(ValueError):
         oc.features_batch(np.zeros((2, 16, 15)))
+
+
+def test_features_batch_gives_the_word_codes():
+    """features_batch of mirrored grids gives the word_codes of their genome
+    words, one (16, 16) grid at a time and as a batch, on edge, line and
+    random words, and response_batch of the grids has the bytes of the
+    kernel fed those codes."""
+    words = np.concatenate([_EDGE_WORDS, _LINE_WORDS, CounterRng(34).u64(10_000)])
+    grids = expand_genome(u64_to_bits(words))
+    codes = oc.word_codes(words)
+    got = oc.features_batch(grids)
+    assert got.dtype == np.int64 and got.shape == (len(words),)
+    np.testing.assert_array_equal(got, codes)
+    for k, grid in enumerate(grids):
+        assert oc.features_batch(grid).tolist() == [codes[k]]
+    assert oc.response_batch(grids).tobytes() == oc.features_response_batch(codes).tobytes()
 
 
 def test_equal_features_give_bit_equal_responses():
@@ -245,7 +261,7 @@ def test_response_matches_hand_cascade_zeros():
 
 def test_response_matches_hand_cascade_everywhere():
     grid = expand_genome(unpack_genome("15780B2E0C2EC716"))
-    feat = tuple(oc.features_batch(grid)[0])
+    feat = tuple(oc.code_features(oc.features_batch(grid))[0])
     resp = oc.response_batch(grid)[0]
     for k, f in enumerate(oc.freq_grid()):
         np.testing.assert_allclose(resp[k], _hand_s22(feat, f), atol=1e-12)
@@ -292,39 +308,36 @@ def _table_bytes(tables):
 
 
 def test_kernel_allocates_nothing_mmap_sized_beside_its_scratch():
-    """A 10,000-row call into a preallocated out, of feature rows or of their
-    codes, peaks under its scratch plus 128 KiB of traced memory once the
-    reactance tables are held, and a call that finds them cold under that
-    plus the tables, so no array allocated
-    beside the scratch and the tables reaches glibc's mmap threshold, whatever
-    the number of blocks.  numpy's iterator buffers a broadcast operand in
-    np.getbufsize() elements, 64 KiB of float64 by default and so under the
-    threshold too; the buffers are shrunk while measuring so that the peak
-    counts arrays alone."""
+    """A 10,000-code call into a preallocated out peaks under its scratch
+    plus 128 KiB of traced memory once the reactance tables are held, and a
+    call that finds them cold under that plus the tables, so no array
+    allocated beside the scratch and the tables reaches glibc's mmap
+    threshold, whatever the number of blocks.  numpy's iterator buffers a
+    broadcast operand in np.getbufsize() elements, 64 KiB of float64 by
+    default and so under the threshold too; the buffers are shrunk while
+    measuring so that the peak counts arrays alone."""
     assert np.getbufsize() * np.dtype(np.float64).itemsize < 128 * 1024
     codes = oc.word_codes(CounterRng(8).u64(10_000))
-    feats = oc.code_features(codes)
-    out = np.empty((len(feats), oc.N_FREQ), dtype=complex)
+    out = np.empty((len(codes), oc.N_FREQ), dtype=complex)
     scratch = sum(a.nbytes for a in oc._kernel_scratch(oc.KERNEL_BLOCK, oc.N_FREQ))
     tables = _table_bytes(oc._build_tables(oc.OracleConstants(), GeometryMeta()))
-    assert len(feats) > 30 * oc.KERNEL_BLOCK
-    for rows in (feats, codes):
-        oc._held_tables.cache_clear()
-        bufsize = np.setbufsize(16)
-        tracemalloc.start()
-        try:
-            peaks = []
-            for _ in ("cold", "warm"):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                oc.features_response_batch(rows, out=out)
-                peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        finally:
-            tracemalloc.stop()
-            np.setbufsize(bufsize)
-        assert peaks[0] - scratch - tables < 128 * 1024
-        assert peaks[1] - scratch < 128 * 1024
-        assert np.isfinite(out).all()
+    assert len(codes) > 30 * oc.KERNEL_BLOCK
+    oc._held_tables.cache_clear()
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            oc.features_response_batch(codes, out=out)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peaks[0] - scratch - tables < 128 * 1024
+    assert peaks[1] - scratch < 128 * 1024
+    assert np.isfinite(out).all()
 
 
 def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
@@ -334,7 +347,7 @@ def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
     constants get their own, and constants that put a branch resonance on a
     grid row build theirs once too."""
     oc._held_tables.cache_clear()
-    row = np.zeros((1, 6))
+    row = np.zeros(1, dtype=np.int64)  # the code of the all-zero genome
     oc.features_response_batch(row)
     tables = oc._held_tables(oc.OracleConstants(), GeometryMeta())
     assert _table_bytes(tables) == 2_446_832 == (17 + 129 + 65 * 57 + 65 * 17 + 57 + 1) * 61 * 8
@@ -353,95 +366,26 @@ def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
     assert oc._held_tables(oc.OracleConstants(), GeometryMeta()) is tables
 
 
-# a one-ulp step up or down from the row's value, for the columns whose values
-# are not binary fractions: e_h and e_v are multiples of 1/60, and q_cb
-# divides by 192
-_ULP_STEPS = {"ulp-up": np.inf, "ulp-down": -np.inf}
-
-
-@pytest.mark.parametrize("column, value", [(0, 0.3), (1, 1.5)]
-                         + [(column, step) for column in (2, 3, 5) for step in _ULP_STEPS])
-def test_refuses_feature_rows_off_the_count_lattice(column, value):
-    """A row that is not the features of any quadrant counts ends in one
-    ValueError naming it, whether it lies between them (rho = 0.3 is not a
-    multiple of 1/64, nor a value one ulp from a count's feature) or beyond
-    them (v_conn = 1.5 needs s = 192 > 128)."""
-    rows = oc.code_features(oc.word_codes(CounterRng(2).u64(300)))
-    if value in _ULP_STEPS:
-        assert rows[280, column] != 0
-        value = np.nextafter(rows[280, column], _ULP_STEPS[value])
-    rows[280, column] = value
-    with pytest.raises(ValueError, match=r"^feature row 280 is not the features of any genome"):
-        oc.features_response_batch(rows)
-
-
-def _arithmetic_table_rows(feats):
-    """_table_rows's indices and refused rows, proved by recomputing
-    _count_features of the counts read off the floats: the reference for the
-    proof by bits gathered from _feature_tables."""
-    k = np.rint(feats[:, :5] * oc._COUNT_SCALE)
-    n, s, h, v, c = np.clip(k, 0, oc._COUNT_MAX, out=k).T.astype(np.int64)
-    bad = (oc._count_features(n, s, h, v, c).view(np.uint64) != feats.view(np.uint64)).any(axis=1)
-    return (c, s, n * oc._H_VALUES + h, n * oc._C_VALUES + c, v), bad
-
-
-def test_gathered_proof_equals_the_arithmetic_one():
-    """Each count over its whole range and one past it, the others random:
-    the gathered proof gives the arithmetic proof's row indices and refuses
-    the rows it refuses, naming the first: among them every row stepped one
-    ulp in any column, and a zero feature written as -0.0, which equals 0.0
-    as a float but not in its bits."""
-    rng = np.random.default_rng(30)
-    for j, top in enumerate(oc._COUNT_MAX.tolist()):
-        counts = [rng.integers(0, m + 1, top + 2) for m in oc._COUNT_MAX.tolist()]
-        counts[j] = np.arange(top + 2)
-        feats = oc._count_features(*counts)
-        want, bad = _arithmetic_table_rows(feats)
-        assert bad.tolist() == [False] * (top + 1) + [True]
-        for got, expect in zip(oc._table_rows(feats[:-1], 0), want):
-            np.testing.assert_array_equal(got, expect[:-1])
-        with pytest.raises(ValueError, match=f"^feature row {top + 5} is not"):
-            oc._table_rows(feats, 4)
-        negative_zero = feats[:-1].copy()
-        assert negative_zero[0, j] == 0
-        negative_zero[0, j] = -0.0
-        assert _arithmetic_table_rows(negative_zero)[1].nonzero()[0].tolist() == [0]
-        with pytest.raises(ValueError, match="^feature row 4 is not"):
-            oc._table_rows(negative_zero, 4)
-        for column in range(6):
-            for step in _ULP_STEPS.values():
-                off = feats.copy()
-                off[:, column] = np.nextafter(off[:, column], step)
-                assert _arithmetic_table_rows(off)[1].all()
-                for row in rng.choice(top + 1, 3, replace=False).tolist():
-                    one = feats[:-1].copy()
-                    one[row] = off[row]
-                    assert _arithmetic_table_rows(one)[1].nonzero()[0].tolist() == [row]
-                    with pytest.raises(ValueError, match=f"^feature row {row + 4} is not"):
-                        oc._table_rows(one, 4)
-
-
 def test_real_kernel_equals_the_complex_cascade():
     """The kernel's real reactances give the bits of the complex cascade on
     random and edge words, under the default constants and under constants
     that put an exact resonance of either branch or both on a grid row (the
     short-circuit limit; the empty edge word resonates), with out= a strided
     view of records included."""
-    words = np.concatenate([CounterRng(9).u64(200_000), _EDGE_WORDS])
-    feats = oc.code_features(oc.word_codes(words))
-    edge = feats[-len(_EDGE_WORDS):]
-    assert edge[0].tolist() == [0.0] * 6
+    codes = oc.word_codes(np.concatenate([CounterRng(9).u64(200_000), _EDGE_WORDS]))
+    edge = codes[-len(_EDGE_WORDS):]
+    assert edge[0] == 0
     for consts in (oc.OracleConstants(), *_RESONANT):
-        for i in range(0, len(feats), 20_000):
-            rows = feats[i:i + 20_000]
+        for i in range(0, len(codes), 20_000):
+            rows = codes[i:i + 20_000]
             got = oc.features_response_batch(rows, consts)
-            want = _complex_kernel(rows, oc.freq_grid(), consts)
+            want = _complex_kernel(oc.code_features(rows), oc.freq_grid(), consts)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        rows = np.concatenate([feats[:2 * oc.KERNEL_BLOCK], edge])  # across blocks
+        rows = np.concatenate([codes[:2 * oc.KERNEL_BLOCK], edge])  # across blocks
         records = np.zeros(len(rows), dtype=[("genome", ">u8"), ("resp", "<f8", (2 * oc.N_FREQ,))])
         out = records["resp"].view(np.complex128)
         oc.features_response_batch(rows, consts, out=out)
-        want = _complex_kernel(rows, oc.freq_grid(), consts)
+        want = _complex_kernel(oc.code_features(rows), oc.freq_grid(), consts)
         assert np.isfinite(want).all()
         np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
 
@@ -450,15 +394,15 @@ def test_features_response_fills_a_strided_view_of_records():
     """out= writes a strided complex view of record responses bit-equal to
     out=None, across kernel blocks and at a branch resonance, and returns it."""
     n = 2 * oc.KERNEL_BLOCK + 37
-    feats = oc.features_batch(_grids(99, n))
-    feats[5] = feats[n - 1] = 0.0  # all-zero grids resonate under _RESONANT
+    codes = oc.features_batch(_grids(99, n))
+    codes[5] = codes[n - 1] = 0  # all-zero grids resonate under _RESONANT
     records = np.zeros(n, dtype=[("genome", ">u8"), ("resp", "<f8", (2 * oc.N_FREQ,))])
     for consts in (oc.OracleConstants(), *_RESONANT):
         out = records["resp"].view(np.complex128)
         assert not out.flags.c_contiguous
-        got = oc.features_response_batch(feats, consts, out=out)
+        got = oc.features_response_batch(codes, consts, out=out)
         assert got is out
-        expect = oc.features_response_batch(feats, consts)
+        expect = oc.features_response_batch(codes, consts)
         assert np.isfinite(expect).all()
         assert out.tobytes() == expect.tobytes()
         assert (records["genome"] == 0).all()
@@ -471,12 +415,7 @@ def test_features_response_fills_a_strided_view_of_records():
                                  np.empty((2, oc.N_FREQ), ">c16")])
 def test_features_response_refuses_a_wrong_out(out):
     with pytest.raises(ValueError, match="out must be"):
-        oc.features_response_batch(np.zeros((2, 6)), out=out)
-
-
-def test_features_response_refuses_wrong_feature_rows():
-    with pytest.raises(ValueError, match="feature rows"):
-        oc.features_response_batch(np.zeros((2, 5)))
+        oc.features_response_batch(np.zeros(2, dtype=np.int64), out=out)
 
 
 def test_response_is_strictly_passive():
@@ -511,14 +450,6 @@ def test_constants_validation_and_fingerprint():
     assert oc.fingerprint(oc.OracleConstants(c_b=200e-15), GeometryMeta()) != fp
 
 
-@pytest.mark.parametrize("feats", [[math.nan] + [0.0] * 5, [0.0] * 5 + [math.inf]],
-                         ids=["nan-rho", "inf-q_cb"])
-def test_rejects_non_finite_inputs(feats):
-    """A NaN or infinite feature is refused, not turned into NaN spectra."""
-    with pytest.raises(ValueError, match="finite"):
-        oc.features_response_batch(np.array([[0.0] * 6, feats]))
-
-
 def test_branch_resonance_gives_the_series_arm_reflection():
     """A grid row parked exactly on a branch resonance takes the circuit's
     limit there: the branch shorts the 1/eta shunt, so s22 is the lossless
@@ -527,7 +458,7 @@ def test_branch_resonance_gives_the_series_arm_reflection():
     stay strictly passive, and repeated calls give the same bits.  The limit
     rests on numpy's division of 1 by (1/eta, -inf) giving (-0, +0)."""
     zeros = np.zeros((16, 16), bool)
-    assert oc.features_batch(zeros).tolist() == [[0.0] * 6]
+    assert oc.features_batch(zeros).tolist() == [0]  # the all-zero feature row
     assert 0.0 not in _zero_row_reactances(oc.OracleConstants())[1:]
     # the array loops the kernel runs, not numpy's scalar arithmetic
     inverse = np.divide(1.0, np.array([complex(1.0 / ETA, -math.inf)]))
@@ -572,7 +503,7 @@ def test_feature_code_determines_the_feature_row():
     codes = oc.word_codes(bits_to_u64(bits))
     assert codes.dtype == np.int64 and codes.shape == (len(bits),)
     assert codes[-2] == codes[-1]  # the equal-feature pair
-    rows = oc.features_batch(expand_genome(bits)).view(np.uint64)
+    rows = oc.code_features(oc.features_batch(expand_genome(bits))).view(np.uint64)
     assert oc.code_features(codes).tobytes() == rows.tobytes()
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     np.testing.assert_array_equal(rows, rows[first][inverse])
@@ -597,14 +528,15 @@ def _code_test_words(n):
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
 def test_codes_give_the_spectra_of_their_feature_rows(n):
-    """word_codes fed to the kernel give byte-equal spectra to their
-    code_features rows, across kernel blocks, with and without out=, into a
+    """word_codes fed to the kernel as a batch give byte-equal spectra to
+    one-code calls, across kernel blocks, with and without out=, into a
     strided view of record responses too."""
     codes = oc.word_codes(_code_test_words(n))
     if n >= 7:
         assert {0, oc.word_codes(np.array([2**64 - 1], np.uint64))[0]} <= set(codes.tolist())
-    expect = oc.features_response_batch(oc.code_features(codes))
-    assert expect.shape == (n, oc.N_FREQ)
+    expect = np.empty((n, oc.N_FREQ), dtype=complex)
+    for k in range(n):
+        expect[k] = oc.features_response_batch(codes[k:k + 1])[0]
     assert oc.features_response_batch(codes).tobytes() == expect.tobytes()
     out = np.empty((n, oc.N_FREQ), dtype=complex)
     assert oc.features_response_batch(codes, out=out) is out
@@ -638,8 +570,12 @@ def test_refuses_codes_off_the_count_ranges(bad):
 
 
 def test_refuses_integer_arrays_that_are_not_codes():
-    """An integer array of feature-row shape is refused, not read as floats."""
-    for ints in (np.zeros((2, 6), dtype=np.int64), np.zeros((3, 1), dtype=np.int64),
-                 np.int64(0)):
+    """The kernel takes only (n,) integer codes: an integer array of another
+    shape, a bool array and float feature rows (the all-zero row and the
+    frozen example's) are each refused, not read as codes."""
+    frozen = [0.4375, 0.2109375, 0.43333333333333335, 0.43333333333333335, 0.625, 0.25]
+    for bad in (np.zeros((2, 6), dtype=np.int64), np.zeros((3, 1), dtype=np.int64),
+                np.int64(0), np.zeros((2, 5), dtype=np.int64), np.zeros(3, dtype=bool),
+                np.zeros((1, 6)), np.array([frozen]), np.zeros(2)):
         with pytest.raises(ValueError, match="feature codes"):
-            oc.features_response_batch(ints)
+            oc.features_response_batch(bad)
