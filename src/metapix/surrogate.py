@@ -10,6 +10,11 @@ moments, the best-weight snapshot and the checkpoint body share that layout.
 Training is plain minibatch Adam on mean absolute error with a
 reduce-on-plateau schedule; every random draw (init, shuffles, coordinate
 picks) comes from CounterRng so runs are exactly repeatable.
+At its peak, training holds x and y, the parameters, the two Adam moments
+and the best snapshot, plus either one gradient during a step or two
+activations during validation: a forward pass adds each bias in place in
+the fresh product, and each batch's gradient is released after its Adam
+step.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ class Mlp:
         yield a
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
+            a = a @ w
+            a += b  # in the fresh product: a pass holds two activations, not three
             if k < last:
                 np.maximum(a, 0.0, out=a)
             yield a
@@ -83,7 +89,7 @@ class Mlp:
         return list(self._activations(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """The linear output alone; one layer's activation is held at a time."""
+        """The linear output alone; at most two activations are held at a time."""
         return deque(self._activations(x), maxlen=1)[0]
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -253,12 +259,14 @@ def mae(mlp: Mlp, x: np.ndarray, y: np.ndarray) -> float:
     """Mean absolute error of the network's outputs for x against y.
 
     The forward passes take PREDICT_BATCH rows at a time, as predict_s22's
-    do, and the batches' error sums are added in order.
+    do, and the batches' error sums are added in order.  Each batch's error
+    and its magnitude are taken in place in the prediction.
     """
     total = 0.0
     for i in range(0, len(x), PREDICT_BATCH):
-        xb, yb = x[i : i + PREDICT_BATCH], y[i : i + PREDICT_BATCH]
-        total += float(np.abs(mlp.predict(xb) - yb).sum())
+        err = mlp.predict(x[i : i + PREDICT_BATCH])
+        err -= y[i : i + PREDICT_BATCH]
+        total += float(np.abs(err, out=err).sum())
     return total / y.size
 
 
@@ -298,6 +306,7 @@ def train(mlp: Mlp, x_train: np.ndarray, y_train: np.ndarray,
                 idx = order[i : i + settings.batch_size]
                 loss, grad = mlp.loss_and_grads(x_train[idx], y_train[idx])
                 opt.step(mlp, grad, lr)
+                del grad  # held beside neither the next batch's gradient nor validation
                 running += loss * len(idx)
             train_mae = running / n
             val_mae = mae(mlp, x_val, y_val)

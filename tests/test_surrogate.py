@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,59 @@ def test_predict_is_bit_equal_to_the_last_forward_activation(rows):
     assert out.shape == (rows, 122) and out.dtype == np.float64
     assert out.tobytes() == mlp.forward(x)[-1].tobytes()
     assert out.tobytes() == mlp.predict(x.astype(np.float64)).tobytes()
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while fn runs, above those held when it starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_holds_two_activations_at_a_time():
+    """Each bias is added in the fresh product, so a 4096-row pass holds at
+    most the float64 input and the two widest activations (8 MiB each); a
+    separate sum would hold a third."""
+    mlp = sg.init_mlp(4)
+    x = sg.encode_bits(CounterRng(2).u64(sg.PREDICT_BATCH))
+    bound = x.size * 8 + 2 * len(x) * max(mlp.sizes) * 8
+    assert _traced_peak(lambda: mlp.predict(x)) < bound + 256 * 1024
+
+
+def test_training_peaks_without_a_stale_gradient_beside_validation():
+    """An epoch holds the two Adam moments and the best snapshot, and at its
+    peak the two widest activations of a validation pass; the last batch's
+    gradient (mlp.params.nbytes) kept beside them would break the bound."""
+    rng = CounterRng(3)
+    xt, xv = sg.encode_bits(rng.u64(640)), sg.encode_bits(rng.u64(1000))
+    yt = rng.uniform(640 * 122, -1.0, 1.0).reshape(640, 122)
+    yv = rng.uniform(1000 * 122, -1.0, 1.0).reshape(1000, 122)
+    mlp = sg.init_mlp(5)
+    held = 3 * mlp.params.nbytes + 2 * len(xv) * max(mlp.sizes) * 8
+    settings = sg.TrainSettings(max_epochs=1)
+    peak = _traced_peak(lambda: sg.train(mlp, xt, yt, xv, yv, settings))
+    assert peak < held + mlp.params.nbytes // 4
+
+
+@pytest.mark.parametrize("rows", [1, sg.PREDICT_BATCH - 1, sg.PREDICT_BATCH,
+                                  sg.PREDICT_BATCH + 1, 10_000])
+def test_mae_equals_the_out_of_place_sum_bit_for_bit(rows):
+    mlp = sg.init_mlp(4)
+    mlp.params += CounterRng(6).uniform(mlp.params.size, -0.01, 0.01)  # nonzero biases
+    rng = CounterRng(9)
+    x = sg.encode_bits(rng.u64(rows))
+    y = rng.uniform(rows * 122, -1.0, 1.0).reshape(rows, 122)
+    x_bytes, y_bytes = x.tobytes(), y.tobytes()
+    total = 0.0
+    for i in range(0, rows, sg.PREDICT_BATCH):
+        xb, yb = x[i : i + sg.PREDICT_BATCH], y[i : i + sg.PREDICT_BATCH]
+        total += float(np.abs(mlp.predict(xb) - yb).sum())
+    assert sg.mae(mlp, x, y).hex() == (total / y.size).hex()
+    assert (x.tobytes(), y.tobytes()) == (x_bytes, y_bytes)
 
 
 def test_forward_matches_hand_matmul():
