@@ -31,8 +31,8 @@ TWO_PI = 2.0 * math.pi
 PATTERN_FLOOR_DB = -100.0  # lowest level of a normalized pattern cut
 SWEEP_FLOOR_DB = -300.0  # lowest level of a normalized frequency sweep
 PGM_FLOOR_DB = -40.0  # dB level that renders black in render_pgm
-# directions per block of far_field_gammas' (directions, n) factors, so that a
-# whole hemisphere holds them a block at a time
+# directions per block of far_field_gammas' direction terms and (directions, n)
+# factors, so that a whole hemisphere holds them a block at a time
 DIRECTION_BLOCK = 512
 
 
@@ -137,45 +137,46 @@ def far_field_gammas(cfg: ArrayConfig, gammas: np.ndarray, f: float,
     if gammas.shape != (cfg.n_y, cfg.n_x):
         raise ValueError(f"gammas must be ({cfg.n_y}, {cfg.n_x}), got {gammas.shape}")
     k0 = TWO_PI * f / C0
-    t, p = np.broadcast_arrays(np.radians(np.asarray(thetas_deg, dtype=float)),
-                               np.radians(phi_deg))
-    e = np.empty(t.shape, dtype=complex)
+    theta, phi = np.broadcast_arrays(np.asarray(thetas_deg, dtype=float), phi_deg)
+    e = np.empty(theta.shape, dtype=complex)
     # an overflow leaves inf or nan in the field, which _peak_db refuses
     with np.errstate(all="ignore"):
         xs, ys = _axes(cfg)
         amp, feed_phase = _feed_terms(cfg, k0)
         excite = amp * gammas * np.exp(1j * feed_phase)
-        ux = np.sin(t) * np.cos(p)
-        uy = np.sin(t) * np.sin(p)
-        elem = np.cos(t) ** cfg.q_elem
         # the steering phase separates per axis: sum rows with (D, n_y) y
         # factors, then columns with (D, n_x) x factors
         for i in range(0, len(e), DIRECTION_BLOCK):
             d = slice(i, i + DIRECTION_BLOCK)
-            ex = np.exp(1j * k0 * np.multiply.outer(ux[d], xs))
-            ey = np.exp(1j * k0 * np.multiply.outer(uy[d], ys))
-            e[d] = ((ey @ excite) * ex).sum(axis=1) * elem[d]
+            t, p = np.radians(theta[d]), np.radians(phi[d])
+            ex = np.exp(1j * k0 * np.multiply.outer(np.sin(t) * np.cos(p), xs))
+            ey = np.exp(1j * k0 * np.multiply.outer(np.sin(t) * np.sin(p), ys))
+            e[d] = ((ey @ excite) * ex).sum(axis=1) * np.cos(t) ** cfg.q_elem
     return e
 
 
 def _peak_db(power: np.ndarray, floor_db: float) -> np.ndarray:
-    """10 log10 of power over its peak, floored at floor_db; all floor when
-    the peak is 0, ValueError when a power is not finite."""
+    """10 log10 of power over its peak, floored at floor_db, computed in place
+    in power and returned; all floor when the peak is 0, ValueError when a
+    power is not finite."""
     if not np.isfinite(power).all():
         raise ValueError("the far field overflows for this array geometry and frequency")
     peak = power.max()
     if peak == 0.0:
-        return np.full_like(power, floor_db)
-    return 10.0 * np.log10(np.maximum(power / peak, 10.0 ** (floor_db / 10.0)))
+        power.fill(floor_db)
+        return power
+    db = np.divide(power, peak, out=power)
+    np.maximum(db, 10.0 ** (floor_db / 10.0), out=db)
+    return np.multiply(10.0, np.log10(db, out=db), out=db)
 
 
 def pattern_db(cfg: ArrayConfig, gammas: np.ndarray, f: float,
                thetas_deg: np.ndarray, phi_deg: float | np.ndarray = 0.0) -> np.ndarray:
     """|E|^2 toward the directions of far_field_gammas, normalized so the
     peak sits at 0 dB."""
-    e = far_field_gammas(cfg, gammas, f, thetas_deg, phi_deg)
     with np.errstate(over="ignore"):
-        power = np.abs(e) ** 2
+        power = np.abs(far_field_gammas(cfg, gammas, f, thetas_deg, phi_deg))
+        power **= 2
     return _peak_db(power, PATTERN_FLOOR_DB)
 
 

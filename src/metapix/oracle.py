@@ -234,27 +234,6 @@ _COUNT_MAX = np.array([GENOME_BITS, 2 * GENOME_BITS, GENOME_SIDE * (GENOME_SIDE 
 _N_VALUES, _S_VALUES, _H_VALUES, _V_VALUES, _C_VALUES = (_COUNT_MAX + 1).tolist()
 
 
-@functools.cache
-def _feature_tables() -> tuple[np.ndarray, ...]:
-    """The feature that each count value gives, as _count_features computes
-    it: rho by n, v_conn by s, e_h by h, e_v by v, rho_center by c and q_cb by
-    n * 17 + c, six read-only float64 arrays of 1,430 entries in all.  Built
-    on first use and held."""
-    # row i: the features of count value i taken as every count at once, as
-    # each count but q_cb's pair (n, c) fixes its feature alone; s has the
-    # most values
-    i = np.arange(_S_VALUES)
-    rho, v_conn, e_h, e_v, rho_center, _ = _count_features(i, i, i, i, i).T
-    n, c = np.divmod(np.arange(_N_VALUES * _C_VALUES), _C_VALUES)
-    q_cb = _count_features(n, 0 * n, 0 * n, 0 * n, c)[:, 5]
-    tables = tuple(np.ascontiguousarray(f[:size]) for f, size in zip(
-        (rho, v_conn, e_h, e_v, rho_center, q_cb),
-        (_N_VALUES, _S_VALUES, _H_VALUES, _V_VALUES, _C_VALUES, _N_VALUES * _C_VALUES)))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _build_tables(consts: OracleConstants, geom: GeometryMeta) -> tuple:
     """The s22 kernel's reactance terms of (consts, geom) on freq_grid().
 
@@ -268,19 +247,25 @@ def _build_tables(consts: OracleConstants, geom: GeometryMeta) -> tuple:
     The stub's (N_FREQ,) reactance, which depends on frequency only, follows
     them.
 
-    Each entry is computed from the features of its counts (_feature_tables)
-    by the IEEE operations that the circuit of the module docstring performs
-    on a feature row, so a gathered entry has the bits of one computed per
-    row.  The (rows, N_FREQ) products are taken in place in the tables, so
-    the build allocates little beside them.
+    Each entry is computed from the features that _count_features gives its
+    counts, by the IEEE operations that the circuit of the module docstring
+    performs on a feature row, so a gathered entry has the bits of one
+    computed per row.  The (rows, N_FREQ) products are taken in place in the
+    tables, so the build allocates little beside them.
     """
     w = 2.0 * math.pi * freq_grid()
-    rho, v_conn, e_h, e_v, rho_center, q_cb = (f[:, None] for f in _feature_tables())
-    c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center)
+    # row i: the features of count value i taken as every count at once,
+    # as each count but q_cb's pair (n, c) fixes its feature alone; s has the
+    # most values, and the other counts' features are sliced to theirs
+    i = np.arange(_S_VALUES)
+    rho, v_conn, e_h, e_v, rho_center, _ = _count_features(i, i, i, i, i).T[:, :, None]
+    n, c = np.divmod(np.arange(_N_VALUES * _C_VALUES), _C_VALUES)
+    q_cb = _count_features(n, 0 * n, 0 * n, 0 * n, c)[:, 5:]
+    c_gap = consts.c_gap0 + consts.c_gap1 * (1.0 - rho_center[:_C_VALUES])
     l1 = consts.l_a + consts.l_b * (1.0 - v_conn)
-    c1 = consts.c_a + consts.c_b * rho + consts.c_c * e_h.T
+    c1 = consts.c_a + consts.c_b * rho[:_N_VALUES] + consts.c_c * e_h[:_H_VALUES].T
     l2 = consts.l2_0 * (1.0 + q_cb)
-    c2 = consts.c2_0 * (1.0 + e_v)
+    c2 = consts.c2_0 * (1.0 + e_v[:_V_VALUES])
 
     def inverse_wc(c):
         x = np.multiply(w, c)

@@ -168,20 +168,23 @@ def test_far_field_refuses_non_finite_reflections(gamma0, gamma1):
 
 def test_far_field_memory_peak_stays_small():
     # the per-axis sum holds (DIRECTION_BLOCK, n_x) arrays, never the dense
-    # (directions, n_x * n_y) phase matrix nor factors for every direction
+    # (directions, n_x * n_y) phase matrix nor factors or direction terms for
+    # every direction, and pattern_db turns |E| into dB in place in one float
+    # array: 1.05 and 1.14 MB traced, where direction terms for every
+    # direction and a new array per dB step read 1.62 and 2.44 MB
     cfg = ArrayConfig()
     codes = quantize_1bit(ideal_phase(cfg, SteerTarget(30.0, 0.0), F0))
     thetas, phis = np.arange(0.0, 90.5, 1.0), np.arange(0.0, 360.0, 1.0)
     cut = (default_cut(0.01),)  # 18,001 directions
     hemisphere = (np.tile(thetas, len(phis)), np.repeat(phis, len(thetas)))  # 32,760
-    for directions in (cut, hemisphere):
+    for directions, bound in ((cut, 1.3e6), (hemisphere, 1.6e6)):
         tracemalloc.start()
         try:
             far_field(cfg, codes, 1.0, -1.0, F0, *directions)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB for {directions[0].size} directions"
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB for {directions[0].size} directions"
 
 
 def test_uniform_aperture_sidelobe_level():

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import tracemalloc
 
@@ -364,6 +365,17 @@ def test_tables_are_built_once_per_constants_and_geometry(monkeypatch):
     info = oc._held_tables.cache_info()
     assert info.misses == info.currsize == 3
     assert oc._held_tables(oc.OracleConstants(), GeometryMeta()) is tables
+
+
+def test_default_tables_are_frozen():
+    """The six arrays of the default constants' and geometry's table build,
+    concatenated in order, keep their sha256: an edit of the build moves no
+    table bit, so every gathered spectrum keeps its bits too."""
+    digest = hashlib.sha256()
+    for table in oc._build_tables(oc.OracleConstants(), GeometryMeta()):
+        digest.update(table.tobytes())
+    assert digest.hexdigest() == (
+        "9f6e265119ee01fa12cb6aafc88b02d11910f9ad973c83fa4cf0461674e542de")
 
 
 def test_real_kernel_equals_the_complex_cascade():
